@@ -168,10 +168,9 @@ std::int64_t CollisionBatcher::advance(std::span<std::int64_t> dark,
   outcome_.collision_adopt_from = -1;
   outcome_.collision_adopt_to = -1;
   outcome_.collision_fade = -1;
-  outcome_.draws = -1;
 #ifdef SIM_CHECKED
-  // Draw audit (Outcome::draws): replay-count the stream this advance
-  // consumes.  Checked builds only — draws_between re-runs the stream.
+  // Draw audit: replay-count the stream this advance consumes.  Checked
+  // builds only — draws_between re-runs the stream.
   const rng::Xoshiro256 entry_gen = gen;
 #endif
   std::fill(outcome_.adopt_out.begin(), outcome_.adopt_out.end(), 0);
@@ -230,11 +229,11 @@ std::int64_t CollisionBatcher::advance(std::span<std::int64_t> dark,
     SIM_DCHECK_EQ(light_pool, rest_light_total_);
   });
 #ifdef SIM_CHECKED
-  outcome_.draws = check::draws_between(
+  const std::int64_t draws = check::draws_between(
       entry_gen, gen, check::CountingBitGenerator::kDefaultReplayCap);
   // One batch draws O(k) variates; losing the stream inside a single
   // advance means the generator was touched behind the audit's back.
-  SIM_DCHECK_GE(outcome_.draws, 0);
+  SIM_DCHECK_GE(draws, 0);
 #endif
   return consumed;
 }

@@ -207,13 +207,6 @@ class CollisionBatcher {
     std::int64_t collision_adopt_from = -1;
     std::int64_t collision_adopt_to = -1;
     std::int64_t collision_fade = -1;
-    /// RNG draws the advance() consumed, audited by replay
-    /// (check::draws_between) — the window-scoped accounting the
-    /// time-parallel engine's checked builds use to certify that a
-    /// speculative window consumed only its own jump-offset substream.
-    /// Filled in SIM_CHECKED builds only; −1 otherwise (the audit replays
-    /// the stream, so it is never free).
-    std::int64_t draws = -1;
   };
   [[nodiscard]] const Outcome& last_outcome() const noexcept {
     return outcome_;

@@ -18,8 +18,6 @@ namespace divpp::core {
 
 namespace {
 
-constexpr const char* kCountHeader = "divpp-count-v1";
-constexpr const char* kDerandomisedHeader = "divpp-derandomised-v1";
 constexpr const char* kRunHeaderV2 = "divpp-run-v2";
 
 // Size-field caps: a corrupted or hostile size must fail as
@@ -27,7 +25,6 @@ constexpr const char* kRunHeaderV2 = "divpp-run-v2";
 // for a genuine palette of this size would be far larger than any blob
 // the writers produce).
 constexpr std::int64_t kMaxColors = 1 << 20;
-constexpr std::int64_t kMaxShadeSlots = 1 << 20;
 constexpr std::int64_t kMaxPendingEvents = 1 << 20;
 
 [[noreturn]] void fail(const std::string& what) {
@@ -57,7 +54,8 @@ void expect_end_of_input(std::istringstream& in) {
 }
 
 /// Full-token double parse — decimal or C99 hexfloat (v2 writes
-/// hexfloats for bit-exact round trips; v1 blobs stay decimal).
+/// hexfloats for bit-exact round trips; hand-written blobs may be
+/// decimal).
 /// Rejects partially consumed tokens and non-finite values, including
 /// the overflow-to-infinity strtod produces for out-of-range decimals.
 double parse_double(const std::string& token, const char* what) {
@@ -228,7 +226,7 @@ ParsedV2 parse_v2(const std::string& text) {
 }  // namespace
 
 /// Private-state bridge for the v2 format (friend of CountSimulation):
-/// v2 additionally round-trips the auto-engine EWMA, the transition
+/// v2 round-trips the clock, the auto-engine EWMA, the transition
 /// counter, and the pending-event schedule, which have no public
 /// setters by design.
 struct CheckpointAccess {
@@ -289,98 +287,6 @@ struct CheckpointAccess {
     return sim;
   }
 };
-
-std::string to_checkpoint(const CountSimulation& sim) {
-  std::ostringstream out;
-  out.precision(17);
-  out << kCountHeader << "\n";
-  out << "k " << sim.num_colors() << "\n";
-  out << "weights";
-  for (const double w : sim.weights().weights()) out << " " << w;
-  out << "\n";
-  out << "time " << sim.time() << "\n";
-  out << "dark";
-  for (const std::int64_t c : sim.dark_counts()) out << " " << c;
-  out << "\n";
-  out << "light";
-  for (const std::int64_t c : sim.light_counts()) out << " " << c;
-  out << "\n";
-  return out.str();
-}
-
-CountSimulation count_simulation_from_checkpoint(const std::string& text) {
-  std::istringstream in(text);
-  const std::string header = next_token(in, "header");
-  if (header != kCountHeader)
-    fail("bad header (expected " + std::string(kCountHeader) + ")");
-  expect_keyword(in, "k");
-  const std::int64_t k = read_sized(in, "colour count", 1, kMaxColors);
-  expect_keyword(in, "weights");
-  auto weights = read_doubles(in, static_cast<std::size_t>(k), "weight");
-  expect_keyword(in, "time");
-  const std::int64_t time =
-      read_sized(in, "time", 0, std::numeric_limits<std::int64_t>::max());
-  expect_keyword(in, "dark");
-  auto dark = read_counts(in, static_cast<std::size_t>(k), "dark count");
-  expect_keyword(in, "light");
-  auto light = read_counts(in, static_cast<std::size_t>(k), "light count");
-  expect_end_of_input(in);
-  CountSimulation sim(WeightMap(std::move(weights)), std::move(dark),
-                      std::move(light));
-  sim.time_ = time;
-  return sim;
-}
-
-std::string to_checkpoint(const DerandomisedCountSimulation& sim) {
-  std::ostringstream out;
-  out.precision(17);
-  out << kDerandomisedHeader << "\n";
-  out << "k " << sim.num_colors() << "\n";
-  out << "weights";
-  for (const double w : sim.weights().weights()) out << " " << w;
-  out << "\n";
-  out << "time " << sim.time() << "\n";
-  for (ColorId i = 0; i < sim.num_colors(); ++i) {
-    out << "shades";
-    for (std::int64_t s = 0; s <= sim.weights().integer_weight(i); ++s)
-      out << " " << sim.shade_count(i, s);
-    out << "\n";
-  }
-  return out.str();
-}
-
-DerandomisedCountSimulation derandomised_from_checkpoint(
-    const std::string& text) {
-  std::istringstream in(text);
-  const std::string header = next_token(in, "header");
-  if (header != kDerandomisedHeader)
-    fail("bad header (expected " + std::string(kDerandomisedHeader) + ")");
-  expect_keyword(in, "k");
-  const std::int64_t k = read_sized(in, "colour count", 1, kMaxColors);
-  expect_keyword(in, "weights");
-  const auto weight_values =
-      read_doubles(in, static_cast<std::size_t>(k), "weight");
-  const WeightMap weights(weight_values);
-  if (!weights.is_integral()) fail("non-integral weights");
-  expect_keyword(in, "time");
-  const std::int64_t time =
-      read_sized(in, "time", 0, std::numeric_limits<std::int64_t>::max());
-  std::vector<std::vector<std::int64_t>> shade_counts(
-      static_cast<std::size_t>(k));
-  for (ColorId i = 0; i < k; ++i) {
-    const std::int64_t slots = weights.integer_weight(i) + 1;
-    if (slots > kMaxShadeSlots)
-      fail("shade block for colour " + std::to_string(i) +
-           " exceeds the slot cap");
-    expect_keyword(in, "shades");
-    shade_counts[static_cast<std::size_t>(i)] =
-        read_counts(in, static_cast<std::size_t>(slots), "shade count");
-  }
-  expect_end_of_input(in);
-  DerandomisedCountSimulation sim(weights, std::move(shade_counts));
-  sim.time_ = time;
-  return sim;
-}
 
 std::string to_checkpoint_v2(const CountSimulation& sim,
                              const rng::Xoshiro256& gen) {

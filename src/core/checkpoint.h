@@ -2,30 +2,19 @@
 #define DIVPP_CORE_CHECKPOINT_H
 
 /// \file checkpoint.h
-/// Human-readable checkpointing of the lumped simulators.
+/// Human-readable checkpointing of a CountSimulation run.
 ///
-/// Two formats with two different promises:
-///
-///  * **v1** (`divpp-count-v1` / `divpp-derandomised-v1`) captures the
-///    *configuration* only (palette, counts, clock).  The RNG is not
-///    part of a v1 checkpoint — callers own their generators and seeds —
-///    so a restored run continues the same *Markov chain* from the same
-///    configuration under a fresh seed, which is all exchangeability
-///    requires.  v1 cannot promise bit-identity with an uninterrupted
-///    run, and does not capture the auto-engine estimate or pending
-///    events.
-///
-///  * **v2** (`divpp-run-v2`, PR 7) captures the *complete resumable
-///    run*: configuration, clock, the full 256-bit Xoshiro256 state, the
-///    auto-engine EWMA and transition counter, the pending-event
-///    schedule, and (optionally) the tagged-agent state.  A run killed
-///    at a checkpoint boundary and resumed from the v2 blob replays the
-///    remaining windows bit-identically to the uninterrupted run — the
-///    durability contract runtime/durable_runner.h builds on (see the
-///    README "Durable runs" section for the exact window-alignment
-///    requirements).  v2 doubles are serialised as C99 hexfloats, so
-///    every weight and estimate round-trips bit-exactly; readers accept
-///    decimal too, for hand-written blobs.
+/// The format (`divpp-run-v2`) captures the *complete resumable run*:
+/// configuration, clock, the full 256-bit Xoshiro256 state, the
+/// auto-engine EWMA and transition counter, the pending-event schedule,
+/// and (optionally) the tagged-agent state.  A run killed at a
+/// checkpoint boundary and resumed from the blob replays the remaining
+/// windows bit-identically to the uninterrupted run — the durability
+/// contract runtime/durable_runner.h builds on (see the README "Durable
+/// runs" section for the exact window-alignment requirements).  Doubles
+/// are serialised as C99 hexfloats, so every weight and estimate
+/// round-trips bit-exactly; the reader accepts decimal too, for
+/// hand-written blobs.
 ///
 /// Event actions are code and cannot cross a process boundary: v2
 /// serialises each pending event's (time, handle) and restores it with a
@@ -33,40 +22,19 @@
 /// — callers re-attach their actions with
 /// CountSimulation::rebind_scheduled_event.
 ///
-/// Both formats are versioned, line-oriented text; every parser rejects
+/// The format is versioned, line-oriented text; the parser rejects
 /// malformed, truncated, reordered, or trailing-garbage input with
 /// std::invalid_argument, never a malformed simulation.  On-disk
 /// atomicity and corruption *detection* are the next layer up
-/// (fault/durable_file.h), so a torn file never reaches these parsers
+/// (fault/durable_file.h), so a torn file never reaches the parser
 /// looking valid.
 
 #include <string>
 
 #include "core/count_simulation.h"
-#include "core/derandomised_count.h"
 #include "rng/xoshiro.h"
 
 namespace divpp::core {
-
-// ---- v1: configuration-only (RNG caller-owned) -------------------------
-
-/// Serialises a CountSimulation (palette, counts, clock) as text.
-[[nodiscard]] std::string to_checkpoint(const CountSimulation& sim);
-
-/// Restores a CountSimulation from to_checkpoint output.
-/// \throws std::invalid_argument on malformed or version-mismatched input.
-[[nodiscard]] CountSimulation count_simulation_from_checkpoint(
-    const std::string& text);
-
-/// Serialises a DerandomisedCountSimulation as text.
-[[nodiscard]] std::string to_checkpoint(
-    const DerandomisedCountSimulation& sim);
-
-/// Restores a DerandomisedCountSimulation from to_checkpoint output.
-[[nodiscard]] DerandomisedCountSimulation
-derandomised_from_checkpoint(const std::string& text);
-
-// ---- v2: complete resumable run (RNG included) -------------------------
 
 /// Serialises the complete resumable run state: `sim` (counts, clock,
 /// auto-engine EWMA, transition counter, pending-event schedule) plus

@@ -452,43 +452,6 @@ bool CountSimulation::rebind_scheduled_event(std::int64_t handle,
 
 void CountSimulation::canonicalize() { rebuild_derived(); }
 
-CountsSnapshot CountSimulation::snapshot_counts() const {
-  CountsSnapshot snapshot;
-  snapshot.dark = dark_;
-  snapshot.light = light_;
-  snapshot.time = time_;
-  snapshot.active_transitions = active_transitions_;
-  snapshot.active_ewma = active_ewma_;
-  return snapshot;
-}
-
-void CountSimulation::restore_counts(const CountsSnapshot& snapshot) {
-  const auto k = static_cast<std::size_t>(weights_.num_colors());
-  if (snapshot.dark.size() != k || snapshot.light.size() != k)
-    throw std::invalid_argument(
-        "restore_counts: snapshot palette size does not match the "
-        "simulation's");
-  std::int64_t n = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    if (snapshot.dark[i] < 0 || snapshot.light[i] < 0)
-      throw std::invalid_argument("restore_counts: negative count");
-    n += snapshot.dark[i] + snapshot.light[i];
-  }
-  if (n < 2)
-    throw std::invalid_argument("restore_counts: need at least two agents");
-  if (snapshot.time < 0)
-    throw std::invalid_argument("restore_counts: negative clock");
-  dark_ = snapshot.dark;
-  light_ = snapshot.light;
-  n_ = n;
-  time_ = snapshot.time;
-  active_transitions_ = snapshot.active_transitions;
-  active_ewma_ = snapshot.active_ewma;
-  // Fresh trees from the raw counts — identical to what a checkpoint-v2
-  // resume builds, which is the bit-identity contract of the snapshot.
-  rebuild_derived();
-}
-
 void CountSimulation::set_sampler_context(
     std::shared_ptr<const context::SamplerContext> context) {
   if (context != nullptr && !(context->weights() == weights_))
@@ -764,26 +727,6 @@ TaggedCountSimulation::TaggedCountSimulation(CountSimulation sim,
   if (pool < 1)
     throw std::invalid_argument(
         "TaggedCountSimulation: no agent with the requested state to tag");
-}
-
-void TaggedCountSimulation::restore_counts(const Snapshot& snapshot) {
-  const ColorId color = snapshot.tagged.color;
-  if (color < 0 || color >= sim_.num_colors())
-    throw std::invalid_argument(
-        "restore_counts: tagged colour outside the palette");
-  const std::size_t cell = static_cast<std::size_t>(color);
-  const std::int64_t pool = snapshot.tagged.is_dark()
-                                ? (cell < snapshot.counts.dark.size()
-                                       ? snapshot.counts.dark[cell]
-                                       : 0)
-                                : (cell < snapshot.counts.light.size()
-                                       ? snapshot.counts.light[cell]
-                                       : 0);
-  if (pool < 1)
-    throw std::invalid_argument(
-        "restore_counts: tagged agent's cell is empty in the snapshot");
-  sim_.restore_counts(snapshot.counts);
-  tagged_ = snapshot.tagged;
 }
 
 void TaggedCountSimulation::step(rng::Xoshiro256& gen) {

@@ -75,28 +75,6 @@ enum class Engine { kStep, kJump, kBatch, kAuto };
 /// The flag spelling of an engine (tables, JSON summaries).
 [[nodiscard]] const char* engine_name(Engine engine);
 
-/// The complete *dynamical* state of a CountSimulation at a window
-/// boundary: everything the engines read that can change inside a
-/// window.  Derived sampling structures are deliberately absent — a
-/// restore rebuilds them from the counts (the canonicalize machinery),
-/// so a restored state and a checkpoint-v2 resume start from the same
-/// freshly built trees.  Scheduled events, the sampler context, and the
-/// cached batcher are also absent: they are *run configuration*, owned
-/// by the simulation the snapshot is restored into, not trajectory
-/// state (the time-parallel engine relies on exactly this split —
-/// speculation workers restore predicted counts into long-lived
-/// simulation copies without disturbing the leader's event queue).
-struct CountsSnapshot {
-  std::vector<std::int64_t> dark;
-  std::vector<std::int64_t> light;
-  std::int64_t time = 0;
-  std::int64_t active_transitions = 0;
-  /// Bit-exact EWMA of the auto engine (< 0 until its first window):
-  /// kAuto's per-window engine choice reads it, so exact-mode
-  /// speculation must match it bitwise to be committable.
-  double active_ewma = -1.0;
-};
-
 /// Lumped (count-level) simulation of the Diversification protocol on the
 /// complete graph K_n.
 class CountSimulation {
@@ -279,24 +257,6 @@ class CountSimulation {
   /// Consumes no RNG draws and changes no counts, clock, or estimates.
   void canonicalize();
 
-  // ---- window snapshot / restore (parallel/parallel_run.h) -------------
-
-  /// Captures the dynamical state at the current clock (see
-  /// CountsSnapshot for what is and is not included).  O(k); no RNG.
-  [[nodiscard]] CountsSnapshot snapshot_counts() const;
-
-  /// Replaces the dynamical state with `snapshot` and rebuilds every
-  /// derived structure from scratch — the same canonicalisation a v2
-  /// restore performs, so restoring a snapshot taken at a canonicalized
-  /// boundary reproduces that boundary state bit-identically.  The
-  /// palette, event queue, sampler context, and cached batcher are kept
-  /// (they are configuration, not trajectory).  The population size may
-  /// differ from the current one (the batcher re-derives its run-length
-  /// table per advance).  O(k); no RNG.
-  /// \throws std::invalid_argument on a palette-size mismatch, negative
-  /// counts, a population of fewer than two agents, or a negative clock.
-  void restore_counts(const CountsSnapshot& snapshot);
-
   // ---- structural changes (adversary API) ------------------------------
 
   /// Adds `count` agents of colour i (dark when `dark_shade`).
@@ -321,11 +281,8 @@ class CountSimulation {
 
  private:
   friend class TaggedCountSimulation;
-  /// Checkpoint restore (core/checkpoint.h) re-seats the clock.
-  friend CountSimulation count_simulation_from_checkpoint(
-      const std::string& text);
   /// The v2 checkpoint layer's accessor (defined in checkpoint.cpp): it
-  /// additionally round-trips the auto-engine EWMA, the transition
+  /// round-trips the clock, the auto-engine EWMA, the transition
   /// counter, and the pending-event schedule.
   friend struct CheckpointAccess;
 
@@ -507,22 +464,6 @@ class TaggedCountSimulation {
   /// CountSimulation::canonicalize on the wrapped counts — the same
   /// checkpoint-boundary alignment contract, for the tagged chain.
   void canonicalize() { sim_.canonicalize(); }
-
-  /// Boundary state of the joint chain: the lumped snapshot plus the
-  /// tagged agent's (colour, shade).  Same contract as
-  /// CountSimulation::snapshot_counts / restore_counts.
-  struct Snapshot {
-    CountsSnapshot counts;
-    AgentState tagged{};
-  };
-
-  [[nodiscard]] Snapshot snapshot_counts() const {
-    return Snapshot{sim_.snapshot_counts(), tagged_};
-  }
-
-  /// \throws std::invalid_argument as restore_counts, plus when the
-  /// tagged agent's cell is empty in the restored counts.
-  void restore_counts(const Snapshot& snapshot);
 
  private:
   /// Step-mode run shared by the kStep engine and the small-population

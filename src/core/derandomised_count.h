@@ -85,10 +85,6 @@ class DerandomisedCountSimulation {
   void advance_to(std::int64_t target_time, rng::Xoshiro256& gen);
 
  private:
-  /// Checkpoint restore (core/checkpoint.h) re-seats the clock.
-  friend DerandomisedCountSimulation derandomised_from_checkpoint(
-      const std::string& text);
-
   struct ClassRef {
     ColorId color = 0;
     std::int64_t shade = 0;

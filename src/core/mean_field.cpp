@@ -96,77 +96,6 @@ double MeanFieldOde::integrate_to_fixed_point(MeanFieldState& state,
   return elapsed;
 }
 
-MeanFieldOde::PredictedCounts MeanFieldOde::predict_counts_after(
-    const std::vector<std::int64_t>& dark,
-    const std::vector<std::int64_t>& light,
-    std::int64_t interactions) const {
-  if (interactions < 0)
-    throw std::invalid_argument("predict_counts_after: negative window");
-  const auto k = static_cast<std::size_t>(weights_.num_colors());
-  if (dark.size() != k || light.size() != k)
-    throw std::invalid_argument("predict_counts_after: size mismatch");
-  std::int64_t n = 0;
-  for (std::size_t i = 0; i < k; ++i) n += dark[i] + light[i];
-  MeanFieldState state = from_counts(dark, light);
-  if (interactions > 0) {
-    const double tau =
-        static_cast<double>(interactions) / static_cast<double>(n);
-    // Fixed step so the prediction is a pure function of (counts, τ):
-    // uniform sub-steps of at most 1/64 rescaled time — far below the
-    // fluid dynamics' timescale, so the RK4 error is negligible against
-    // the O(√window) stochastic fluctuation the validator absorbs.
-    const double steps = std::max(1.0, std::ceil(tau * 64.0));
-    integrate(state, tau, tau / steps);
-  }
-  // Largest-remainder rounding on the concatenated (dark, light) vector:
-  // clamp the integrated fractions to [0, 1], take floors, then hand the
-  // leftover agents to the largest fractional parts (ties to the lowest
-  // index, dark cells before light) — deterministic, sums to n exactly.
-  const std::size_t cells = 2 * k;
-  std::vector<double> scaled(cells);
-  for (std::size_t i = 0; i < k; ++i) {
-    scaled[i] = std::clamp(state.dark[i], 0.0, 1.0) * static_cast<double>(n);
-    scaled[k + i] =
-        std::clamp(state.light[i], 0.0, 1.0) * static_cast<double>(n);
-  }
-  std::vector<std::int64_t> floors(cells);
-  std::int64_t assigned = 0;
-  for (std::size_t c = 0; c < cells; ++c) {
-    floors[c] = static_cast<std::int64_t>(std::floor(scaled[c]));
-    assigned += floors[c];
-  }
-  std::vector<std::size_t> order(cells);
-  for (std::size_t c = 0; c < cells; ++c) order[c] = c;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     const double ra = scaled[a] - std::floor(scaled[a]);
-                     const double rb = scaled[b] - std::floor(scaled[b]);
-                     return ra > rb;
-                   });
-  std::int64_t leftover = n - assigned;
-  for (std::size_t idx = 0; leftover > 0; idx = (idx + 1) % cells) {
-    ++floors[order[idx]];
-    --leftover;
-  }
-  // Clamping can overshoot when the float fractions summed above 1:
-  // take the excess back from the smallest remainders that still have
-  // agents (reverse order), never driving a cell negative.
-  for (std::size_t idx = cells; leftover < 0;) {
-    idx = idx == 0 ? cells - 1 : idx - 1;
-    if (floors[order[idx]] > 0) {
-      --floors[order[idx]];
-      ++leftover;
-    }
-    if (idx == 0 && leftover < 0) idx = cells;  // second pass if needed
-  }
-  PredictedCounts out;
-  out.dark.assign(floors.begin(),
-                  floors.begin() + static_cast<std::ptrdiff_t>(k));
-  out.light.assign(floors.begin() + static_cast<std::ptrdiff_t>(k),
-                   floors.end());
-  return out;
-}
-
 MeanFieldState MeanFieldOde::from_counts(
     const std::vector<std::int64_t>& dark,
     const std::vector<std::int64_t>& light) {

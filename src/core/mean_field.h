@@ -56,30 +56,6 @@ class MeanFieldOde {
 
   [[nodiscard]] const WeightMap& weights() const noexcept { return weights_; }
 
-  /// Deterministic integer prediction of the counts after `interactions`
-  /// further interactions, for the time-parallel engine
-  /// (parallel/parallel_run.h): integrates the fluid limit from the
-  /// fractions of (`dark`, `light`) over τ = interactions / n (rescaled
-  /// time) with a fixed RK4 step, scales back to counts, and rounds by
-  /// the largest-remainder method so the prediction preserves the
-  /// population size exactly (Σ dark + Σ light == n) with every entry
-  /// non-negative.  A pure function of its arguments — every speculation
-  /// thread and every replay computes the identical prediction.  The
-  /// stochastic counts concentrate within O(√interactions) of this
-  /// prediction (Section 1.2's drift argument), which is what makes
-  /// speculation profitable; near the fixed point and for short windows
-  /// the rounded prediction is simply the start counts.
-  /// \pre sizes match the palette; counts non-negative; n >= 1;
-  /// interactions >= 0.
-  struct PredictedCounts {
-    std::vector<std::int64_t> dark;
-    std::vector<std::int64_t> light;
-  };
-  [[nodiscard]] PredictedCounts predict_counts_after(
-      const std::vector<std::int64_t>& dark,
-      const std::vector<std::int64_t>& light,
-      std::int64_t interactions) const;
-
  private:
   WeightMap weights_;
 };

@@ -54,8 +54,8 @@ std::string drive_windows(Sim& sim, const core::CountSimulation& counts,
   while (now < config.target_time) {
     const std::int64_t prev = now;
     // Next period-aligned boundary (absolute time), clamped to target
-    // (runtime/window_math.h — shared with the parallel engine, so both
-    // drivers visit the identical boundary sequence).
+    // (runtime/window_math.h), so a resumed run visits the same
+    // boundary sequence as the run it resumes.
     const std::int64_t next =
         next_window_boundary(now, period, config.target_time);
     sim.advance_with(config.engine, next, gen);

@@ -72,36 +72,6 @@ void ThreadPool::worker_loop() {
   }
 }
 
-TaskGroup::~TaskGroup() {
-  cancel();
-  wait();
-}
-
-void TaskGroup::submit(std::function<void()> task) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++outstanding_;
-  }
-  pool_.submit([this, task = std::move(task)] {
-    if (!cancelled_.load(std::memory_order_relaxed)) task();
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      --outstanding_;
-      if (outstanding_ == 0) drained_.notify_all();
-    }
-  });
-}
-
-void TaskGroup::wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  drained_.wait(lock, [this] { return outstanding_ == 0; });
-}
-
-std::int64_t TaskGroup::outstanding() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return outstanding_;
-}
-
 void parallel_for(ThreadPool& pool, std::int64_t count,
                   const std::function<void(std::int64_t)>& fn) {
   if (count <= 0) return;

@@ -11,7 +11,6 @@
 /// itself makes no ordering promises beyond "every task runs exactly
 /// once".
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -69,62 +68,6 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   std::int64_t active_ = 0;
   bool stopping_ = false;
-};
-
-/// A cancellable batch of tasks on a ThreadPool — the speculation task
-/// group of the time-parallel engine (parallel/parallel_run.cpp).
-///
-/// Cancellation is *check-before-start only*: a cancelled task that has
-/// not begun is skipped entirely, but a task already running completes
-/// normally.  That coarse granularity is deliberate — a speculative
-/// simulation window aborted mid-flight would leave its worker state
-/// half-advanced and its RNG stream partially consumed, so the engine
-/// discards completed speculation results instead of interrupting them.
-/// Tasks must not throw (the ThreadPool contract); wait() therefore has
-/// nothing to rethrow.
-///
-/// The group may be reused across rounds: wait(), then submit again
-/// (cancel state persists until reset()).  Destruction cancels pending
-/// tasks and waits for running ones.
-class TaskGroup {
- public:
-  explicit TaskGroup(ThreadPool& pool) : pool_(pool) {}
-
-  /// Cancels whatever has not started, then blocks for the rest.
-  ~TaskGroup();
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  /// Enqueues `task`; it runs unless the group is cancelled before a
-  /// worker picks it up.  A task submitted after cancel() is counted and
-  /// immediately skippable — submit/cancel races resolve safely.
-  void submit(std::function<void()> task);
-
-  /// Marks the group cancelled: every not-yet-started task (present and
-  /// future) is skipped.  Running tasks are unaffected.  Idempotent.
-  void cancel() noexcept { cancelled_.store(true, std::memory_order_relaxed); }
-
-  [[nodiscard]] bool cancelled() const noexcept {
-    return cancelled_.load(std::memory_order_relaxed);
-  }
-
-  /// Clears the cancelled flag for the next round of submissions.
-  /// \pre no tasks outstanding (call wait() first).
-  void reset() noexcept { cancelled_.store(false, std::memory_order_relaxed); }
-
-  /// Blocks until every submitted task has finished or been skipped.
-  void wait();
-
-  /// Tasks submitted and not yet finished/skipped (diagnostics).
-  [[nodiscard]] std::int64_t outstanding() const;
-
- private:
-  ThreadPool& pool_;
-  mutable std::mutex mutex_;
-  std::condition_variable drained_;
-  std::int64_t outstanding_ = 0;
-  std::atomic<bool> cancelled_{false};
 };
 
 /// Runs fn(i) for every i in [0, count), spread across the pool's

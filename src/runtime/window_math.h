@@ -2,17 +2,13 @@
 #define DIVPP_RUNTIME_WINDOW_MATH_H
 
 /// \file window_math.h
-/// Period-aligned window-boundary arithmetic, shared by the durable
-/// runner (runtime/durable_runner.cpp) and the time-parallel engine
-/// (parallel/parallel_run.cpp).
+/// Period-aligned window-boundary arithmetic for the durable runner
+/// (runtime/durable_runner.cpp).
 ///
 /// Boundaries sit at the multiples of the period (absolute interaction
 /// time), plus the run target — pure functions of (t, period), never of
-/// where a previous run happened to die or which thread executed a
-/// window.  That purity is what lets a resumed run replay the same
-/// boundary sequence as the original, and what lets a speculation
-/// thread name the window it is running before the leader has reached
-/// it.
+/// where a previous run happened to die.  That purity is what lets a
+/// resumed run replay the same boundary sequence as the original.
 
 #include <algorithm>
 #include <cstdint>

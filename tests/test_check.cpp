@@ -23,7 +23,6 @@
 #include "check/invariant.h"
 #include "core/count_simulation.h"
 #include "core/weights.h"
-#include "parallel/parallel_run.h"
 #include "rng/distributions.h"
 #include "rng/xoshiro.h"
 
@@ -305,34 +304,6 @@ constexpr GoldenCase kTaggedGolden[] = {
       0x70f06a3997475183ULL}},
 };
 
-// Captured from serial (threads = 1) runs of run_parallel_windows at
-// this build: weights as above, adversarial start, seed 0x9a11e1,
-// T = 80000, window = 8192 (10 windows).  The window-stream discipline
-// makes the master generator *engine-independent*: it only jumps, once
-// per window, so all four engines finish on the same four state words —
-// that equality is itself part of the pin.  The table is the serial
-// reference the parallel engine's bit-identity contract is anchored to;
-// any speculative draw leaking into the master stream moves the state
-// words and fails every case.
-constexpr GoldenCase kParallelGolden[] = {
-    {"parallel_step_n20000", {16044, 1, 1, 3, 1, 2, 2, 2},
-     {3944, 0, 0, 0, 0, 0, 0, 0}, 80000,
-     {0x89394cd85c39616eULL, 0xe6a2a6ce57021ee8ULL, 0xd1ba12abca1426bcULL,
-      0x4893b89ba83716baULL}},
-    {"parallel_jump_n20000", {16091, 1, 1, 2, 1, 2, 1, 1},
-     {3900, 0, 0, 0, 0, 0, 0, 0}, 80000,
-     {0x89394cd85c39616eULL, 0xe6a2a6ce57021ee8ULL, 0xd1ba12abca1426bcULL,
-      0x4893b89ba83716baULL}},
-    {"parallel_batch_n20000", {16080, 2, 1, 1, 1, 3, 3, 3},
-     {3906, 0, 0, 0, 0, 0, 0, 0}, 80000,
-     {0x89394cd85c39616eULL, 0xe6a2a6ce57021ee8ULL, 0xd1ba12abca1426bcULL,
-      0x4893b89ba83716baULL}},
-    {"parallel_auto_n20000", {16091, 1, 1, 2, 1, 2, 1, 1},
-     {3900, 0, 0, 0, 0, 0, 0, 0}, 80000,
-     {0x89394cd85c39616eULL, 0xe6a2a6ce57021ee8ULL, 0xd1ba12abca1426bcULL,
-      0x4893b89ba83716baULL}},
-};
-
 void expect_golden(const GoldenCase& golden, const CountSimulation& sim,
                    const Xoshiro256& gen) {
   for (std::int64_t i = 0; i < 8; ++i) {
@@ -375,50 +346,6 @@ TEST(GoldenStream, TaggedEnginesReproducePreInstrumentationRuns) {
     EXPECT_TRUE(tagged.tagged_state().is_dark());
     ASSERT_LT(next, std::size(kTaggedGolden));
     expect_golden(kTaggedGolden[next++], tagged.counts(), gen);
-  }
-}
-
-// The parallel engine's RNG-stream contract, pinned both ways:
-//   1. threads = 1 (the serial windowed reference) reproduces the
-//      golden literals, and its master generator finishes *byte-
-//      identical* to the seed generator jumped once per window — the
-//      run consumed zero draws from the master stream, speculative or
-//      otherwise.
-//   2. threads = 4 (real speculation, hit or miss) reproduces the very
-//      same literals: final counts, clock, and master state.
-TEST(GoldenStream, ParallelWindowedRunsConsumeOnlyWindowSubstreams) {
-  const WeightMap weights({4.0, 1.0, 1.0, 2.0, 1.0, 3.0, 1.0, 1.0});
-  const Engine engines[] = {Engine::kStep, Engine::kJump, Engine::kBatch,
-                            Engine::kAuto};
-  constexpr std::int64_t kTarget = 80'000;
-  constexpr std::int64_t kWindow = 8192;
-  constexpr std::int64_t kWindows = (kTarget + kWindow - 1) / kWindow;
-
-  Xoshiro256 jumped(0x9a11e1ULL);
-  for (std::int64_t w = 0; w < kWindows; ++w) jumped.jump();
-
-  std::size_t next = 0;
-  for (const Engine e : engines) {
-    divpp::parallel::ParallelRunConfig config;
-    config.engine = e;
-    config.target_time = kTarget;
-    config.window = kWindow;
-
-    auto serial = CountSimulation::adversarial_start(weights, 20'000);
-    Xoshiro256 serial_gen(0x9a11e1ULL);
-    config.threads = 1;
-    divpp::parallel::run_parallel_windows(serial, serial_gen, config);
-    ASSERT_LT(next, std::size(kParallelGolden));
-    expect_golden(kParallelGolden[next], serial, serial_gen);
-    EXPECT_EQ(serial_gen.state(), jumped.state())
-        << kParallelGolden[next].name << ": master stream leaked a draw";
-
-    auto parallel = CountSimulation::adversarial_start(weights, 20'000);
-    Xoshiro256 parallel_gen(0x9a11e1ULL);
-    config.threads = 4;
-    divpp::parallel::run_parallel_windows(parallel, parallel_gen, config);
-    expect_golden(kParallelGolden[next], parallel, parallel_gen);
-    ++next;
   }
 }
 

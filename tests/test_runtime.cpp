@@ -1,19 +1,20 @@
 // Tests for the parallel batch runtime: the thread pool runs every task
-// exactly once, replica RNG streams are the documented jump() offsets,
-// and BatchRunner output is bit-identical at any thread count.
+// exactly once, durable-run window boundaries follow the period grid,
+// replica RNG streams are the documented jump() offsets, and
+// BatchRunner output is bit-identical at any thread count.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "rng/distributions.h"
 #include "rng/xoshiro.h"
 #include "runtime/batch_runner.h"
 #include "runtime/thread_pool.h"
+#include "runtime/window_math.h"
 #include "stats/online_stats.h"
 
 namespace {
@@ -21,8 +22,10 @@ namespace {
 using divpp::rng::Xoshiro256;
 using divpp::runtime::BatchRunner;
 using divpp::runtime::ThreadPool;
+using divpp::runtime::next_window_boundary;
 using divpp::runtime::parallel_for;
 using divpp::runtime::replica_rng;
+using divpp::runtime::window_index_at;
 
 TEST(ThreadPool, SpawnsRequestedWorkers) {
   ThreadPool pool(3);
@@ -76,79 +79,31 @@ TEST(ParallelFor, RethrowsAFailingIteration) {
   EXPECT_EQ(runs.load(), 64);
 }
 
-TEST(TaskGroup, WaitBlocksUntilEverySubmittedTaskRan) {
-  ThreadPool pool(4);
-  divpp::runtime::TaskGroup group(pool);
-  std::atomic<int> runs{0};
-  for (int i = 0; i < 100; ++i)
-    group.submit([&runs] { runs.fetch_add(1); });
-  group.wait();
-  EXPECT_EQ(runs.load(), 100);
-  EXPECT_EQ(group.outstanding(), 0);
+TEST(WindowMath, NextBoundaryFromAnUnalignedStartIsTheNextMultiple) {
+  // A run resumed at an unaligned time rejoins the period grid at the
+  // next multiple, not at now + period.
+  EXPECT_EQ(next_window_boundary(7, 5, 100), 10);
+  EXPECT_EQ(next_window_boundary(1, 5, 100), 5);
+  EXPECT_EQ(next_window_boundary(0, 5, 100), 5);
+  // From a boundary itself the next one is strictly later.
+  EXPECT_EQ(next_window_boundary(10, 5, 100), 15);
 }
 
-TEST(TaskGroup, IsReusableAcrossRounds) {
-  ThreadPool pool(2);
-  divpp::runtime::TaskGroup group(pool);
-  std::atomic<int> runs{0};
-  for (int round = 0; round < 10; ++round) {
-    for (int i = 0; i < 8; ++i)
-      group.submit([&runs] { runs.fetch_add(1); });
-    group.wait();
-    EXPECT_EQ(runs.load(), (round + 1) * 8);
-  }
+TEST(WindowMath, NextBoundaryIsClampedToTheTarget) {
+  EXPECT_EQ(next_window_boundary(97, 5, 99), 99);
+  EXPECT_EQ(next_window_boundary(96, 5, 100), 100);
+  EXPECT_EQ(next_window_boundary(3, 1000, 42), 42);
 }
 
-TEST(TaskGroup, CancelSkipsTasksThatHaveNotStarted) {
-  // A single-thread pool serialises the queue: the first task blocks the
-  // worker while cancel() is flipped, so the 99 queued behind it must be
-  // skipped (check-before-start contract).  wait() still drains — every
-  // submitted task runs its completion accounting even when skipped.
-  ThreadPool pool(1);
-  divpp::runtime::TaskGroup group(pool);
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  std::atomic<int> runs{0};
-  group.submit([&] {
-    runs.fetch_add(1);
-    started.store(true);
-    while (!release.load()) std::this_thread::yield();
-  });
-  for (int i = 0; i < 99; ++i)
-    group.submit([&runs] { runs.fetch_add(1); });
-  while (!started.load()) std::this_thread::yield();
-  group.cancel();
-  EXPECT_TRUE(group.cancelled());
-  release.store(true);
-  group.wait();
-  EXPECT_EQ(runs.load(), 1);
-  group.reset();
-  EXPECT_FALSE(group.cancelled());
-  group.submit([&runs] { runs.fetch_add(1); });
-  group.wait();
-  EXPECT_EQ(runs.load(), 2);
-}
-
-TEST(TaskGroup, DestructorCancelsAndDrainsOutstandingWork) {
-  ThreadPool pool(1);
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  std::atomic<int> runs{0};
-  {
-    divpp::runtime::TaskGroup group(pool);
-    group.submit([&] {
-      runs.fetch_add(1);
-      started.store(true);
-      while (!release.load()) std::this_thread::yield();
-    });
-    for (int i = 0; i < 50; ++i)
-      group.submit([&runs] { runs.fetch_add(1); });
-    while (!started.load()) std::this_thread::yield();
-    release.store(true);
-    // ~TaskGroup cancels, then blocks until the queue drains — the
-    // skipped tasks must not dangle references into this scope.
-  }
-  EXPECT_GE(runs.load(), 1);
+TEST(WindowMath, IndexOfTheWindowABoundaryCloses) {
+  // Window i covers (i * period, (i + 1) * period]: a boundary exactly
+  // on a period multiple closes the window that ends there.
+  EXPECT_EQ(window_index_at(5, 5), 0);
+  EXPECT_EQ(window_index_at(10, 5), 1);
+  EXPECT_EQ(window_index_at(1, 5), 0);
+  // A clamped target one past a multiple closes the next window.
+  EXPECT_EQ(window_index_at(11, 5), 2);
+  EXPECT_EQ(window_index_at(99, 5), 19);
 }
 
 TEST(ReplicaRng, StreamsAreTheDocumentedJumpOffsets) {
