@@ -194,8 +194,10 @@ class FaultSchedule {
 /// The process-wide schedule parsed from the DIVPP_FAULT_SPEC
 /// environment variable at first use (empty when unset) — how the CI
 /// fault-injection job reaches runs it does not construct.  Explicitly
-/// passed schedules always win; only runtime/durable_runner.h's
-/// DurableBatchRunner falls back to this.
+/// passed schedules always win; a SweepRunner (in-process or supervised)
+/// whose SweepOptions::faults is nullptr falls back to this, resolved
+/// per scenario in runtime/sweep_runner.h's execute_scenario.
+/// run_windows never does.
 [[nodiscard]] const FaultSchedule& global();
 
 }  // namespace divpp::fault

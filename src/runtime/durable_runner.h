@@ -2,8 +2,9 @@
 #define DIVPP_RUNTIME_DURABLE_RUNNER_H
 
 /// \file durable_runner.h
-/// Durable (crash-safe) execution of lumped simulations, and a
-/// self-healing replica runtime on top of it (PR 7).
+/// Durable (crash-safe) execution of one lumped simulation.  Many runs
+/// heal through runtime/sweep_runner.h, whose recovery loop retries
+/// each scenario from the checkpoints written here.
 ///
 /// run_windows advances one simulation to a target in *period-aligned*
 /// checkpoint windows: boundaries sit at the multiples of
@@ -29,32 +30,15 @@
 /// trees exactly, so the uninterrupted run must shed its accumulated
 /// float drift at the same points or the jump engine's trajectories
 /// diverge.
-///
-/// DurableBatchRunner extends runtime/batch_runner.h's determinism
-/// contract to a crashing world: per-replica periodic checkpoints, a
-/// cooperative per-replica deadline, capped-exponential-backoff retry
-/// from the latest valid checkpoint (falling back to a from-scratch
-/// restart when the checkpoint is torn or missing), and graceful
-/// degradation — a replica that keeps failing is quarantined after
-/// max_retries and reported with its error, while the batch statistics
-/// aggregate the completed replicas in replica order.  Because recovery
-/// restores exact state (or replays from scratch on the same
-/// jump()-offset stream), a crash-injected batch's statistics are
-/// bit-identical to the fault-free batch at any --threads.
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
-#include "core/checkpoint.h"
 #include "core/count_simulation.h"
 #include "fault/fault.h"
 #include "rng/xoshiro.h"
-#include "runtime/batch_runner.h"
-#include "stats/online_stats.h"
 
 namespace divpp::runtime {
 
@@ -104,9 +88,6 @@ struct DurableRunConfig {
   const fault::FaultSchedule* faults = nullptr;
   /// This run's replica coordinate in fault::Boundary.
   std::int64_t replica = 0;
-  /// Starting value for the cumulative draw count reported to draw-
-  /// triggered faults (draws are audited per run_windows call).
-  std::int64_t draws_offset = 0;
   /// Cooperative drain hook: checked at every boundary *after* the
   /// checkpoint is persisted (and after the fault hooks fired).
   /// Returning true makes run_windows return the boundary blob early,
@@ -131,125 +112,6 @@ std::string run_windows(core::CountSimulation& sim, rng::Xoshiro256& gen,
 /// tagged agent's colour and shade).
 std::string run_windows(core::TaggedCountSimulation& sim,
                         rng::Xoshiro256& gen, const DurableRunConfig& config);
-
-/// Shared retry/recovery policy of the self-healing runtimes — the
-/// attempt loop DurableBatchRunner always ran per replica, factored out
-/// (PR 8) so SweepRunner scenarios heal through the identical machinery:
-/// capped exponential backoff between attempts, resume from the latest
-/// *valid* checkpoint (the file when a path is set, else the in-memory
-/// copy; a torn or corrupt checkpoint is detected and skipped, never
-/// loaded), quarantine after max_retries.
-struct RecoveryPolicy {
-  /// Retries beyond the first attempt before giving up.
-  int max_retries = 3;
-  double backoff_initial_ms = 1.0;
-  double backoff_cap_ms = 100.0;
-  /// Checkpoint file consulted when recovering (empty = memory-only).
-  std::string checkpoint_path;
-  /// When true the *first* attempt also restores from the checkpoint
-  /// file — how a drained sweep scenario continues where it parked
-  /// instead of replaying from scratch.
-  bool resume_first_attempt = false;
-};
-
-/// What the recovery loop produced.
-struct RecoveryResult {
-  bool completed = false;  ///< false == quarantined (retries exhausted)
-  int attempts = 1;        ///< total attempts, clean == 1
-  int resumes = 0;         ///< attempts that restored from a checkpoint
-  std::string error;       ///< last failure message (empty when clean)
-};
-
-/// Runs `attempt` under `policy`.  The callback receives the recovered
-/// state — the latest valid checkpoint, or nullopt when there is none
-/// (first attempt, or every checkpoint torn/missing: the attempt must
-/// then start from scratch) — and either returns normally or throws.
-/// `latest` is the caller's in-memory checkpoint slot; wire the run's
-/// on_checkpoint hook to assign into it so recovery can fall back to it
-/// when no file path is configured.
-/// \throws std::invalid_argument on a bad policy; never propagates
-/// attempt failures (they become the RecoveryResult).
-RecoveryResult run_with_recovery(
-    const RecoveryPolicy& policy, std::string& latest,
-    const std::function<void(std::optional<core::ResumedRun>)>& attempt);
-
-/// How one replica of a durable batch ended.
-enum class ReplicaOutcome {
-  kOk,           ///< completed on the first attempt
-  kRecovered,    ///< completed after >= 1 retry (resumed or from scratch)
-  kQuarantined,  ///< exhausted max_retries; excluded from the statistics
-};
-
-/// Per-replica status of a durable batch — graceful degradation is
-/// explicit, never silent.
-struct ReplicaReport {
-  ReplicaOutcome outcome = ReplicaOutcome::kOk;
-  int attempts = 1;   ///< total attempts, clean == 1
-  int resumes = 0;    ///< attempts that resumed from a checkpoint
-  double value = 0.0; ///< the replica statistic (meaningless if quarantined)
-  std::string error;  ///< last failure message (empty when kOk)
-};
-
-/// Configuration of the self-healing replica runtime.
-struct DurableBatchOptions {
-  int threads = 0;  ///< 0 = one worker per hardware thread
-  core::Engine engine = core::Engine::kBatch;
-  std::int64_t target_time = 0;
-  std::int64_t checkpoint_period = 0;
-  /// Directory for per-replica checkpoint files ("replica_<r>.ckpt");
-  /// empty keeps checkpoints in memory only (still crash-safe against
-  /// injected faults, not against real process death).
-  std::string checkpoint_dir;
-  /// Retries per replica beyond the first attempt before quarantine.
-  int max_retries = 3;
-  /// Capped exponential backoff between attempts.
-  double backoff_initial_ms = 1.0;
-  double backoff_cap_ms = 100.0;
-  /// Cooperative per-attempt deadline (0 disables).
-  double replica_deadline_seconds = 0.0;
-  /// Fault schedule; nullptr falls back to fault::global() — the
-  /// DIVPP_FAULT_SPEC environment hook the CI fault job uses.
-  const fault::FaultSchedule* faults = nullptr;
-  /// Unlink each replica's checkpoint file after it completes cleanly
-  /// (kOk / kRecovered).  A quarantined replica always keeps its last
-  /// checkpoint for post-mortem.  Off by default — keeping files is the
-  /// conservative choice for crash forensics.
-  bool cleanup_on_success = false;
-};
-
-/// Result of a durable batch.  `stats` aggregates completed replicas in
-/// replica order — bit-identical at any thread count for a fixed seed,
-/// with or without injected crashes.
-struct DurableBatchResult {
-  stats::OnlineStats stats;
-  std::vector<ReplicaReport> replicas;
-  std::int64_t completed = 0;
-  std::int64_t quarantined = 0;
-  BatchTiming timing;
-};
-
-/// BatchRunner with durability: see the file comment.
-class DurableBatchRunner {
- public:
-  explicit DurableBatchRunner(DurableBatchOptions options);
-
-  /// Maps the final simulation state to the replica statistic.
-  using Statistic = std::function<double(const core::CountSimulation&)>;
-
-  /// Runs `replicas` independent copies of `initial` to
-  /// options.target_time on jump()-offset streams of `seed`
-  /// (replica_rng), self-healing per the file comment, and reduces
-  /// `statistic` over the completed replicas.
-  DurableBatchResult run(std::int64_t replicas, std::uint64_t seed,
-                         const core::CountSimulation& initial,
-                         const Statistic& statistic);
-
-  [[nodiscard]] int threads() const noexcept { return runner_.threads(); }
-
- private:
-  DurableBatchOptions options_;
-  BatchRunner runner_;
-};
 
 }  // namespace divpp::runtime
 

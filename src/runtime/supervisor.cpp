@@ -238,8 +238,6 @@ std::string encode_result(std::size_t index, const ScenarioReport& report) {
       options.context_budget_bytes > 0
           ? options.context_budget_bytes
           : context::SamplerContextCache::kDefaultBudgetBytes);
-  const fault::FaultSchedule* faults =
-      options.faults != nullptr ? options.faults : &fault::global();
   const std::chrono::duration<double> heartbeat_gap(
       options.supervision.heartbeat_period_seconds);
 
@@ -262,8 +260,8 @@ std::string encode_result(std::size_t index, const ScenarioReport& report) {
 
     ScenarioReport report;
     execute_scenario(
-        command.spec, command.index, options, statistic, faults,
-        command.resuming, cache, /*should_stop=*/nullptr,
+        command.spec, command.index, options, statistic, command.resuming,
+        cache, /*should_stop=*/nullptr,
         /*on_boundary=*/
         [&] {
           const auto now = Clock::now();
@@ -447,18 +445,6 @@ RunCommand decode_run(const std::string& payload) {
 }
 
 }  // namespace wire
-
-SweepSupervisor::SweepSupervisor(SweepOptions options)
-    : options_(std::move(options)) {
-  if (options_.sweep_dir.empty())
-    fail("needs a sweep_dir — respawn-and-resume requires checkpoints "
-         "that survive process death");
-  if (options_.supervision.workers < 0) fail("negative worker count");
-  if (options_.supervision.heartbeat_period_seconds < 0 ||
-      options_.supervision.hang_timeout_seconds < 0)
-    fail("negative supervision timing");
-  if (options_.supervision.crash_loop_k < 1) fail("crash_loop_k must be >= 1");
-}
 
 void SweepSupervisor::run(const std::vector<ScenarioSpec>& specs,
                           const SweepStatistic& statistic, bool resuming,

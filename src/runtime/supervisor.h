@@ -72,6 +72,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "runtime/sweep_runner.h"
@@ -110,13 +111,15 @@ struct RunCommand {
 
 /// The process-level supervisor: see the file comment.  Constructed
 /// from the same SweepOptions as the SweepRunner that hosts it
-/// (SweepOptions::supervision carries the knobs); normally reached via
+/// (SweepOptions::supervision carries the knobs); reached via
 /// SweepRunner with supervision.enabled rather than directly.
 class SweepSupervisor {
  public:
-  /// \throws std::invalid_argument on bad options (no sweep_dir,
-  /// negative timings, crash_loop_k < 1).
-  explicit SweepSupervisor(SweepOptions options);
+  /// \pre \p options passed SweepRunner's constructor checks: a
+  /// non-empty sweep_dir, workers >= 0, non-negative timings and
+  /// crash_loop_k >= 1.  Not re-checked here.
+  explicit SweepSupervisor(SweepOptions options)
+      : options_(std::move(options)) {}
 
   /// Runs every scenario with finished[i] == 0 on forked workers and
   /// fills its slot of \p reports (slots of finished scenarios are left

@@ -2,6 +2,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -10,8 +11,10 @@
 #include <deque>
 #include <optional>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
+#include "core/checkpoint.h"
 #include "fault/durable_file.h"
 #include "io/json.h"
 #include "rng/xoshiro.h"
@@ -109,6 +112,31 @@ core::CountSimulation initial_state(const ScenarioSpec& spec) {
   throw std::invalid_argument("ScenarioSpec: unknown start kind");
 }
 
+/// Ceiling of the exponential backoff between a scenario's attempts.
+constexpr double kBackoffCapMs = 100.0;
+
+/// The latest *valid* checkpoint: the file when a path is set, else the
+/// in-memory copy.  A torn or corrupt checkpoint is detected
+/// (DurableFileError / invalid_argument), never loaded — nullopt then
+/// sends the attempt back to a from-scratch start on the same stream.
+std::optional<core::ResumedRun> latest_valid_checkpoint(
+    const std::string& path, const std::string& latest) {
+  std::string blob = latest;
+  if (!path.empty()) {
+    try {
+      blob = fault::read_durable(path);
+    } catch (const fault::DurableFileError&) {
+      blob.clear();
+    }
+  }
+  if (blob.empty()) return std::nullopt;
+  try {
+    return core::resume_run_from_checkpoint(blob);
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
+  }
+}
+
 void ensure_directory(const std::string& path) {
   if (::mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) return;
   throw std::runtime_error("SweepRunner: cannot create sweep_dir '" + path +
@@ -148,8 +176,7 @@ std::string scenario_result_json(const ScenarioSpec& spec, double value) {
 
 void execute_scenario(const ScenarioSpec& spec, std::size_t index,
                       const SweepOptions& options,
-                      const SweepStatistic& statistic,
-                      const fault::FaultSchedule* faults, bool resuming,
+                      const SweepStatistic& statistic, bool resuming,
                       context::SamplerContextCache& cache,
                       const std::function<bool()>& should_stop,
                       const std::function<void()>& on_boundary,
@@ -157,6 +184,8 @@ void execute_scenario(const ScenarioSpec& spec, std::size_t index,
   report.name = spec.name;
   const std::string path = scenario_checkpoint_path(options.sweep_dir, index);
   try {
+    const fault::FaultSchedule* faults =
+        options.faults != nullptr ? options.faults : &fault::global();
     // Shared immutables first: admission is the only failure that is a
     // *decision* (budget) rather than an accident, hence its own outcome.
     std::shared_ptr<const context::SamplerContext> shared;
@@ -168,68 +197,78 @@ void execute_scenario(const ScenarioSpec& spec, std::size_t index,
       return;
     }
 
-    RecoveryPolicy policy;
-    policy.max_retries = options.max_retries;
-    policy.backoff_initial_ms = options.backoff_initial_ms;
-    policy.backoff_cap_ms = options.backoff_cap_ms;
-    policy.checkpoint_path = path;
-    policy.resume_first_attempt = resuming && !path.empty();
-
+    // The recovery loop: capped exponential backoff between attempts,
+    // each retry resuming from the latest valid checkpoint, quarantine
+    // after max_retries.  A resumed sweep's first attempt also resumes,
+    // continuing a drained scenario where it parked.
     std::string latest;  // in-memory fallback checkpoint
     bool parked = false;
     double value = 0.0;
-    const RecoveryResult recovery = run_with_recovery(
-        policy, latest, [&](std::optional<core::ResumedRun> resumed) {
-          core::CountSimulation sim = resumed.has_value()
-                                          ? std::move(resumed->sim)
-                                          : initial_state(spec);
-          rng::Xoshiro256 gen = resumed.has_value()
-                                    ? resumed->gen
-                                    : rng::Xoshiro256(spec.seed);
-          // Attach the shared tables.  Without this the batch engine
-          // lazily builds identical private ones — bit-identical by the
-          // pin in test_context, just slower and per-scenario.
-          sim.set_sampler_context(shared);
+    // A resumed sweep's report may still hold the manifest's counts.
+    report.resumes = 0;
+    report.error.clear();
+    for (int attempt = 0;; ++attempt) {
+      report.attempts = attempt + 1;
+      try {
+        std::optional<core::ResumedRun> resumed;
+        if (attempt > 0 || resuming) {
+          resumed = latest_valid_checkpoint(path, latest);
+          if (resumed.has_value()) ++report.resumes;
+        }
+        core::CountSimulation sim = resumed.has_value()
+                                        ? std::move(resumed->sim)
+                                        : initial_state(spec);
+        rng::Xoshiro256 gen =
+            resumed.has_value() ? resumed->gen : rng::Xoshiro256(spec.seed);
+        // Attach the shared tables.  Without this the batch engine
+        // lazily builds identical private ones — bit-identical by the
+        // pin in test_context, just slower and per-scenario.
+        sim.set_sampler_context(shared);
 
-          DurableRunConfig config;
-          config.engine = spec.engine;
-          config.target_time = spec.target_time;
-          config.checkpoint_period = options.checkpoint_period;
-          config.checkpoint_path = path;
-          config.on_checkpoint = [&latest,
-                                  &on_boundary](const std::string& blob) {
-            latest = blob;
-            if (on_boundary) on_boundary();
-          };
-          config.deadline_seconds = options.scenario_deadline_seconds;
-          config.faults = faults;
-          config.replica = static_cast<std::int64_t>(index);
-          config.should_stop = should_stop;
-          run_windows(sim, gen, config);
+        DurableRunConfig config;
+        config.engine = spec.engine;
+        config.target_time = spec.target_time;
+        config.checkpoint_period = options.checkpoint_period;
+        config.checkpoint_path = path;
+        config.on_checkpoint = [&latest,
+                                &on_boundary](const std::string& blob) {
+          latest = blob;
+          if (on_boundary) on_boundary();
+        };
+        config.deadline_seconds = options.scenario_deadline_seconds;
+        config.faults = faults;
+        config.replica = static_cast<std::int64_t>(index);
+        config.should_stop = should_stop;
+        run_windows(sim, gen, config);
 
-          if (sim.time() < spec.target_time) {
-            parked = true;  // stopped by a drain at a durable boundary
-            return;
-          }
-          parked = false;
-          value = statistic(sim);
-        });
-
-    report.attempts = recovery.attempts;
-    report.resumes = recovery.resumes;
-    report.error = recovery.error;
-    if (!recovery.completed) {
-      // Quarantine keeps its last checkpoint for post-mortem.
-      report.outcome = ScenarioOutcome::kQuarantined;
-      return;
+        // Stopped by a drain at a durable boundary, or finished.
+        parked = sim.time() < spec.target_time;
+        if (!parked) value = statistic(sim);
+        break;
+      } catch (const std::exception& error) {
+        report.error = error.what();
+        if (attempt >= options.max_retries) {
+          // Quarantine keeps its last checkpoint for post-mortem.
+          report.outcome = ScenarioOutcome::kQuarantined;
+          return;
+        }
+        const double delay_ms = std::min(
+            kBackoffCapMs,
+            options.backoff_initial_ms *
+                static_cast<double>(std::int64_t{1} << std::min(attempt, 40)));
+        if (delay_ms > 0)
+          std::this_thread::sleep_for(
+              std::chrono::duration<double, std::milli>(delay_ms));
+      }
     }
+
     if (parked) {
       report.outcome = ScenarioOutcome::kDrained;
       return;
     }
     report.value = value;
-    report.outcome = recovery.attempts == 1 ? ScenarioOutcome::kOk
-                                            : ScenarioOutcome::kRecovered;
+    report.outcome = report.attempts == 1 ? ScenarioOutcome::kOk
+                                          : ScenarioOutcome::kRecovered;
     report.json = scenario_result_json(spec, value);
     if (options.cleanup_on_success && !path.empty())
       std::remove(path.c_str());
@@ -254,7 +293,7 @@ SweepRunner::SweepRunner(SweepOptions options)
     throw std::invalid_argument("SweepRunner: checkpoint_period must be > 0");
   if (options_.max_retries < 0)
     throw std::invalid_argument("SweepRunner: negative max_retries");
-  if (options_.backoff_initial_ms < 0 || options_.backoff_cap_ms < 0)
+  if (options_.backoff_initial_ms < 0)
     throw std::invalid_argument("SweepRunner: negative backoff");
   if (options_.scenario_deadline_seconds < 0)
     throw std::invalid_argument("SweepRunner: negative deadline");
@@ -318,9 +357,6 @@ SweepResult SweepRunner::execute(const std::vector<ScenarioSpec>& specs,
   drain_.store(false, std::memory_order_relaxed);
   if (!options_.sweep_dir.empty()) ensure_directory(options_.sweep_dir);
 
-  const fault::FaultSchedule* faults =
-      options_.faults != nullptr ? options_.faults : &fault::global();
-
   const std::size_t count = specs.size();
   std::vector<ScenarioReport> reports(count);
   for (std::size_t i = 0; i < count; ++i) reports[i].name = specs[i].name;
@@ -334,7 +370,7 @@ SweepResult SweepRunner::execute(const std::vector<ScenarioSpec>& specs,
     SweepSupervisor supervisor(options_);
     supervisor.run(specs, statistic, resuming, reports, finished);
   } else {
-    run_in_process(specs, statistic, faults, resuming, reports, finished);
+    run_in_process(specs, statistic, resuming, reports, finished);
   }
 
   SweepResult out;
@@ -361,9 +397,7 @@ SweepResult SweepRunner::execute(const std::vector<ScenarioSpec>& specs,
 }
 
 void SweepRunner::run_in_process(const std::vector<ScenarioSpec>& specs,
-                                 const Statistic& statistic,
-                                 const fault::FaultSchedule* faults,
-                                 bool resuming,
+                                 const Statistic& statistic, bool resuming,
                                  std::vector<ScenarioReport>& reports,
                                  const std::vector<char>& finished) {
   const std::size_t count = specs.size();
@@ -398,8 +432,7 @@ void SweepRunner::run_in_process(const std::vector<ScenarioSpec>& specs,
         ready.pop_front();
         can_submit_.notify_one();
       }
-      run_scenario(index, specs[index], statistic, faults, resuming,
-                   reports[index]);
+      run_scenario(index, specs[index], statistic, resuming, reports[index]);
       settled[index] = 1;
     }
   };
@@ -435,11 +468,10 @@ void SweepRunner::run_in_process(const std::vector<ScenarioSpec>& specs,
 }
 
 void SweepRunner::run_scenario(std::size_t index, const ScenarioSpec& spec,
-                               const Statistic& statistic,
-                               const fault::FaultSchedule* faults,
-                               bool resuming, ScenarioReport& report) {
+                               const Statistic& statistic, bool resuming,
+                               ScenarioReport& report) {
   execute_scenario(
-      spec, index, options_, statistic, faults, resuming, cache_,
+      spec, index, options_, statistic, resuming, cache_,
       [this] { return drain_.load(std::memory_order_relaxed); },
       /*on_boundary=*/nullptr, report);
 }

@@ -14,14 +14,15 @@
 ///    ten thousand.  A scenario whose context would blow the cache's
 ///    memory budget is *rejected* (kRejected, structured error) — never
 ///    silently admitted over budget, never a reason to fail the sweep.
-///  - **Isolation.** Each scenario runs under the same recovery loop as
-///    DurableBatchRunner replicas (run_with_recovery): periodic durable
-///    checkpoints, cooperative deadline, capped-backoff retries from the
-///    latest valid checkpoint, quarantine after max_retries.  A crash,
-///    injected fault, or invariant failure in one scenario quarantines
-///    *that scenario only*; the rest of the sweep is unaffected, and the
-///    completed scenarios' results are bit-identical to a fault-free
-///    sweep (recovery restores exact state or replays the same stream).
+///  - **Isolation.** Each scenario runs under one recovery loop
+///    (execute_scenario): periodic durable checkpoints, cooperative
+///    deadline, capped-backoff retries from the latest valid checkpoint
+///    (a torn or missing one restarts from scratch on the same stream),
+///    quarantine after max_retries.  A crash, injected fault, or
+///    invariant failure in one scenario quarantines *that scenario
+///    only*; the rest of the sweep is unaffected, and the completed
+///    scenarios' results are bit-identical to a fault-free sweep
+///    (recovery restores exact state or replays the same stream).
 ///  - **Backpressure.** Scenarios are admitted through a bounded queue
 ///    (admission_capacity); submission blocks while the queue is full,
 ///    so a million-scenario sweep holds O(threads) scenarios in flight,
@@ -142,9 +143,9 @@ struct SweepOptions {
   std::string sweep_dir;
   /// Retries per scenario beyond the first attempt before quarantine.
   int max_retries = 3;
-  /// Capped exponential backoff between attempts.
+  /// Exponential backoff between attempts, starting here and capped at
+  /// 100 ms.
   double backoff_initial_ms = 1.0;
-  double backoff_cap_ms = 100.0;
   /// Cooperative per-attempt deadline per scenario (0 disables).
   double scenario_deadline_seconds = 0.0;
   /// Bound on the admission queue; 0 = 4 * threads.
@@ -192,19 +193,20 @@ using SweepStatistic = std::function<double(const core::CountSimulation&)>;
                                                double value);
 
 /// Runs ONE scenario through the shared recovery machinery (context
-/// admission, run_with_recovery, durable checkpoints, quarantine) and
-/// fills \p report.  This is the single code path behind both the
-/// in-process SweepRunner workers and the forked supervisor workers —
-/// sharing it is what makes supervised results bit-identical by
-/// construction.  Never throws; failures land in the report.
+/// admission, the retry loop, durable checkpoints, quarantine) and
+/// fills \p report.  The fault schedule is options.faults, or
+/// fault::global() when that is nullptr.  This is the single code path
+/// behind both the in-process SweepRunner workers and the forked
+/// supervisor workers — sharing it is what makes supervised results
+/// bit-identical by construction.  Never throws; failures land in the
+/// report.
 /// \param should_stop optional cooperative stop (drain) checked after
 ///        each persisted boundary; a stopped scenario parks as kDrained.
 /// \param on_boundary optional hook run at every checkpoint boundary —
 ///        the supervisor workers send heartbeats from it.
 void execute_scenario(const ScenarioSpec& spec, std::size_t index,
                       const SweepOptions& options,
-                      const SweepStatistic& statistic,
-                      const fault::FaultSchedule* faults, bool resuming,
+                      const SweepStatistic& statistic, bool resuming,
                       context::SamplerContextCache& cache,
                       const std::function<bool()>& should_stop,
                       const std::function<void()>& on_boundary,
@@ -259,13 +261,11 @@ class SweepRunner {
                       const Statistic& statistic, bool resuming);
   /// The PR 8 thread-pool path: bounded admission, pool workers, drain.
   void run_in_process(const std::vector<ScenarioSpec>& specs,
-                      const Statistic& statistic,
-                      const fault::FaultSchedule* faults, bool resuming,
+                      const Statistic& statistic, bool resuming,
                       std::vector<ScenarioReport>& reports,
                       const std::vector<char>& finished);
   void run_scenario(std::size_t index, const ScenarioSpec& spec,
-                    const Statistic& statistic,
-                    const fault::FaultSchedule* faults, bool resuming,
+                    const Statistic& statistic, bool resuming,
                     ScenarioReport& report);
   [[nodiscard]] std::string manifest_path() const;
   void write_manifest(const std::vector<ScenarioSpec>& specs,

@@ -2,14 +2,14 @@
 // windowed run at an arbitrary checkpoint boundary under any engine
 // (step/jump/batch/auto, untagged and tagged), resume from the last
 // checkpoint, and the final state — counts, clock, and 256-bit RNG
-// state — is bit-identical to the uninterrupted run.  On top of that,
-// the self-healing DurableBatchRunner must produce bit-identical batch
-// statistics with and without injected crashes, at any thread count.
+// state — is bit-identical to the uninterrupted run.  The retry loop
+// that heals many runs from these checkpoints is SweepRunner's; its
+// crash, torn-checkpoint, quarantine and deadline cases live in
+// tests/test_sweep.cpp.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -32,11 +32,7 @@ using divpp::fault::FaultSpec;
 using divpp::fault::InjectedFault;
 using divpp::fault::SimulatedCrash;
 using divpp::rng::Xoshiro256;
-using divpp::runtime::DurableBatchOptions;
-using divpp::runtime::DurableBatchResult;
-using divpp::runtime::DurableBatchRunner;
 using divpp::runtime::DurableRunConfig;
-using divpp::runtime::ReplicaOutcome;
 using divpp::runtime::run_windows;
 
 constexpr std::int64_t kPeriod = 1000;
@@ -185,131 +181,6 @@ TEST(DurableRun, DrawTriggeredFaultFiresUnderAudit) {
   EXPECT_NO_THROW((void)run_windows(sim2, gen2, config));
 }
 
-// ---- the self-healing batch runtime ------------------------------------
-
-DurableBatchOptions batch_options(int threads,
-                                  const FaultSchedule* faults) {
-  DurableBatchOptions options;
-  options.threads = threads;
-  options.engine = Engine::kBatch;
-  options.target_time = 4000;
-  options.checkpoint_period = kPeriod;
-  options.max_retries = 3;
-  options.backoff_initial_ms = 0.0;  // tests need no real backoff waits
-  options.faults = faults;
-  return options;
-}
-
-double min_dark_statistic(const CountSimulation& sim) {
-  return static_cast<double>(sim.min_dark());
-}
-
-TEST(DurableBatch, CrashInjectedStatsAreBitIdenticalAtAnyThreadCount) {
-  const CountSimulation initial =
-      CountSimulation::equal_start(WeightMap({1.0, 2.0, 3.0}), 300);
-  constexpr std::int64_t kReplicas = 6;
-  constexpr std::uint64_t kSeed = 42;
-
-  const FaultSchedule none;
-  DurableBatchRunner clean(batch_options(1, &none));
-  const DurableBatchResult baseline =
-      clean.run(kReplicas, kSeed, initial, min_dark_statistic);
-  ASSERT_EQ(baseline.completed, kReplicas);
-  ASSERT_EQ(baseline.quarantined, 0);
-
-  for (const int threads : {1, 3}) {
-    const FaultSchedule crashes =
-        FaultSchedule::random_crashes(/*seed=*/5, /*count=*/4,
-                                      /*max_window=*/3, kReplicas);
-    DurableBatchRunner faulty(batch_options(threads, &crashes));
-    const DurableBatchResult result =
-        faulty.run(kReplicas, kSeed, initial, min_dark_statistic);
-
-    EXPECT_EQ(result.completed, kReplicas) << threads << " threads";
-    EXPECT_EQ(result.quarantined, 0);
-    // Bit-identical statistics: same count, same mean, same variance.
-    EXPECT_EQ(result.stats.count(), baseline.stats.count());
-    EXPECT_EQ(result.stats.mean(), baseline.stats.mean());
-    EXPECT_EQ(result.stats.variance(), baseline.stats.variance());
-    int recovered = 0;
-    for (std::int64_t r = 0; r < kReplicas; ++r) {
-      EXPECT_EQ(result.replicas[static_cast<std::size_t>(r)].value,
-                baseline.replicas[static_cast<std::size_t>(r)].value)
-          << "replica " << r << " at " << threads << " threads";
-      if (result.replicas[static_cast<std::size_t>(r)].outcome ==
-          ReplicaOutcome::kRecovered)
-        ++recovered;
-    }
-    EXPECT_GE(recovered, 1) << "no crash actually fired";
-  }
-}
-
-TEST(DurableBatch, TornCheckpointFallsBackToFromScratchRestart) {
-  const CountSimulation initial =
-      CountSimulation::equal_start(WeightMap({1.0, 1.0}), 200);
-  const std::string dir = ::testing::TempDir() + "divpp_torn_ckpt";
-  std::filesystem::create_directories(dir);
-
-  const FaultSchedule none;
-  DurableBatchOptions clean_options = batch_options(1, &none);
-  clean_options.target_time = 3000;
-  clean_options.checkpoint_dir = dir;
-  const DurableBatchResult baseline = DurableBatchRunner(clean_options)
-                                          .run(1, 11, initial,
-                                               min_dark_statistic);
-
-  // Tear the very checkpoint the crash leaves behind: the retry must
-  // detect the torn file and restart from scratch — still bit-identical.
-  FaultSpec torn;
-  torn.kind = FaultKind::kTornWrite;
-  torn.at_window = 2;
-  FaultSpec crash = crash_at_window(2);
-  const FaultSchedule schedule({torn, crash});
-  DurableBatchOptions options = clean_options;
-  options.faults = &schedule;
-  const DurableBatchResult result =
-      DurableBatchRunner(options).run(1, 11, initial, min_dark_statistic);
-
-  ASSERT_EQ(result.completed, 1);
-  const auto& report = result.replicas[0];
-  EXPECT_EQ(report.outcome, ReplicaOutcome::kRecovered);
-  EXPECT_EQ(report.attempts, 2);
-  EXPECT_EQ(report.resumes, 0) << "a torn checkpoint must not be resumed";
-  EXPECT_EQ(report.value, baseline.replicas[0].value);
-}
-
-TEST(DurableBatch, RepeatedFailuresQuarantineTheReplica) {
-  const CountSimulation initial =
-      CountSimulation::equal_start(WeightMap({1.0, 1.0}), 200);
-  // One injected exception per attempt: the replica dies at windows
-  // 0, 1, 2 of attempts 1, 2, 3 (each resume starts past the previous
-  // window) and runs out of retries.
-  std::vector<FaultSpec> specs;
-  for (std::int64_t w = 0; w < 3; ++w) {
-    FaultSpec spec;
-    spec.kind = FaultKind::kException;
-    spec.at_window = w;
-    spec.replica = 0;
-    specs.push_back(spec);
-  }
-  const FaultSchedule schedule(specs);
-  DurableBatchOptions options = batch_options(1, &schedule);
-  options.target_time = 3000;
-  options.max_retries = 2;
-  const DurableBatchResult result =
-      DurableBatchRunner(options).run(2, 21, initial, min_dark_statistic);
-
-  EXPECT_EQ(result.quarantined, 1);
-  EXPECT_EQ(result.completed, 1);
-  EXPECT_EQ(result.stats.count(), 1);
-  const auto& bad = result.replicas[0];
-  EXPECT_EQ(bad.outcome, ReplicaOutcome::kQuarantined);
-  EXPECT_EQ(bad.attempts, 3);
-  EXPECT_NE(bad.error.find("injected exception"), std::string::npos)
-      << bad.error;
-  EXPECT_EQ(result.replicas[1].outcome, ReplicaOutcome::kOk);
-}
-
 TEST(DurableRun, ShouldStopParksAtADurableBoundary) {
   // Golden: the uninterrupted run.
   CountSimulation golden_sim = make_initial();
@@ -335,79 +206,6 @@ TEST(DurableRun, ShouldStopParksAtADurableBoundary) {
       run_windows(resumed.sim, resumed.gen,
                   windowed_config(Engine::kBatch, nullptr));
   EXPECT_EQ(final_blob, golden);
-}
-
-TEST(DurableBatch, CleanupOnSuccessUnlinksCompletedCheckpoints) {
-  const CountSimulation initial =
-      CountSimulation::equal_start(WeightMap({1.0, 2.0}), 200);
-  const std::string dir = ::testing::TempDir() + "divpp_cleanup_ok";
-  std::filesystem::create_directories(dir);
-  const FaultSchedule none;
-  DurableBatchOptions options = batch_options(1, &none);
-  options.checkpoint_dir = dir;
-  options.cleanup_on_success = true;
-  const DurableBatchResult result =
-      DurableBatchRunner(options).run(2, 77, initial, min_dark_statistic);
-  ASSERT_EQ(result.completed, 2);
-  EXPECT_FALSE(std::filesystem::exists(dir + "/replica_0.ckpt"));
-  EXPECT_FALSE(std::filesystem::exists(dir + "/replica_1.ckpt"));
-}
-
-TEST(DurableBatch, QuarantinedReplicaKeepsItsLastCheckpoint) {
-  const CountSimulation initial =
-      CountSimulation::equal_start(WeightMap({1.0, 2.0}), 200);
-  const std::string dir = ::testing::TempDir() + "divpp_cleanup_quarantine";
-  std::filesystem::create_directories(dir);
-  // Replica 0 crashes at every window it can reach and is quarantined
-  // with max_retries = 0; replica 1 completes and is cleaned up.
-  std::vector<FaultSpec> specs;
-  FaultSpec crash = crash_at_window(0);
-  crash.replica = 0;
-  specs.push_back(crash);
-  const FaultSchedule schedule(specs);
-  DurableBatchOptions options = batch_options(1, &schedule);
-  options.checkpoint_dir = dir;
-  options.cleanup_on_success = true;
-  options.max_retries = 0;
-  const DurableBatchResult result =
-      DurableBatchRunner(options).run(2, 78, initial, min_dark_statistic);
-  ASSERT_EQ(result.quarantined, 1);
-  ASSERT_EQ(result.replicas[0].outcome, ReplicaOutcome::kQuarantined);
-  EXPECT_TRUE(std::filesystem::exists(dir + "/replica_0.ckpt"))
-      << "quarantine must keep the post-mortem checkpoint";
-  EXPECT_FALSE(std::filesystem::exists(dir + "/replica_1.ckpt"));
-}
-
-TEST(DurableBatch, DeadlineOverrunIsRetriedAndRecovers) {
-  const CountSimulation initial =
-      CountSimulation::equal_start(WeightMap({1.0, 1.0}), 200);
-  const FaultSchedule none;
-  DurableBatchOptions clean_options = batch_options(1, &none);
-  clean_options.target_time = 3000;
-  const DurableBatchResult baseline = DurableBatchRunner(clean_options)
-                                          .run(1, 31, initial,
-                                               min_dark_statistic);
-
-  // One 300 ms stall against a 50 ms deadline: attempt 1 overruns (the
-  // cooperative watchdog sees it at the next boundary), the retry runs
-  // stall-free from the last checkpoint.
-  FaultSpec latency;
-  latency.kind = FaultKind::kLatency;
-  latency.at_window = 0;
-  latency.latency_us = 300'000;
-  const FaultSchedule schedule({latency});
-  DurableBatchOptions options = clean_options;
-  options.faults = &schedule;
-  options.replica_deadline_seconds = 0.05;
-  options.checkpoint_dir = ::testing::TempDir();
-  const DurableBatchResult result =
-      DurableBatchRunner(options).run(1, 31, initial, min_dark_statistic);
-
-  ASSERT_EQ(result.completed, 1);
-  const auto& report = result.replicas[0];
-  EXPECT_EQ(report.outcome, ReplicaOutcome::kRecovered);
-  EXPECT_GE(report.resumes, 1);
-  EXPECT_EQ(report.value, baseline.replicas[0].value);
 }
 
 }  // namespace

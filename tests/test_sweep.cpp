@@ -2,8 +2,10 @@
 // multiplexing with values bit-identical to dedicated runs, context
 // admission rejection under a memory budget, per-scenario fault
 // isolation (a crashing scenario quarantines alone and everyone else's
-// JSON is byte-identical to the fault-free sweep), graceful drain with
-// manifest resume, checkpoint cleanup, and backpressure.
+// JSON is byte-identical to the fault-free sweep), retries from the
+// latest valid checkpoint (torn files restart from scratch, deadline
+// overruns resume), graceful drain with manifest resume, checkpoint
+// cleanup, and backpressure.
 
 #include <gtest/gtest.h>
 
@@ -214,6 +216,101 @@ TEST(Sweep, FaultIsolationQuarantinesOnlyTheTargetedScenario) {
   EXPECT_EQ(healed.completed, 8);
   EXPECT_EQ(healed.scenarios[2].outcome, ScenarioOutcome::kRecovered);
   EXPECT_EQ(healed.scenarios[2].json, clean.scenarios[2].json);
+
+  // One injected exception per attempt: scenario 2 dies at windows 0, 1
+  // and 2 of attempts 1, 2 and 3 (each resume starts past the previous
+  // window) and runs out of retries; the others are untouched.
+  std::vector<FaultSpec> throws;
+  for (std::int64_t w = 0; w < 3; ++w) {
+    FaultSpec spec;
+    spec.kind = FaultKind::kException;
+    spec.at_window = w;
+    spec.replica = 2;
+    throws.push_back(spec);
+  }
+  const FaultSchedule every_attempt(throws);
+  options.faults = &every_attempt;
+  options.max_retries = 2;
+  const SweepResult exhausted =
+      SweepRunner(options).run(specs, min_dark_statistic);
+  EXPECT_EQ(exhausted.quarantined, 1);
+  const ScenarioReport& bad = exhausted.scenarios[2];
+  EXPECT_EQ(bad.outcome, ScenarioOutcome::kQuarantined);
+  EXPECT_EQ(bad.attempts, 3);
+  EXPECT_NE(bad.error.find("injected exception"), std::string::npos)
+      << bad.error;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (i == 2) continue;
+    EXPECT_EQ(exhausted.scenarios[i].outcome, ScenarioOutcome::kOk);
+  }
+
+  // Seeded random crashes over the first six scenarios heal at any
+  // thread count: every value and JSON line matches the clean sweep.
+  for (const int threads : {1, 3}) {
+    const FaultSchedule crashes =
+        FaultSchedule::random_crashes(/*seed=*/5, /*count=*/4,
+                                      /*max_window=*/3, /*num_replicas=*/6);
+    SweepOptions random_options = sweep_options(threads);
+    random_options.faults = &crashes;
+    const SweepResult result =
+        SweepRunner(random_options).run(specs, min_dark_statistic);
+    EXPECT_EQ(result.completed, 8) << threads << " threads";
+    EXPECT_GE(result.recovered, 1) << "no crash actually fired";
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      EXPECT_EQ(result.scenarios[i].value, clean.scenarios[i].value)
+          << "scenario " << i << " at " << threads << " threads";
+      EXPECT_EQ(result.scenarios[i].json, clean.scenarios[i].json);
+    }
+  }
+}
+
+TEST(Sweep, RetriesResumeFromTheLatestValidCheckpoint) {
+  const std::vector<ScenarioSpec> specs{scenario("retry", 200, 11, 3000)};
+  const SweepResult clean =
+      SweepRunner(sweep_options(1)).run(specs, min_dark_statistic);
+  ASSERT_EQ(clean.completed, 1);
+
+  // Tear the very checkpoint file the crash leaves behind: the retry
+  // must detect the torn file and restart from scratch.
+  const std::string dir = ::testing::TempDir() + "divpp_sweep_torn";
+  std::filesystem::remove_all(dir);
+  FaultSpec torn;
+  torn.kind = FaultKind::kTornWrite;
+  torn.at_window = 2;
+  FaultSpec crash;
+  crash.kind = FaultKind::kCrash;
+  crash.at_window = 2;
+  const FaultSchedule torn_then_crash({torn, crash});
+  SweepOptions options = sweep_options(1);
+  options.sweep_dir = dir;
+  options.faults = &torn_then_crash;
+  const SweepResult restarted =
+      SweepRunner(options).run(specs, min_dark_statistic);
+  ASSERT_EQ(restarted.completed, 1);
+  const ScenarioReport& fresh = restarted.scenarios[0];
+  EXPECT_EQ(fresh.outcome, ScenarioOutcome::kRecovered);
+  EXPECT_EQ(fresh.attempts, 2);
+  EXPECT_EQ(fresh.resumes, 0) << "a torn checkpoint must not be resumed";
+  EXPECT_EQ(fresh.value, clean.scenarios[0].value);
+
+  // One 300 ms stall against a 50 ms deadline, in-memory checkpoints:
+  // attempt 1 overruns (the cooperative watchdog sees it at the next
+  // boundary), the retry resumes stall-free from the last checkpoint.
+  FaultSpec latency;
+  latency.kind = FaultKind::kLatency;
+  latency.at_window = 0;
+  latency.latency_us = 300'000;
+  const FaultSchedule stall({latency});
+  options = sweep_options(1);
+  options.faults = &stall;
+  options.scenario_deadline_seconds = 0.05;
+  const SweepResult overran =
+      SweepRunner(options).run(specs, min_dark_statistic);
+  ASSERT_EQ(overran.completed, 1);
+  const ScenarioReport& resumed = overran.scenarios[0];
+  EXPECT_EQ(resumed.outcome, ScenarioOutcome::kRecovered);
+  EXPECT_GE(resumed.resumes, 1);
+  EXPECT_EQ(resumed.value, clean.scenarios[0].value);
 }
 
 TEST(Sweep, DrainMidSweepThenResumeFinishesBitIdentically) {
