@@ -192,12 +192,9 @@ class FaultSchedule {
 };
 
 /// The process-wide schedule parsed from the DIVPP_FAULT_SPEC
-/// environment variable at first use (empty when unset) — how the CI
-/// fault-injection job reaches runs it does not construct.  Explicitly
-/// passed schedules always win; a SweepRunner (in-process or supervised)
-/// whose SweepOptions::faults is nullptr falls back to this, resolved
-/// per scenario in runtime/sweep_runner.h's execute_scenario.
-/// run_windows never does.
+/// environment variable at first use (empty when unset).  No runner
+/// falls back to it: only callers that pass global() explicitly (the
+/// e21, e22 and e23 benches) read the variable.
 [[nodiscard]] const FaultSchedule& global();
 
 }  // namespace divpp::fault

@@ -233,7 +233,7 @@ std::string encode_result(std::size_t index, const ScenarioReport& report) {
                               const SweepOptions& options,
                               const SweepStatistic& statistic) {
   // Inherited by fork, never serialised: options, statistic, and (via
-  // options.faults or fault::global()) the fault schedule.
+  // options.faults) the fault schedule.
   context::SamplerContextCache cache(
       options.context_budget_bytes > 0
           ? options.context_budget_bytes

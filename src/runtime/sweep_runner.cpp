@@ -184,8 +184,6 @@ void execute_scenario(const ScenarioSpec& spec, std::size_t index,
   report.name = spec.name;
   const std::string path = scenario_checkpoint_path(options.sweep_dir, index);
   try {
-    const fault::FaultSchedule* faults =
-        options.faults != nullptr ? options.faults : &fault::global();
     // Shared immutables first: admission is the only failure that is a
     // *decision* (budget) rather than an accident, hence its own outcome.
     std::shared_ptr<const context::SamplerContext> shared;
@@ -236,7 +234,7 @@ void execute_scenario(const ScenarioSpec& spec, std::size_t index,
           if (on_boundary) on_boundary();
         };
         config.deadline_seconds = options.scenario_deadline_seconds;
-        config.faults = faults;
+        config.faults = options.faults;
         config.replica = static_cast<std::int64_t>(index);
         config.should_stop = should_stop;
         run_windows(sim, gen, config);

@@ -153,8 +153,7 @@ struct SweepOptions {
   /// Memory budget of the shared SamplerContextCache; 0 = the cache
   /// default (SamplerContextCache::kDefaultBudgetBytes).
   std::size_t context_budget_bytes = 0;
-  /// Fault schedule; nullptr falls back to fault::global() — the
-  /// DIVPP_FAULT_SPEC environment hook the CI sweep-soak job uses.
+  /// Fault schedule to consult at boundaries; nullptr = no faults.
   /// FaultSpec::replica addresses the scenario *index*.
   const fault::FaultSchedule* faults = nullptr;
   /// Unlink a scenario's checkpoint after it completes cleanly; a
@@ -194,12 +193,10 @@ using SweepStatistic = std::function<double(const core::CountSimulation&)>;
 
 /// Runs ONE scenario through the shared recovery machinery (context
 /// admission, the retry loop, durable checkpoints, quarantine) and
-/// fills \p report.  The fault schedule is options.faults, or
-/// fault::global() when that is nullptr.  This is the single code path
-/// behind both the in-process SweepRunner workers and the forked
-/// supervisor workers — sharing it is what makes supervised results
-/// bit-identical by construction.  Never throws; failures land in the
-/// report.
+/// fills \p report.  This is the single code path behind both the
+/// in-process SweepRunner workers and the forked supervisor workers —
+/// sharing it is what makes supervised results bit-identical by
+/// construction.  Never throws; failures land in the report.
 /// \param should_stop optional cooperative stop (drain) checked after
 ///        each persisted boundary; a stopped scenario parks as kDrained.
 /// \param on_boundary optional hook run at every checkpoint boundary —

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -100,16 +101,10 @@ double dedicated_value(const ScenarioSpec& spec) {
 }
 
 SweepOptions sweep_options(int threads) {
-  // Every test runs under an explicit schedule (empty by default, the
-  // fault tests override it) so a hostile DIVPP_FAULT_SPEC in the
-  // environment — the CI fault-injection job sets one — cannot leak
-  // into the sweep through the nullptr-means-global() fallback.
-  static const FaultSchedule no_env_faults;
   SweepOptions options;
   options.threads = threads;
   options.checkpoint_period = kPeriod;
   options.backoff_initial_ms = 0.0;  // tests need no real backoff waits
-  options.faults = &no_env_faults;
   return options;
 }
 
@@ -123,6 +118,29 @@ TEST(Sweep, ValidatesOptionsAndSpecs) {
   EXPECT_THROW((void)runner.resume({}, min_dark_statistic),
                std::invalid_argument)
       << "resume without a sweep_dir has nothing to resume from";
+}
+
+TEST(Sweep, NullFaultsIgnoreTheEnvironmentSchedule) {
+  // faults == nullptr means no faults: a lethal DIVPP_FAULT_SPEC must
+  // not reach the sweep (only explicit fault::global() callers read it).
+  const char* previous = std::getenv("DIVPP_FAULT_SPEC");
+  const std::string saved = previous != nullptr ? previous : "";
+  ::setenv("DIVPP_FAULT_SPEC", "crash@window=0;exception@window=1", 1);
+  SweepOptions options = sweep_options(1);
+  options.max_retries = 0;  // any fault that did leak would quarantine
+  const std::vector<ScenarioSpec> specs = mixed_specs(3);
+  const SweepResult result =
+      SweepRunner(options).run(specs, min_dark_statistic);
+  if (previous != nullptr)
+    ::setenv("DIVPP_FAULT_SPEC", saved.c_str(), 1);
+  else
+    ::unsetenv("DIVPP_FAULT_SPEC");
+
+  EXPECT_EQ(result.completed, 3);
+  for (const ScenarioReport& report : result.scenarios) {
+    EXPECT_EQ(report.outcome, ScenarioOutcome::kOk) << report.error;
+    EXPECT_EQ(report.attempts, 1);
+  }
 }
 
 TEST(Sweep, MixedScenariosMatchDedicatedRunsBitForBit) {
