@@ -1,7 +1,8 @@
 // E15 — google-benchmark micro-suite for the hot paths: RNG primitives,
 // samplers (alias, Fenwick, linear-scan references), rule application,
-// engine steps (agent-based and count-chain, plain and jump), and
-// neighbour sampling on generated topologies.
+// engine steps (agent-based and count-chain, plain and jump), neighbour
+// sampling on generated topologies, and the BatchRunner pool running
+// tagged replicas at one thread and at one per hardware thread.
 //
 // Besides the google-benchmark suite, `--pr2-json=FILE` runs a dedicated
 // before/after harness that times the PR-2 rewrites against the retained
@@ -19,6 +20,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/count_simulation.h"
@@ -28,12 +30,14 @@
 #include "io/json.h"
 #include "rng/distributions.h"
 #include "rng/xoshiro.h"
+#include "runtime/batch_runner.h"
 #include "sampling/alias.h"
 #include "sampling/fenwick.h"
 
 namespace {
 
 using divpp::core::CountSimulation;
+using divpp::core::TaggedCountSimulation;
 using divpp::core::WeightMap;
 using divpp::rng::Xoshiro256;
 
@@ -310,6 +314,40 @@ void BM_CountJumpAdvanceLinear(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_CountJumpAdvanceLinear)->Arg(8)->Arg(64)->Arg(256)->Arg(1024);
+
+// The replica pool as the fairness experiments use it: 32 tagged jump
+// chains (k = 32, weights cycling 1..4, n = 5·10³) of 20 sweeps each per
+// iteration.  Arg 1 is one thread, Arg 0 one per hardware thread, so the
+// two rows' interactions/s give the pool's scaling.
+void BM_BatchRunnerTaggedReplicas(benchmark::State& state) {
+  constexpr int kColors = 32;
+  constexpr std::int64_t kReplicas = 32;
+  constexpr std::int64_t kAgents = 5'000;
+  constexpr std::int64_t kHorizon = 20 * kAgents;
+  std::vector<double> w(kColors);
+  for (int i = 0; i < kColors; ++i) w[static_cast<std::size_t>(i)] = 1 + i % 4;
+  const CountSimulation start =
+      CountSimulation::proportional_start(WeightMap(std::move(w)), kAgents);
+  divpp::runtime::BatchRunner runner(static_cast<int>(state.range(0)));
+  std::uint64_t seed = 15;
+  for (auto _ : state) {
+    const auto changes =
+        runner.map(kReplicas, seed++, [&](std::int64_t r, Xoshiro256& gen) {
+          TaggedCountSimulation sim(start, static_cast<int>(r % kColors),
+                                    true);
+          std::int64_t count = 0;
+          sim.run_changes(divpp::core::Engine::kAuto, kHorizon, gen,
+                          [&](std::int64_t, divpp::core::AgentState) {
+                            ++count;
+                          });
+          return count;
+        });
+    benchmark::DoNotOptimize(changes.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kReplicas * kHorizon);
+  state.SetLabel(std::to_string(runner.threads()) + " threads");
+}
+BENCHMARK(BM_BatchRunnerTaggedReplicas)->Arg(1)->Arg(0)->UseRealTime();
 
 void BM_NeighborSampleRegular(benchmark::State& state) {
   Xoshiro256 topo_gen(10);

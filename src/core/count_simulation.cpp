@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -50,7 +49,6 @@ void CountSimulation::rebuild_derived() {
   total_dark_ = std::accumulate(dark_.begin(), dark_.end(), std::int64_t{0});
   dark_tree_.assign(dark_);
   light_tree_.assign(light_);
-  dark_min_.assign(dark_);
   inv_weight_.resize(k);
   dark_ge2_ = 0;
   std::vector<double> flips(k);
@@ -72,18 +70,15 @@ void CountSimulation::check_invariants() const {
   std::int64_t sum_dark = 0;
   std::int64_t sum_light = 0;
   std::int64_t ge2 = 0;
-  std::int64_t min_d = std::numeric_limits<std::int64_t>::max();
   for (std::size_t i = 0; i < k; ++i) {
     SIM_DCHECK_GE(dark_[i], 0);
     SIM_DCHECK_GE(light_[i], 0);
     sum_dark += dark_[i];
     sum_light += light_[i];
     if (dark_[i] >= 2) ++ge2;
-    min_d = std::min(min_d, dark_[i]);
     // Derived sampling state in lockstep with the raw counts.
     SIM_DCHECK_EQ(dark_tree_.get(static_cast<std::int64_t>(i)), dark_[i]);
     SIM_DCHECK_EQ(light_tree_.get(static_cast<std::int64_t>(i)), light_[i]);
-    SIM_DCHECK_EQ(dark_min_.get(static_cast<std::int64_t>(i)), dark_[i]);
     // Flip propensity f_i = A_i (A_i − 1) / w_i is recomputed exactly on
     // every dark change, so the leaf must match to the last bit.
     const double expected_flip = static_cast<double>(dark_[i]) *
@@ -97,7 +92,6 @@ void CountSimulation::check_invariants() const {
   SIM_DCHECK_EQ(sum_dark, dark_tree_.total());
   SIM_DCHECK_EQ(sum_light, light_tree_.total());
   SIM_DCHECK_EQ(ge2, dark_ge2_);
-  SIM_DCHECK_EQ(min_d, dark_min_.min());
   // The flip total drifts by at most one rounding per incremental update
   // between FenwickPropensities' periodic exact rebuilds; k·2⁻⁵² relative
   // is a generous envelope for any k the rebuild period allows.
@@ -217,7 +211,7 @@ std::vector<std::int64_t> CountSimulation::supports() const {
 }
 
 std::int64_t CountSimulation::min_dark() const noexcept {
-  return dark_min_.min();
+  return *std::min_element(dark_.begin(), dark_.end());
 }
 
 double CountSimulation::active_probability() const noexcept {
@@ -320,7 +314,6 @@ CountSimulation::ClassPick CountSimulation::pick_class(
 
 void CountSimulation::on_dark_changed(std::size_t i) noexcept {
   const std::int64_t d = dark_[i];
-  dark_min_.set(static_cast<std::int64_t>(i), d);
   flip_tree_.set(static_cast<std::int64_t>(i),
                  static_cast<double>(d) * static_cast<double>(d - 1) *
                      inv_weight_[i]);

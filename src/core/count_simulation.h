@@ -19,11 +19,10 @@
 ///    active, so this is several times faster for long windows.
 ///
 /// Both modes run on the Fenwick samplers of sampling/fenwick.h: class
-/// draws, flip-propensity draws and min-dark tracking cost O(log k) per
-/// transition, and the adopt/flip propensities are maintained by O(1)
-/// deltas instead of an O(k) rebuild per active transition — the standard
-/// kinetic-Monte-Carlo organisation, which is what makes large-k sweeps
-/// (E17) tractable.
+/// and flip-propensity draws cost O(log k) per transition, and the
+/// adopt/flip propensities are maintained by O(1) deltas instead of an
+/// O(k) rebuild per active transition — the standard kinetic-Monte-Carlo
+/// organisation, which is what makes large-k sweeps (E17) tractable.
 ///
 /// TaggedCountSimulation additionally carries one distinguished agent
 /// through the lumped dynamics (exactly — see the class comment), which
@@ -130,6 +129,8 @@ class CountSimulation {
     return n_ - total_dark_;
   }
   /// Sustainability observable: the smallest per-colour dark count.
+  /// O(k): a scan of the dark counts, computed on demand because callers
+  /// read it only at window boundaries, never per transition.
   [[nodiscard]] std::int64_t min_dark() const noexcept;
 
   /// Probability that the *next* step changes the state (used by the jump
@@ -342,7 +343,6 @@ class CountSimulation {
   sampling::FenwickCounts dark_tree_;       // class draws over dark counts
   sampling::FenwickCounts light_tree_;      // class draws over light counts
   sampling::FenwickPropensities flip_tree_; // f_i = A_i (A_i - 1) / w_i
-  sampling::MinTree dark_min_;              // O(1) min_dark()
   std::vector<double> inv_weight_;          // 1 / w_i
   std::int64_t dark_ge2_ = 0;               // #colours with dark_[i] >= 2
   std::int64_t active_transitions_ = 0;  // adopt + fade count, any engine

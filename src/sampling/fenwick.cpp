@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "check/invariant.h"
@@ -220,50 +219,6 @@ std::int64_t FenwickPropensities::find(double target) const noexcept {
 
 std::int64_t FenwickPropensities::sample(rng::Xoshiro256& gen) const {
   return find(rng::uniform01(gen) * total());
-}
-
-// ---- MinTree --------------------------------------------------------------
-
-MinTree::MinTree(std::span<const std::int64_t> values) { assign(values); }
-
-void MinTree::assign(std::span<const std::int64_t> values) {
-  size_ = static_cast<std::int64_t>(values.size());
-  cap_ = 1;
-  while (cap_ < std::max<std::int64_t>(size_, 1)) cap_ <<= 1;
-  tree_.assign(static_cast<std::size_t>(2 * cap_),
-               std::numeric_limits<std::int64_t>::max());
-  for (std::int64_t i = 0; i < size_; ++i)
-    tree_[static_cast<std::size_t>(cap_ + i)] =
-        values[static_cast<std::size_t>(i)];
-  for (std::int64_t i = cap_ - 1; i >= 1; --i)
-    tree_[static_cast<std::size_t>(i)] =
-        std::min(tree_[static_cast<std::size_t>(2 * i)],
-                 tree_[static_cast<std::size_t>(2 * i + 1)]);
-}
-
-void MinTree::push_back(std::int64_t value) {
-  if (size_ == cap_) {
-    std::vector<std::int64_t> values(tree_.begin() + cap_,
-                                     tree_.begin() + cap_ + size_);
-    values.push_back(value);
-    assign(values);
-    return;
-  }
-  ++size_;
-  set(size_ - 1, value);
-}
-
-void MinTree::set(std::int64_t i, std::int64_t value) noexcept {
-  std::int64_t j = cap_ + i;
-  tree_[static_cast<std::size_t>(j)] = value;
-  for (j >>= 1; j >= 1; j >>= 1)
-    tree_[static_cast<std::size_t>(j)] =
-        std::min(tree_[static_cast<std::size_t>(2 * j)],
-                 tree_[static_cast<std::size_t>(2 * j + 1)]);
-}
-
-std::int64_t MinTree::get(std::int64_t i) const noexcept {
-  return tree_[static_cast<std::size_t>(cap_ + i)];
 }
 
 }  // namespace divpp::sampling

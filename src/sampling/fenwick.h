@@ -145,33 +145,6 @@ class FenwickPropensities {
   std::int64_t updates_until_rebuild_ = 0;
 };
 
-/// Segment tree reporting the minimum of a dynamic integer array —
-/// O(log k) point update, O(1) global minimum.  Backs the count chain's
-/// min-dark sustainability observable.
-class MinTree {
- public:
-  MinTree() = default;
-  explicit MinTree(std::span<const std::int64_t> values);
-
-  void assign(std::span<const std::int64_t> values);
-  void push_back(std::int64_t value);
-
-  /// Overwrites values[i].  O(log k).
-  void set(std::int64_t i, std::int64_t value) noexcept;
-
-  [[nodiscard]] std::int64_t get(std::int64_t i) const noexcept;
-
-  /// min over all values.  \pre size() >= 1.  O(1).
-  [[nodiscard]] std::int64_t min() const noexcept { return tree_[1]; }
-
-  [[nodiscard]] std::int64_t size() const noexcept { return size_; }
-
- private:
-  std::vector<std::int64_t> tree_;  // 2*cap_ slots, leaves at [cap_, 2cap_)
-  std::int64_t size_ = 0;
-  std::int64_t cap_ = 0;  // power-of-two leaf capacity
-};
-
 }  // namespace divpp::sampling
 
 #endif  // DIVPP_SAMPLING_FENWICK_H

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "rng/distributions.h"
@@ -176,6 +178,39 @@ TEST(BatchRunner, RunStatsReducesInReplicaOrder) {
   EXPECT_EQ(a.stats.variance(), b.stats.variance());
   EXPECT_EQ(a.stats.min(), b.stats.min());
   EXPECT_EQ(a.stats.max(), b.stats.max());
+}
+
+// Replicas running at once on different threads must not write one
+// cache line of generator state: two 32-byte generators fit in a 64-byte
+// line, so streams handed out in place from one shared vector
+// false-share it on every draw.  Generators on different threads' stacks
+// are megabytes apart.  10⁴ draws per replica keep both workers busy at
+// once (with 10³ one worker sometimes ran all 16 replicas alone).
+TEST(BatchRunner, ConcurrentReplicasNeverShareAGeneratorCacheLine) {
+  struct Placement {
+    std::uintptr_t gen_address = 0;
+    std::thread::id thread;
+    double sum = 0.0;
+  };
+  BatchRunner runner(2);
+  const auto placements =
+      runner.map(16, 3, [](std::int64_t, Xoshiro256& gen) {
+        Placement out;
+        for (int i = 0; i < 10000; ++i) out.sum += divpp::rng::uniform01(gen);
+        out.gen_address = reinterpret_cast<std::uintptr_t>(&gen);
+        out.thread = std::this_thread::get_id();
+        return out;
+      });
+  constexpr std::uintptr_t kCacheLine = 64;
+  for (std::size_t a = 0; a < placements.size(); ++a)
+    for (std::size_t b = a + 1; b < placements.size(); ++b) {
+      if (placements[a].thread == placements[b].thread) continue;
+      const std::uintptr_t lo =
+          std::min(placements[a].gen_address, placements[b].gen_address);
+      const std::uintptr_t hi =
+          std::max(placements[a].gen_address, placements[b].gen_address);
+      EXPECT_GE(hi - lo, kCacheLine) << "replicas " << a << " and " << b;
+    }
 }
 
 TEST(BatchRunner, RecordsTiming) {

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
@@ -23,7 +22,6 @@ using divpp::rng::Xoshiro256;
 using divpp::sampling::AliasTable;
 using divpp::sampling::FenwickCounts;
 using divpp::sampling::FenwickPropensities;
-using divpp::sampling::MinTree;
 
 /// Pearson chi-square statistic of observed hits against an expected pmf.
 double chi_square(const std::vector<std::int64_t>& hits,
@@ -203,37 +201,6 @@ TEST(FenwickPropensities, PushBackExtendsTheTree) {
   EXPECT_EQ(tree.size(), 3);
   EXPECT_NEAR(tree.total(), 4.0, 1e-12);
   EXPECT_EQ(tree.get(2), 3.0);
-}
-
-// ---- MinTree ---------------------------------------------------------------
-
-TEST(MinTree, TracksMinimumUnderUpdates) {
-  std::vector<std::int64_t> values = {5, 3, 9, 7};
-  MinTree tree(values);
-  EXPECT_EQ(tree.min(), 3);
-  tree.set(1, 10);
-  EXPECT_EQ(tree.min(), 5);
-  tree.set(2, 1);
-  EXPECT_EQ(tree.min(), 1);
-  tree.push_back(0);
-  EXPECT_EQ(tree.min(), 0);
-  EXPECT_EQ(tree.size(), 5);
-  EXPECT_EQ(tree.get(4), 0);
-  tree.set(4, 100);
-  EXPECT_EQ(tree.min(), 1);
-}
-
-TEST(MinTree, MatchesBruteForceUnderRandomChurn) {
-  Xoshiro256 gen(104);
-  std::vector<std::int64_t> values(13, 4);
-  MinTree tree(values);
-  for (int round = 0; round < 2000; ++round) {
-    const auto i = static_cast<std::size_t>(
-        divpp::rng::uniform_below(gen, tree.size()));
-    values[i] = divpp::rng::uniform_below(gen, 50);
-    tree.set(static_cast<std::int64_t>(i), values[i]);
-    ASSERT_EQ(tree.min(), *std::min_element(values.begin(), values.end()));
-  }
 }
 
 // ---- chi-square pins against the linear-scan references -------------------
