@@ -1,8 +1,9 @@
 // E15 — google-benchmark micro-suite for the hot paths: RNG primitives,
 // samplers (alias, Fenwick, linear-scan references), rule application,
 // engine steps (agent-based and count-chain, plain and jump), neighbour
-// sampling on generated topologies, and the BatchRunner pool running
-// tagged replicas at one thread and at one per hardware thread.
+// sampling on generated topologies, the BatchRunner pool running
+// tagged replicas at one thread and at one per hardware thread, and the
+// v2 checkpoint encode/decode the sweep pays at every window boundary.
 //
 // Besides the google-benchmark suite, `--pr2-json=FILE` runs a dedicated
 // before/after harness that times the PR-2 rewrites against the retained
@@ -23,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/checkpoint.h"
 #include "core/count_simulation.h"
 #include "core/diversification.h"
 #include "core/population.h"
@@ -348,6 +350,45 @@ void BM_BatchRunnerTaggedReplicas(benchmark::State& state) {
   state.SetLabel(std::to_string(runner.threads()) + " threads");
 }
 BENCHMARK(BM_BatchRunnerTaggedReplicas)->Arg(1)->Arg(0)->UseRealTime();
+
+// The v2 checkpoint codec as the sweep uses it: a run of the sweep's
+// palette shape (weights cycling 1..4, k = 3 or 16 colours, n = 4096)
+// after one 4096-interaction auto window, so the EWMA is measured and the
+// blob has the sweep's ~300 bytes.
+CountSimulation checkpointed_run(std::int64_t k, Xoshiro256& gen) {
+  std::vector<double> w(static_cast<std::size_t>(k));
+  for (std::int64_t i = 0; i < k; ++i)
+    w[static_cast<std::size_t>(i)] = 1.0 + static_cast<double>(i % 4);
+  auto sim = CountSimulation::proportional_start(WeightMap(std::move(w)), 4096);
+  sim.run_auto(4096, gen);
+  return sim;
+}
+
+void BM_CheckpointV2Encode(benchmark::State& state) {
+  Xoshiro256 gen(16);
+  const CountSimulation sim = checkpointed_run(state.range(0), gen);
+  std::int64_t bytes = 0;
+  for (auto _ : state) {
+    const std::string blob = divpp::core::to_checkpoint_v2(sim, gen);
+    benchmark::DoNotOptimize(blob.data());
+    bytes += static_cast<std::int64_t>(blob.size());
+  }
+  state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_CheckpointV2Encode)->Arg(3)->Arg(16);
+
+void BM_CheckpointV2Decode(benchmark::State& state) {
+  Xoshiro256 gen(16);
+  const std::string blob = divpp::core::to_checkpoint_v2(
+      checkpointed_run(state.range(0), gen), gen);
+  for (auto _ : state) {
+    const auto resumed = divpp::core::resume_run_from_checkpoint(blob);
+    benchmark::DoNotOptimize(resumed.sim.time());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(blob.size()));
+}
+BENCHMARK(BM_CheckpointV2Decode)->Arg(3)->Arg(16);
 
 void BM_NeighborSampleRegular(benchmark::State& state) {
   Xoshiro256 topo_gen(10);

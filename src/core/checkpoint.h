@@ -11,10 +11,9 @@
 /// checkpoint boundary and resumed from the blob replays the remaining
 /// windows bit-identically to the uninterrupted run — the durability
 /// contract runtime/durable_runner.h builds on (see the README "Durable
-/// runs" section for the exact window-alignment requirements).  Doubles
-/// are serialised as C99 hexfloats, so every weight and estimate
-/// round-trips bit-exactly; the reader accepts decimal too, for
-/// hand-written blobs.
+/// runs" section for the exact window-alignment requirements).  Tokens
+/// go through io/record.h: doubles are C99 hexfloats, so every weight
+/// and estimate round-trips bit-exactly, and no locale changes a byte.
 ///
 /// Event actions are code and cannot cross a process boundary: v2
 /// serialises each pending event's (time, handle) and restores it with a

@@ -9,8 +9,8 @@
 /// per agent; on K_n the process is exchangeable, so the vector of
 /// per-(colour, shade) counts is a Markov chain of dimension Σ(w_i + 1)
 /// — independent of n.  Analysing this variant is explicitly left open
-/// by the paper (§3); this simulator makes the empirical side of that
-/// open problem cheap at any population size (experiment E9/E17).
+/// by the paper (§3); this simulator makes that open problem cheap to
+/// probe at any n, though no bench runs it yet (e09 is agent-based).
 ///
 /// Transitions (one scheduled initiator per step, as in §1.2):
 ///  * initiator shade 0 meets responder shade > 0 of colour j:

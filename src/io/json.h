@@ -7,9 +7,9 @@
 /// Benches print one JSON summary line (timings, thread counts, headline
 /// statistics) alongside their human-readable tables so sweeps can be
 /// harvested by scripts without scraping table text.  This is a writer
-/// plus one inverse — json_unquote, the single piece of parsing divpp
-/// does, used by the sweep manifest (runtime/sweep_runner.cpp) to read
-/// back the scenario names and error strings it quoted itself.
+/// plus one inverse, json_unquote, which the token codec (io/record.h)
+/// uses to read back the strings checkpoints, manifests and supervisor
+/// frames quoted themselves.
 
 #include <cstdint>
 #include <span>

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -18,7 +19,7 @@
 #include <utility>
 
 #include "context/sampler_context.h"
-#include "io/json.h"
+#include "io/record.h"
 #include "runtime/thread_pool.h"
 
 namespace divpp::runtime {
@@ -36,75 +37,6 @@ constexpr std::size_t kMaxFrameBytes = std::size_t{64} << 20;
   throw std::invalid_argument("supervisor: " + what);
 }
 
-std::string hex_double(double value) {
-  char buffer[48];
-  std::snprintf(buffer, sizeof buffer, "%a", value);
-  return buffer;
-}
-
-double parse_hex_double(const std::string& text) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == nullptr || end == text.c_str() || *end != '\0')
-    fail("bad double '" + text + "'");
-  return value;
-}
-
-std::int64_t parse_i64(const std::string& text) {
-  std::size_t used = 0;
-  std::int64_t value = 0;
-  try {
-    value = std::stoll(text, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used == 0 || used != text.size()) fail("bad integer '" + text + "'");
-  return value;
-}
-
-std::uint64_t parse_u64(const std::string& text) {
-  std::size_t used = 0;
-  unsigned long long value = 0;
-  try {
-    value = std::stoull(text, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used == 0 || used != text.size() || text[0] == '-')
-    fail("bad unsigned integer '" + text + "'");
-  return value;
-}
-
-void skip_spaces(const std::string& line, std::size_t& pos) {
-  while (pos < line.size() && line[pos] == ' ') ++pos;
-}
-
-/// Next space-delimited token (throws on end of payload).
-std::string scan_token(const std::string& line, std::size_t& pos) {
-  skip_spaces(line, pos);
-  const std::size_t begin = pos;
-  while (pos < line.size() && line[pos] != ' ') ++pos;
-  if (begin == pos) fail("truncated payload");
-  return line.substr(begin, pos - begin);
-}
-
-/// Reads one json_quote'd token starting at line[pos] (advancing pos
-/// past it) and returns the unescaped bytes — the manifest idiom.
-std::string scan_quoted(const std::string& line, std::size_t& pos) {
-  skip_spaces(line, pos);
-  if (pos >= line.size() || line[pos] != '"')
-    fail("expected a quoted string");
-  std::size_t end = pos + 1;
-  while (end < line.size() && line[end] != '"') {
-    if (line[end] == '\\') ++end;  // skip the escaped character
-    ++end;
-  }
-  if (end >= line.size()) fail("unterminated quoted string");
-  const std::string_view raw(line.data() + pos, end - pos + 1);
-  pos = end + 1;
-  return io::json_unquote(raw);
-}
-
 const char* start_name(ScenarioSpec::Start start) {
   switch (start) {
     case ScenarioSpec::Start::kProportional: return "proportional";
@@ -114,20 +46,20 @@ const char* start_name(ScenarioSpec::Start start) {
   return "?";
 }
 
-ScenarioSpec::Start parse_start(const std::string& name) {
+ScenarioSpec::Start parse_start(std::string_view name) {
   if (name == "proportional") return ScenarioSpec::Start::kProportional;
   if (name == "adversarial") return ScenarioSpec::Start::kAdversarial;
   if (name == "equal") return ScenarioSpec::Start::kEqual;
-  fail("unknown start '" + name + "'");
+  fail("unknown start '" + std::string(name) + "'");
 }
 
-ScenarioOutcome parse_outcome(const std::string& name) {
+ScenarioOutcome parse_outcome(std::string_view name) {
   if (name == "ok") return ScenarioOutcome::kOk;
   if (name == "recovered") return ScenarioOutcome::kRecovered;
   if (name == "quarantined") return ScenarioOutcome::kQuarantined;
   if (name == "rejected") return ScenarioOutcome::kRejected;
   // kDrained cannot come off the wire: workers get no should_stop.
-  fail("unknown outcome '" + name + "'");
+  fail("unknown outcome '" + std::string(name) + "'");
 }
 
 // ---- low-level I/O ---------------------------------------------------
@@ -212,17 +144,8 @@ std::string classify_status(int status) {
 
 // ---- worker process ---------------------------------------------------
 
-/// Worker frame payloads.
 std::string encode_heartbeat(std::size_t index) {
   return "hb " + std::to_string(index);
-}
-
-std::string encode_result(std::size_t index, const ScenarioReport& report) {
-  return "res " + std::to_string(index) + " " +
-         scenario_outcome_name(report.outcome) + " " +
-         std::to_string(report.attempts) + " " +
-         std::to_string(report.resumes) + " " + hex_double(report.value) +
-         " " + io::json_quote(report.error);
 }
 
 /// The forked worker's main loop: read a command frame, run the
@@ -270,7 +193,7 @@ std::string encode_result(std::size_t index, const ScenarioReport& report) {
           send(encode_heartbeat(command.index));
         },
         report);
-    send(encode_result(command.index, report));
+    send(wire::encode_result(command.index, report));
   }
 }
 
@@ -391,57 +314,63 @@ std::optional<std::string> take_frame(std::string& buffer) {
 
 std::string encode_run(std::size_t index, bool resuming,
                        const ScenarioSpec& spec) {
-  std::string out = "run ";
-  out.append(std::to_string(index));
-  out.append(resuming ? " 1 " : " 0 ");
-  out.append(std::to_string(spec.n));
-  out.append(" ");
-  out.append(start_name(spec.start));
-  out.append(" ");
-  out.append(core::engine_name(spec.engine));
-  out.append(" ");
-  out.append(std::to_string(spec.target_time));
-  out.append(" ");
-  out.append(std::to_string(spec.seed));
-  out.append(" ");
-  out.append(io::json_quote(spec.name));
   const std::span<const double> weights = spec.weights.weights();
-  out.append(" ");
-  out.append(std::to_string(weights.size()));
+  io::RecordWriter out;
+  out.word("run").integer(index).word(resuming ? "1" : "0").integer(spec.n);
+  out.word(start_name(spec.start)).word(core::engine_name(spec.engine));
+  out.integer(spec.target_time).integer(spec.seed).quoted(spec.name);
+  out.integer(weights.size());
   // Hexfloats: the palette must round-trip bit-exactly or the worker's
   // run would be a different simulation.
-  for (const double weight : weights) {
-    out.append(" ");
-    out.append(hex_double(weight));
-  }
-  return out;
+  for (const double weight : weights) out.hex_double(weight);
+  return out.take();
 }
 
 RunCommand decode_run(const std::string& payload) {
-  std::size_t pos = 0;
-  if (scan_token(payload, pos) != "run") fail("not a run command");
+  io::RecordReader in(payload, "supervisor");
+  in.keyword("run");
   RunCommand command;
-  command.index = static_cast<std::size_t>(parse_u64(scan_token(payload, pos)));
-  const std::string resuming = scan_token(payload, pos);
-  if (resuming != "0" && resuming != "1")
-    fail("bad resuming flag '" + resuming + "'");
-  command.resuming = resuming == "1";
-  command.spec.n = parse_i64(scan_token(payload, pos));
-  command.spec.start = parse_start(scan_token(payload, pos));
-  command.spec.engine = core::parse_engine(scan_token(payload, pos));
-  command.spec.target_time = parse_i64(scan_token(payload, pos));
-  command.spec.seed = parse_u64(scan_token(payload, pos));
-  command.spec.name = scan_quoted(payload, pos);
-  const std::int64_t colors = parse_i64(scan_token(payload, pos));
-  if (colors < 1) fail("bad colour count");
+  command.index = static_cast<std::size_t>(in.uint64("scenario index"));
+  command.resuming = in.accept("1");
+  if (!command.resuming) in.keyword("0");
+  command.spec.n = in.int64("population");
+  command.spec.start = parse_start(in.token("start"));
+  command.spec.engine = core::parse_engine(std::string(in.token("engine")));
+  command.spec.target_time = in.int64("target time");
+  command.spec.seed = in.uint64("seed");
+  command.spec.name = in.quoted("name");
+  // No reserve: a forged count fails on the first missing token, not
+  // as a huge allocation.
+  const std::int64_t colors = in.int64("colour count", 1);
   std::vector<double> weights;
-  weights.reserve(static_cast<std::size_t>(colors));
   for (std::int64_t i = 0; i < colors; ++i)
-    weights.push_back(parse_hex_double(scan_token(payload, pos)));
+    weights.push_back(in.real("weight"));
   command.spec.weights = core::WeightMap(std::move(weights));
-  skip_spaces(payload, pos);
-  if (pos != payload.size()) fail("trailing junk in run command");
+  in.expect_end();
   return command;
+}
+
+std::string encode_result(std::size_t index, const ScenarioReport& report) {
+  io::RecordWriter out;
+  out.word("res").integer(index).word(scenario_outcome_name(report.outcome));
+  out.integer(report.attempts).integer(report.resumes);
+  out.hex_double(report.value).quoted(report.error);
+  return out.take();
+}
+
+ResultFrame decode_result(const std::string& payload) {
+  io::RecordReader in(payload, "supervisor");
+  in.keyword("res");
+  ResultFrame result;
+  result.index = static_cast<std::size_t>(in.uint64("scenario index"));
+  ScenarioReport& report = result.report;
+  report.outcome = parse_outcome(in.token("outcome"));
+  report.attempts = static_cast<int>(in.int64("attempts", 0, INT_MAX));
+  report.resumes = static_cast<int>(in.int64("resumes", 0, INT_MAX));
+  report.value = in.real("value");
+  report.error = in.quoted("error");
+  in.expect_end();
+  return result;
 }
 
 }  // namespace wire
@@ -501,32 +430,20 @@ void SweepSupervisor::run(const std::vector<ScenarioSpec>& specs,
   // kRecovered — the scenario as a whole did not finish first try.
   const auto record_result = [&](WorkerProc& worker,
                                  const std::string& payload) {
-    std::size_t pos = 0;
-    (void)scan_token(payload, pos);  // "res", already matched
-    const std::size_t index =
-        static_cast<std::size_t>(parse_u64(scan_token(payload, pos)));
+    wire::ResultFrame result = wire::decode_result(payload);
+    const std::size_t index = result.index;
     if (static_cast<std::ptrdiff_t>(index) != worker.scenario)
       fail("result for scenario " + std::to_string(index) +
            " from a worker running " + std::to_string(worker.scenario));
-    ScenarioOutcome outcome = parse_outcome(scan_token(payload, pos));
-    const int attempts = static_cast<int>(parse_i64(scan_token(payload, pos)));
-    const int resumes = static_cast<int>(parse_i64(scan_token(payload, pos)));
-    const double value = parse_hex_double(scan_token(payload, pos));
-    const std::string error = scan_quoted(payload, pos);
-
     ScenarioReport& report = reports[index];
+    report = std::move(result.report);
     report.name = specs[index].name;
-    if (kills[index] > 0 && outcome == ScenarioOutcome::kOk)
-      outcome = ScenarioOutcome::kRecovered;
-    report.outcome = outcome;
-    report.attempts = attempts + kills[index];
-    report.resumes = resumes;
-    report.error = error;
-    if (outcome == ScenarioOutcome::kOk ||
-        outcome == ScenarioOutcome::kRecovered) {
-      report.value = value;
-      report.json = scenario_result_json(specs[index], value);
-    }
+    if (kills[index] > 0 && report.outcome == ScenarioOutcome::kOk)
+      report.outcome = ScenarioOutcome::kRecovered;
+    report.attempts += kills[index];
+    if (report.outcome == ScenarioOutcome::kOk ||
+        report.outcome == ScenarioOutcome::kRecovered)
+      report.json = scenario_result_json(specs[index], report.value);
     worker.scenario = -1;
     --outstanding;
   };

@@ -52,10 +52,10 @@
 ///
 /// **Worker protocol.**  Each worker gets two pipes (commands in,
 /// frames out).  Every message is a length-prefixed frame: a 4-byte
-/// little-endian payload size, then the payload.  Payloads are
-/// space-separated tokens with io/json-quoted strings (io::json_quote /
-/// io::json_unquote — the manifest idiom), hexfloats where bit-exact
-/// doubles must cross the wire:
+/// little-endian payload size, then the payload.  Payloads are token
+/// records written and read by io/record.h, the codec the sweep
+/// manifest and checkpoints share: space-separated tokens, json-quoted
+/// strings, hexfloats where bit-exact doubles must cross the wire:
 ///
 ///   parent -> worker:
 ///     "run <index> <resuming> <n> <start> <engine> <target> <seed>
@@ -80,8 +80,8 @@
 namespace divpp::runtime {
 
 /// Wire-level protocol pieces (see the file comment), exposed for
-/// tests: framing plus the run-command codec.  Decoding rejects
-/// malformed input with std::invalid_argument.
+/// tests: framing plus the run-command and result codecs.  Decoding
+/// rejects malformed input with std::invalid_argument.
 namespace wire {
 
 /// Appends one length-prefixed frame carrying \p payload to \p out.
@@ -106,6 +106,19 @@ struct RunCommand {
   ScenarioSpec spec;
 };
 [[nodiscard]] RunCommand decode_run(const std::string& payload);
+
+/// The "res" frame payload for \p report as scenario \p index.
+[[nodiscard]] std::string encode_result(std::size_t index,
+                                        const ScenarioReport& report);
+
+/// Inverse of encode_result, leaving name and json empty.  \throws
+/// std::invalid_argument on malformed payloads, including negative
+/// counts and trailing junk.
+struct ResultFrame {
+  std::size_t index = 0;
+  ScenarioReport report;
+};
+[[nodiscard]] ResultFrame decode_result(const std::string& payload);
 
 }  // namespace wire
 

@@ -5,8 +5,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <optional>
@@ -17,6 +17,7 @@
 #include "core/checkpoint.h"
 #include "fault/durable_file.h"
 #include "io/json.h"
+#include "io/record.h"
 #include "rng/xoshiro.h"
 #include "runtime/durable_runner.h"
 #include "runtime/supervisor.h"
@@ -27,77 +28,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Hexfloat rendering for manifest values: exact (bit-for-bit) double
-/// round-trips, unlike any decimal format with fewer than 17 digits.
-std::string hex_double(double value) {
-  char buffer[48];
-  std::snprintf(buffer, sizeof buffer, "%a", value);
-  return buffer;
-}
-
-double parse_hex_double(const std::string& text) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == nullptr || end == text.c_str() || *end != '\0')
-    throw std::invalid_argument("sweep manifest: bad value '" + text + "'");
-  return value;
-}
-
-int parse_int(const std::string& text) {
-  std::size_t used = 0;
-  int value = 0;
-  try {
-    value = std::stoi(text, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used == 0 || used != text.size() || value < 0)
-    throw std::invalid_argument("sweep manifest: bad count '" + text + "'");
-  return value;
-}
-
-/// Reads one json_quote'd token starting at line[pos] (advancing pos
-/// past it) and returns the unescaped bytes.
-std::string scan_quoted(const std::string& line, std::size_t& pos) {
-  if (pos >= line.size() || line[pos] != '"')
-    throw std::invalid_argument("sweep manifest: expected a quoted string");
-  std::size_t end = pos + 1;
-  while (end < line.size() && line[end] != '"') {
-    if (line[end] == '\\') ++end;  // skip the escaped character
-    ++end;
-  }
-  if (end >= line.size())
-    throw std::invalid_argument("sweep manifest: unterminated quoted string");
-  const std::string_view raw(line.data() + pos, end - pos + 1);
-  pos = end + 1;
-  return io::json_unquote(raw);
-}
-
-void skip_spaces(const std::string& line, std::size_t& pos) {
-  while (pos < line.size() && line[pos] == ' ') ++pos;
-}
-
-/// Next space-delimited token (throws on end of line).
-std::string scan_token(const std::string& line, std::size_t& pos) {
-  skip_spaces(line, pos);
-  const std::size_t begin = pos;
-  while (pos < line.size() && line[pos] != ' ') ++pos;
-  if (begin == pos)
-    throw std::invalid_argument("sweep manifest: truncated line");
-  return line.substr(begin, pos - begin);
-}
-
 /// Manifest status word.  kDrained (and never-started) persists as
 /// "pending": both mean "unfinished work resume() must run".
 const char* manifest_status(ScenarioOutcome outcome) {
-  switch (outcome) {
-    case ScenarioOutcome::kOk: return "ok";
-    case ScenarioOutcome::kRecovered: return "recovered";
-    case ScenarioOutcome::kQuarantined: return "quarantined";
-    case ScenarioOutcome::kRejected: return "rejected";
-    case ScenarioOutcome::kDrained: return "pending";
-  }
-  return "pending";
+  return outcome == ScenarioOutcome::kDrained ? "pending"
+                                              : scenario_outcome_name(outcome);
 }
 
 core::CountSimulation initial_state(const ScenarioSpec& spec) {
@@ -477,19 +412,17 @@ void SweepRunner::run_scenario(std::size_t index, const ScenarioSpec& spec,
 void SweepRunner::write_manifest(
     const std::vector<ScenarioSpec>& specs,
     const std::vector<ScenarioReport>& reports) const {
-  std::string text =
-      "divpp-sweep-v1 " + std::to_string(specs.size()) + "\n";
+  io::RecordWriter out;
+  out.word("divpp-sweep-v1").integer(specs.size()).end_line();
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const ScenarioReport& report = reports[i];
-    text += "scenario " + std::to_string(i) + " " +
-            manifest_status(report.outcome) + " " +
-            std::to_string(report.attempts) + " " +
-            std::to_string(report.resumes) + " " + hex_double(report.value) +
-            " " + io::json_quote(report.name) + " " +
-            io::json_quote(report.error) + "\n";
+    out.word("scenario").integer(i).word(manifest_status(report.outcome));
+    out.integer(report.attempts).integer(report.resumes);
+    out.hex_double(report.value).quoted(report.name).quoted(report.error);
+    out.end_line();
   }
-  text += "end\n";
-  fault::write_durable(manifest_path(), text);
+  out.word("end").end_line();
+  fault::write_durable(manifest_path(), out.take());
 }
 
 void SweepRunner::load_manifest(const std::vector<ScenarioSpec>& specs,
@@ -517,24 +450,17 @@ void SweepRunner::load_manifest(const std::vector<ScenarioSpec>& specs,
     throw std::invalid_argument("sweep manifest: missing end marker");
 
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    const std::string& line = lines[i + 1];
-    std::size_t pos = 0;
-    if (scan_token(line, pos) != "scenario" ||
-        scan_token(line, pos) != std::to_string(i))
-      throw std::invalid_argument("sweep manifest: bad scenario line " +
-                                  std::to_string(i + 2));
-    const std::string status = scan_token(line, pos);
-    const int attempts = parse_int(scan_token(line, pos));
-    const int resumes = parse_int(scan_token(line, pos));
-    const double value = parse_hex_double(scan_token(line, pos));
-    skip_spaces(line, pos);
-    const std::string name = scan_quoted(line, pos);
-    skip_spaces(line, pos);
-    const std::string error = scan_quoted(line, pos);
-    skip_spaces(line, pos);
-    if (pos != line.size())
-      throw std::invalid_argument("sweep manifest: trailing junk on line " +
-                                  std::to_string(i + 2));
+    io::RecordReader in(lines[i + 1],
+                        "sweep manifest line " + std::to_string(i + 2));
+    in.keyword("scenario");
+    in.keyword(std::to_string(i));
+    const std::string status(in.token("status"));
+    const int attempts = static_cast<int>(in.int64("attempts", 0, INT_MAX));
+    const int resumes = static_cast<int>(in.int64("resumes", 0, INT_MAX));
+    const double value = in.real("value");
+    const std::string name = in.quoted("name");
+    const std::string error = in.quoted("error");
+    in.expect_end();
     if (name != specs[i].name)
       throw std::invalid_argument(
           "sweep manifest: scenario " + std::to_string(i) + " is '" + name +
@@ -546,18 +472,15 @@ void SweepRunner::load_manifest(const std::vector<ScenarioSpec>& specs,
     report.resumes = resumes;
     report.error = error;
     if (status == "pending") continue;  // resume() re-runs it
-    if (status == "ok") {
-      report.outcome = ScenarioOutcome::kOk;
-    } else if (status == "recovered") {
-      report.outcome = ScenarioOutcome::kRecovered;
-    } else if (status == "quarantined") {
-      report.outcome = ScenarioOutcome::kQuarantined;
-    } else if (status == "rejected") {
-      report.outcome = ScenarioOutcome::kRejected;
-    } else {
-      throw std::invalid_argument("sweep manifest: unknown status '" +
-                                  status + "'");
-    }
+    constexpr ScenarioOutcome kSettled[] = {
+        ScenarioOutcome::kOk, ScenarioOutcome::kRecovered,
+        ScenarioOutcome::kQuarantined, ScenarioOutcome::kRejected};
+    const auto* settled = std::find_if(
+        std::begin(kSettled), std::end(kSettled),
+        [&](ScenarioOutcome o) { return status == manifest_status(o); });
+    if (settled == std::end(kSettled))
+      in.fail("unknown status '" + status + "'");
+    report.outcome = *settled;
     if (report.outcome == ScenarioOutcome::kOk ||
         report.outcome == ScenarioOutcome::kRecovered) {
       report.value = value;  // hexfloat round-trip: bit-identical

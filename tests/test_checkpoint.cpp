@@ -1,6 +1,7 @@
 // Tests for the v2 checkpoint format (complete resumable run, hexfloat
 // doubles, RNG state, pending events): lossless round trips after every
-// engine, bit-identical resume, and a corruption corpus in which every
+// engine, bit-identical resume, a pinned byte-for-byte blob, encoding
+// that ignores the global locale, and a corruption corpus in which every
 // field is corrupted or truncated in turn and must be rejected with
 // std::invalid_argument.
 
@@ -8,6 +9,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <locale>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -229,6 +231,88 @@ TEST(CheckpointV2, RejectsEveryCorruptedField) {
   EXPECT_THROW(
       (void)divpp::core::resume_run_from_checkpoint(blob + "stray"),
       std::invalid_argument);
+}
+
+/// Makes the global C++ locale group thousands with ',' for its
+/// lifetime; the previous global locale comes back on destruction.
+class GroupingGlobalLocale {
+ public:
+  GroupingGlobalLocale()
+      : previous_(std::locale::global(
+            std::locale(std::locale::classic(), new Grouping))) {}
+  ~GroupingGlobalLocale() { std::locale::global(previous_); }
+  GroupingGlobalLocale(const GroupingGlobalLocale&) = delete;
+  GroupingGlobalLocale& operator=(const GroupingGlobalLocale&) = delete;
+
+ private:
+  struct Grouping : std::numpunct<char> {
+    char do_thousands_sep() const override { return ','; }
+    std::string do_grouping() const override { return "\3"; }
+  };
+  std::locale previous_;
+};
+
+TEST(CheckpointV2, EncodingIgnoresTheGlobalLocale) {
+  // Counts and clock past 999, so a locale-aware writer would emit
+  // "time 12,345" and then refuse its own blob.
+  auto sim = CountSimulation::equal_start(WeightMap({1.0, 2.0}), 20000);
+  Xoshiro256 gen(5);
+  sim.run_auto(12345, gen);
+  const std::string classic = divpp::core::to_checkpoint_v2(sim, gen);
+  const GroupingGlobalLocale grouping;
+  EXPECT_EQ(divpp::core::to_checkpoint_v2(sim, gen), classic);
+  const auto resumed = divpp::core::resume_run_from_checkpoint(classic);
+  EXPECT_EQ(resumed.sim.time(), 12345);
+  EXPECT_EQ(resumed.gen.state(), gen.state());
+}
+
+// A tagged v2 blob as stored on disk: C99 "%a" hexfloats (non-dyadic
+// weights, the unmeasured EWMA -1), two pending events, 16-digit RNG
+// words.  Being a literal, it fails a writer and reader that drift
+// together.
+constexpr const char* kPinnedTaggedBlob =
+    "divpp-run-v2\n"
+    "k 3\n"
+    "weights 0x1.5555555555555p+0 0x1.199999999999ap+0 "
+    "0x1.00000000000e1p+1\n"
+    "time 0\n"
+    "dark 1200 340 56\n"
+    "light 7 0 3\n"
+    "active_transitions 0\n"
+    "ewma -0x1p+0\n"
+    "events 2\n"
+    "event 5000 0\n"
+    "event 12000 1\n"
+    "next_handle 2\n"
+    "rng 42b0ec0160ca2407 fd8dc81796e3864b 8464660dee828cfc "
+    "68240b122982a98d\n"
+    "tagged 2 light\n"
+    "end\n";
+
+TEST(CheckpointV2, WriterAndReaderMatchThePinnedBlob) {
+  using divpp::core::TaggedCountSimulation;
+  CountSimulation counts(WeightMap({1.0 + 1.0 / 3.0, 1.1, 2.0 + 1e-13}),
+                         {1200, 340, 56}, {7, 0, 3});
+  (void)counts.schedule_event(5000, [](CountSimulation&) {});
+  (void)counts.schedule_event(12000, [](CountSimulation&) {});
+  const TaggedCountSimulation tagged(std::move(counts), 2, false);
+  const Xoshiro256 gen(2021);
+  EXPECT_EQ(divpp::core::to_checkpoint_v2(tagged, gen), kPinnedTaggedBlob);
+
+  const auto resumed =
+      divpp::core::resume_tagged_run_from_checkpoint(kPinnedTaggedBlob);
+  EXPECT_EQ(resumed.sim.tagged_state(), tagged.tagged_state());
+  EXPECT_EQ(resumed.sim.counts().pending_event_schedule(),
+            tagged.counts().pending_event_schedule());
+  EXPECT_EQ(resumed.sim.counts().active_fraction_estimate(),
+            tagged.counts().active_fraction_estimate());
+  EXPECT_EQ(std::memcmp(resumed.sim.counts().weights().weights().data(),
+                        tagged.counts().weights().weights().data(),
+                        3 * sizeof(double)),
+            0);
+  EXPECT_EQ(resumed.gen.state(), gen.state());
+  EXPECT_EQ(divpp::core::to_checkpoint_v2(resumed.sim, resumed.gen),
+            kPinnedTaggedBlob);
 }
 
 }  // namespace

@@ -1,9 +1,14 @@
 // Tests for the reporting substrate: table rendering (text, markdown,
-// CSV), the JSON summary writer, and the bench argument parser.
+// CSV), the JSON summary writer, the bench argument parser, and the
+// token-record codec shared by checkpoints, manifests and frames.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -11,7 +16,9 @@
 
 #include "io/args.h"
 #include "io/json.h"
+#include "io/record.h"
 #include "io/table.h"
+#include "rng/xoshiro.h"
 
 namespace {
 
@@ -227,6 +234,144 @@ TEST(JsonTest, UnquoteRejectsMalformedInput) {
       << "multi-byte code points are out of contract";
   EXPECT_THROW((void)json_unquote("\"raw\nnewline\""), std::invalid_argument);
   EXPECT_THROW((void)json_unquote("\"inner\"quote\""), std::invalid_argument);
+}
+
+// ---- token records (io/record.h) ---------------------------------------
+
+using divpp::io::RecordReader;
+using divpp::io::RecordWriter;
+
+std::string hex_token(double value) {
+  return RecordWriter().hex_double(value).take();
+}
+
+double read_real(const std::string& text) {
+  RecordReader in(text, "test");
+  const double value = in.real("value");
+  in.expect_end();
+  return value;
+}
+
+std::uint64_t bits_of(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  return bits;
+}
+
+TEST(RecordCodec, HexfloatsMatchPrintfAndRoundTripBitExactly) {
+  using limits = std::numeric_limits<double>;
+  // Signed zeros, subnormals (to_chars alone would normalise them), the
+  // extremes, infinities and NaNs, then random bit patterns.
+  std::vector<double> corpus = {
+      0.0, -0.0, 1.0, -1.0, 1.0 / 3.0, 0.1,
+      limits::denorm_min(), -limits::denorm_min(), 2.0e-310, -3.7e-320,
+      limits::min(), limits::max(), -limits::max(),
+      limits::infinity(), -limits::infinity(),
+      limits::quiet_NaN(), -limits::quiet_NaN()};
+  divpp::rng::Xoshiro256 gen(2105);
+  for (int i = 0; i < 200000; ++i) {
+    const std::uint64_t bits = gen();
+    double value = 0.0;
+    std::memcpy(&value, &bits, sizeof value);
+    corpus.push_back(value);
+  }
+  for (const double value : corpus) {
+    char expected[64];
+    std::snprintf(expected, sizeof expected, "%a", value);
+    const std::string written = hex_token(value);
+    ASSERT_EQ(written, expected) << "bits " << bits_of(value);
+    const double read = read_real(written);
+    if (std::isnan(value)) {
+      // %a spells every NaN "nan" or "-nan": only the sign survives.
+      ASSERT_TRUE(std::isnan(read)) << written;
+      ASSERT_EQ(std::signbit(read), std::signbit(value)) << written;
+    } else {
+      ASSERT_EQ(bits_of(read), bits_of(value)) << written;
+    }
+  }
+}
+
+TEST(RecordCodec, ReaderAcceptsDecimalsAndNaN) {
+  EXPECT_EQ(read_real("2.5"), 2.5);
+  EXPECT_EQ(read_real("-0x1.8p+1"), -3.0);
+  EXPECT_TRUE(std::isnan(read_real("nan")));
+  EXPECT_TRUE(std::isnan(read_real("-nan")));
+  EXPECT_TRUE(std::signbit(read_real("-nan")));
+  EXPECT_EQ(read_real("-inf"), -std::numeric_limits<double>::infinity());
+}
+
+TEST(RecordCodec, ReaderRejectsFormsNoWriterEmits) {
+  const auto rejects_real = [](const std::string& text) {
+    EXPECT_THROW((void)read_real(text), std::invalid_argument) << text;
+  };
+  rejects_real("0x-1p+0");   // sign after the prefix
+  rejects_real("0x+1p+0");
+  rejects_real("0xinf");
+  rejects_real("+1");        // leading '+'
+  rejects_real("\t1");       // a tab is not a separator
+  rejects_real("1e999");     // out of double range
+  rejects_real("1.5x");      // partial token
+  rejects_real("0x");
+  rejects_real("");          // truncated
+
+  const auto int64_of = [](const std::string& text) {
+    RecordReader in(text, "test");
+    return in.int64("count");
+  };
+  EXPECT_EQ(int64_of("-9223372036854775808"),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_THROW((void)int64_of("9223372036854775808"), std::invalid_argument);
+  EXPECT_THROW((void)int64_of("+1"), std::invalid_argument);
+  EXPECT_THROW((void)int64_of("\t1"), std::invalid_argument);
+  EXPECT_THROW((void)int64_of("1.0"), std::invalid_argument);
+  RecordReader ranged("7", "test");
+  EXPECT_THROW((void)ranged.int64("count", 0, 6), std::invalid_argument);
+  RecordReader unsigned_in("-1", "test");
+  EXPECT_THROW((void)unsigned_in.uint64("seed"), std::invalid_argument);
+  RecordReader long_word("00000000000000001", "test");
+  EXPECT_THROW((void)long_word.hex_word("word"), std::invalid_argument);
+
+  const auto quoted_of = [](const std::string& text) {
+    RecordReader in(text, "test");
+    return in.quoted("name");
+  };
+  EXPECT_THROW((void)quoted_of("\"open"), std::invalid_argument);
+  EXPECT_THROW((void)quoted_of("\"dangling\\"), std::invalid_argument);
+  EXPECT_THROW((void)quoted_of("bare"), std::invalid_argument);
+  EXPECT_THROW((void)quoted_of(""), std::invalid_argument);
+}
+
+TEST(RecordCodec, WriterAndReaderAgreeOnEveryTokenKind) {
+  RecordWriter out;
+  out.word("head").integer(std::int64_t{-42}).integer(std::uint64_t{1} << 63);
+  out.end_line().word("rng").hex_word(0xabcULL).hex_word(~0ULL);
+  out.quoted("a \"b\" \\ c\n").end_line().word("end").end_line();
+  const std::string text = out.take();
+  EXPECT_EQ(text,
+            "head -42 9223372036854775808\n"
+            "rng 0000000000000abc ffffffffffffffff \"a \\\"b\\\" \\\\ c\\n\"\n"
+            "end\n");
+
+  RecordReader in(text, "test");
+  in.keyword("head");
+  EXPECT_EQ(in.int64("a"), -42);
+  EXPECT_EQ(in.uint64("b"), std::uint64_t{1} << 63);
+  EXPECT_FALSE(in.accept("nope"));
+  EXPECT_TRUE(in.accept("rng"));
+  EXPECT_EQ(in.hex_word("w"), 0xabcULL);
+  EXPECT_EQ(in.hex_word("w"), ~0ULL);
+  EXPECT_EQ(in.quoted("q"), "a \"b\" \\ c\n");
+  EXPECT_THROW(in.keyword("begin"), std::invalid_argument);
+  in.expect_end();  // the failed keyword consumed "end"
+
+  RecordReader trailing("end junk", "ctx");
+  trailing.keyword("end");
+  try {
+    trailing.expect_end();
+    FAIL() << "trailing token accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(std::string(error.what()).rfind("ctx: ", 0), 0U) << error.what();
+  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -220,6 +221,80 @@ TEST(SupervisorWire, DecodeRejectsMalformedPayloads) {
   std::string bad_flag = good;
   bad_flag.replace(6, 1, "2");  // the resuming flag must be 0 or 1
   EXPECT_THROW((void)wire::decode_run(bad_flag), std::invalid_argument);
+}
+
+TEST(SupervisorWire, RunFramesMatchThePinnedFormat) {
+  // A run payload as workers receive it; being a literal, it fails a
+  // writer and reader that drift together.
+  const std::string pinned =
+      "run 3 1 500 adversarial jump 2000 11400714819323198485 "
+      "\"pin \\\"quoted\\\" \\\\ name\" 3 0x1p+0 0x1.4p+1 "
+      "0x1.5555555555555p+0";
+  ScenarioSpec spec;
+  spec.name = "pin \"quoted\" \\ name";
+  spec.n = 500;
+  spec.weights = WeightMap({1.0, 2.5, 1.0 + 1.0 / 3.0});
+  spec.start = ScenarioSpec::Start::kAdversarial;
+  spec.engine = Engine::kJump;
+  spec.target_time = 2000;
+  spec.seed = 0x9e3779b97f4a7c15ULL;
+  EXPECT_EQ(wire::encode_run(3, true, spec), pinned);
+
+  const wire::RunCommand command = wire::decode_run(pinned);
+  EXPECT_EQ(command.index, 3U);
+  EXPECT_TRUE(command.resuming);
+  EXPECT_EQ(command.spec.name, spec.name);
+  EXPECT_EQ(command.spec.n, spec.n);
+  EXPECT_EQ(command.spec.start, spec.start);
+  EXPECT_EQ(command.spec.engine, spec.engine);
+  EXPECT_EQ(command.spec.target_time, spec.target_time);
+  EXPECT_EQ(command.spec.seed, spec.seed);
+  ASSERT_EQ(command.spec.weights.num_colors(), 3);
+  for (int i = 0; i < 3; ++i)
+    EXPECT_TRUE(same_bits(command.spec.weights.weight(i),
+                          spec.weights.weight(i)));
+}
+
+TEST(SupervisorWire, ResultFramesRoundTripAndRejectMalformed) {
+  ScenarioReport report;
+  report.outcome = ScenarioOutcome::kQuarantined;
+  report.attempts = 3;
+  report.resumes = 2;
+  report.value = std::numeric_limits<double>::quiet_NaN();
+  report.error = "boom: \"quoted\" \\ and a C:\\path\\";
+  const std::string payload = wire::encode_result(9, report);
+  const wire::ResultFrame frame = wire::decode_result(payload);
+  EXPECT_EQ(frame.index, 9U);
+  EXPECT_EQ(frame.report.outcome, report.outcome);
+  EXPECT_EQ(frame.report.attempts, 3);
+  EXPECT_EQ(frame.report.resumes, 2);
+  EXPECT_TRUE(same_bits(frame.report.value, report.value));
+  EXPECT_EQ(frame.report.error, report.error);
+
+  ScenarioReport ok;
+  ok.value = std::nextafter(1.0 / 3.0, 1.0);
+  EXPECT_TRUE(same_bits(
+      wire::decode_result(wire::encode_result(0, ok)).report.value,
+      ok.value));
+
+  // The error token ends the payload, so every proper prefix is
+  // incomplete and must throw, never misparse.
+  for (std::size_t keep = 0; keep < payload.size(); ++keep)
+    EXPECT_THROW((void)wire::decode_result(payload.substr(0, keep)),
+                 std::invalid_argument)
+        << "prefix of " << keep << " bytes was accepted";
+  EXPECT_THROW((void)wire::decode_result(payload + " junk"),
+               std::invalid_argument);
+  ASSERT_EQ(payload.rfind("res 9 quarantined 3 2 ", 0), 0U);
+  std::string negative = payload;
+  negative.replace(18, 1, "-3");
+  EXPECT_THROW((void)wire::decode_result(negative), std::invalid_argument);
+  negative = payload;
+  negative.replace(20, 1, "-2");
+  EXPECT_THROW((void)wire::decode_result(negative), std::invalid_argument);
+  EXPECT_THROW((void)wire::decode_result(wire::encode_run(0, false, scenario(
+                   "run", 100, 1, 2000))),
+               std::invalid_argument);
 }
 
 // ---- configuration -----------------------------------------------------

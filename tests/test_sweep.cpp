@@ -531,6 +531,43 @@ TEST(Sweep, CorruptManifestsAreRefusedNeverHalfResumed) {
   EXPECT_EQ(executed.load(), 0);
 }
 
+TEST(Sweep, ManifestMatchesThePinnedFormat) {
+  // The manifest bytes as stored on disk: a json-quoted name holding
+  // quotes and a backslash, a "%a" hexfloat value, an empty error.  Being
+  // a literal, it fails a writer and reader that drift together.
+  const std::string pinned =
+      "divpp-sweep-v1 1\n"
+      "scenario 0 ok 1 0 0x1.5555555555555p-2 "
+      "\"pin \\\"quoted\\\" \\\\ name\" \"\"\n"
+      "end\n";
+  ScenarioSpec spec = scenario("pin \"quoted\" \\ name", 500,
+                               0x9e3779b97f4a7c15ULL, 2000, Engine::kJump);
+  spec.weights = WeightMap({1.0, 2.5, 1.0 + 1.0 / 3.0});
+  spec.start = ScenarioSpec::Start::kAdversarial;
+  const std::string dir = ::testing::TempDir() + "divpp_sweep_pinned";
+  std::filesystem::remove_all(dir);
+  SweepOptions options = sweep_options(1);
+  options.sweep_dir = dir;
+  SweepRunner runner(options);
+  std::atomic<int> executed{0};
+  const SweepRunner::Statistic third = [&](const CountSimulation&) {
+    executed.fetch_add(1);
+    return 1.0 / 3.0;
+  };
+  (void)runner.run({spec}, third);
+  const std::string manifest = dir + "/sweep.manifest";
+  EXPECT_EQ(divpp::fault::read_durable(manifest), pinned);
+
+  divpp::fault::write_durable(manifest, pinned);
+  const SweepResult resumed = runner.resume({spec}, third);
+  EXPECT_EQ(executed.load(), 1) << "a finished scenario must not re-run";
+  ASSERT_EQ(resumed.scenarios.size(), 1U);
+  EXPECT_EQ(resumed.scenarios[0].outcome, ScenarioOutcome::kOk);
+  EXPECT_EQ(resumed.scenarios[0].value, 1.0 / 3.0);
+  EXPECT_EQ(resumed.scenarios[0].error, "");
+  EXPECT_EQ(divpp::fault::read_durable(manifest), pinned);
+}
+
 TEST(Sweep, BackpressureBoundsTheQueueAndStillCompletes) {
   const std::vector<ScenarioSpec> specs = mixed_specs(30);
   SweepOptions options = sweep_options(2);
