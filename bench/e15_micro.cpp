@@ -1,9 +1,10 @@
-// E15 — google-benchmark micro-suite for the hot paths: RNG primitives,
-// samplers (alias, Fenwick, linear-scan references), rule application,
-// engine steps (agent-based and count-chain, plain and jump), neighbour
-// sampling on generated topologies, the BatchRunner pool running
-// tagged replicas at one thread and at one per hardware thread, and the
-// v2 checkpoint encode/decode the sweep pays at every window boundary.
+// E15 — google-benchmark micro-suite for the hot paths: RNG primitives
+// (both jump-chain gap samplers among them), samplers (alias, Fenwick,
+// linear-scan references), rule application, engine steps (agent-based
+// and count-chain, plain and jump), neighbour sampling on generated
+// topologies, the BatchRunner pool running tagged replicas at one
+// thread and at one per hardware thread, and the v2 checkpoint
+// encode/decode the sweep pays at every window boundary.
 //
 // Besides the google-benchmark suite, `--pr2-json=FILE` runs a dedicated
 // before/after harness that times the PR-2 rewrites against the retained
@@ -187,6 +188,22 @@ void BM_UniformBelow(benchmark::State& state) {
     benchmark::DoNotOptimize(divpp::rng::uniform_below(gen, bound));
 }
 BENCHMARK(BM_UniformBelow)->Arg(1000)->Arg(1'000'000'000);
+
+// The jump chain's gap draw: the inversion reference (a log and a log1p
+// per draw) against the ziggurat exponential that the uniformised chain
+// divides by a cached λ̄ instead.
+void BM_GeometricFailures(benchmark::State& state) {
+  Xoshiro256 gen(4);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(divpp::rng::geometric_failures(gen, 0.05));
+}
+BENCHMARK(BM_GeometricFailures);
+
+void BM_Exponential(benchmark::State& state) {
+  Xoshiro256 gen(5);
+  for (auto _ : state) benchmark::DoNotOptimize(divpp::rng::exponential(gen));
+}
+BENCHMARK(BM_Exponential);
 
 void BM_AliasTableSample(benchmark::State& state) {
   Xoshiro256 gen(3);

@@ -13,8 +13,12 @@
 ///
 /// Two stepping modes are provided and are distributionally identical:
 ///  * step()          — one time-step, including no-ops;
-///  * advance_to()    — "jump chain": samples the geometric number of
-///    no-op steps between state changes, then applies one active
+///  * advance_to()    — "jump chain": skips the geometric runs of no-op
+///    steps between state changes and applies one active transition at
+///    the end of each.  It is uniformised: candidate steps come at a
+///    cached rate p̄ >= p (gaps ⌊E/λ̄⌋ with E from rng::exponential and
+///    λ̄ = −log1p(−p̄) re-derived only when p leaves [p̄/s², p̄]), and one
+///    uniform per candidate both thins it to rate p and picks the
 ///    transition.  Near equilibrium only a Θ(1/W) fraction of steps are
 ///    active, so this is several times faster for long windows.
 ///
@@ -159,7 +163,9 @@ class CountSimulation {
   void run_to(std::int64_t target_time, rng::Xoshiro256& gen);
 
   /// Jump-chain run: advances until time() == target_time, skipping no-op
-  /// stretches in O(k) each.  Distributionally identical to run_to.
+  /// stretches in O(1) each (see the file comment).  Distributionally
+  /// identical to run_to.  The candidate rate p̄ is local to the call, so
+  /// splitting a window at the same boundaries replays the same draws.
   void advance_to(std::int64_t target_time, rng::Xoshiro256& gen);
 
   /// Collision-batch run (batch/collision_batch.h): advances until
@@ -474,9 +480,12 @@ class TaggedCountSimulation {
   void run_decomposed(Engine engine, std::int64_t target_time,
                       rng::Xoshiro256& gen, const ChangeObserver* on_change);
   /// Resolves one interaction known to involve the tagged agent
-  /// (counts currently exclude it); advances the clock by one.
+  /// (counts currently exclude it); advances the clock by one, then
+  /// notifies `on_change` if the tagged state changed.
   void resolve_tagged_interaction(rng::Xoshiro256& gen,
                                   const ChangeObserver* on_change);
+  /// The count cell of the tagged agent's current (colour, shade).
+  [[nodiscard]] std::int64_t& tagged_cell() noexcept;
 
   CountSimulation sim_;
   AgentState tagged_{};

@@ -7,31 +7,58 @@
 
 namespace divpp::rng {
 
-std::int64_t uniform_below(Xoshiro256& gen, std::int64_t bound) {
+namespace detail {
+
+std::int64_t uniform_below_slow(Xoshiro256& gen, std::int64_t bound,
+                                __uint128_t product) {
   if (bound < 1) throw std::invalid_argument("uniform_below: bound must be >= 1");
   const auto range = static_cast<std::uint64_t>(bound);
-  // Lemire's multiply-shift with rejection: exact uniformity.
-  std::uint64_t x = gen();
-  __uint128_t m = static_cast<__uint128_t>(x) * range;
-  auto low = static_cast<std::uint64_t>(m);
-  if (low < range) {
-    const std::uint64_t threshold = (0 - range) % range;
-    while (low < threshold) {
-      x = gen();
-      m = static_cast<__uint128_t>(x) * range;
-      low = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::int64_t>(m >> 64);
+  const std::uint64_t threshold = (0 - range) % range;
+  while (static_cast<std::uint64_t>(product) < threshold)
+    product = static_cast<__uint128_t>(gen()) * range;
+  return static_cast<std::int64_t>(product >> 64);
 }
+
+namespace {
+
+/// Marsaglia & Tsang's 256-layer constants for Exp(1): the base layer's
+/// right edge r and the common layer area v = (r + 1)·e^{−r}.
+constexpr double kExpZigguratR = 7.69711747013104972;
+constexpr double kExpZigguratV = 0.0039496598225815571993;
+
+ExpZiggurat build_exp_ziggurat() {
+  ExpZiggurat z{};
+  z.x[0] = kExpZigguratV * std::exp(kExpZigguratR);
+  z.x[1] = kExpZigguratR;
+  z.f[1] = std::exp(-kExpZigguratR);
+  for (std::size_t i = 1; i < 255; ++i) {
+    z.f[i + 1] = z.f[i] + kExpZigguratV / z.x[i];
+    z.x[i + 1] = -std::log(z.f[i + 1]);
+  }
+  z.x[256] = 0.0;
+  z.f[256] = 1.0;
+  return z;
+}
+
+}  // namespace
+
+const ExpZiggurat kExpZiggurat = build_exp_ziggurat();
+
+double exponential_slow(Xoshiro256& gen, std::size_t layer, double x) {
+  // Beyond r in the base layer lies the tail, which is r + Exp(1).
+  if (layer == 0) return kExpZigguratR + exponential(gen);
+  // In a wedge: accept under the curve, otherwise start afresh.
+  const double y = kExpZiggurat.f[layer] +
+                   (kExpZiggurat.f[layer + 1] - kExpZiggurat.f[layer]) *
+                       uniform01(gen);
+  return y < std::exp(-x) ? x : exponential(gen);
+}
+
+}  // namespace detail
 
 std::int64_t uniform_int(Xoshiro256& gen, std::int64_t lo, std::int64_t hi) {
   if (lo > hi) throw std::invalid_argument("uniform_int: lo must be <= hi");
   return lo + uniform_below(gen, hi - lo + 1);
-}
-
-double uniform01(Xoshiro256& gen) {
-  return static_cast<double>(gen() >> 11) * 0x1.0p-53;
 }
 
 bool bernoulli(Xoshiro256& gen, double p) {

@@ -10,33 +10,11 @@ std::uint64_t splitmix64_next(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 Xoshiro256::Xoshiro256(std::uint64_t seed) noexcept {
   // Expand the seed into 256 bits of state; splitmix64 guarantees the
   // all-zero state (which xoshiro cannot leave) is never produced.
   std::uint64_t s = seed;
   for (auto& word : state_) word = splitmix64_next(s);
-}
-
-Xoshiro256::result_type Xoshiro256::operator()() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-
-  return result;
 }
 
 void Xoshiro256::jump() noexcept {

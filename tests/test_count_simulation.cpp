@@ -1,24 +1,32 @@
 // Tests for the lumped count-chain simulator: exact transition semantics,
 // conservation laws, the sustainability invariant, jump-chain/plain-chain
-// distributional agreement, structural-change mutators, and the tagged-
-// agent extension.
+// distributional agreement, the engines' time-t laws against the exact
+// pmf of the dense lumped chain at n = 6, structural-change mutators,
+// and the tagged-agent extension.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "check/counting_generator.h"
 #include "core/count_simulation.h"
 #include "core/equilibrium.h"
 #include "core/weights.h"
+#include "markov/markov_chain.h"
 #include "rng/xoshiro.h"
+#include "stat_util.h"
 #include "stats/online_stats.h"
 
 namespace {
 
+using divpp::check::CountingBitGenerator;
+using divpp::core::ColorId;
 using divpp::core::CountSimulation;
 using divpp::core::Engine;
 using divpp::core::TaggedCountSimulation;
@@ -194,6 +202,190 @@ TEST(CountSimulation, JumpChainMatchesPlainChainDistribution) {
   // Spreads of similar magnitude.
   EXPECT_LT(jump.stddev(), plain.stddev() * 1.6 + 1.0);
   EXPECT_LT(plain.stddev(), jump.stddev() * 1.6 + 1.0);
+}
+
+// ---- exact-law oracle ----------------------------------------------------
+
+/// The lumped chain's exact law on a tiny population: every (dark, light)
+/// count vector with Σ = n is one state of a markov::DenseChain whose
+/// one-step matrix is the protocol's (an adopt per ordered light–dark
+/// pair, a fade per ordered same-colour dark pair at 1/w).  Evolving a
+/// point mass t steps gives the pmf an engine's time-t state must follow.
+class ExactLumpedLaw {
+ public:
+  ExactLumpedLaw(const WeightMap& weights, std::int64_t n) {
+    const auto cells = static_cast<std::size_t>(2 * weights.num_colors());
+    std::vector<std::int64_t> state(cells, 0);
+    enumerate(state, 0, n);
+    const auto size = states_.size();
+    std::vector<double> matrix(size * size, 0.0);
+    const double pairs = static_cast<double>(n) * static_cast<double>(n - 1);
+    const std::size_t k = cells / 2;
+    for (std::size_t s = 0; s < size; ++s) {
+      const std::vector<std::int64_t>& from = states_[s];
+      double moved = 0.0;
+      const auto add = [&](std::vector<std::int64_t> to, double p) {
+        matrix[s * size + index_.at(to)] += p;
+        moved += p;
+      };
+      for (std::size_t i = 0; i < k; ++i) {
+        for (std::size_t j = 0; j < k; ++j) {
+          // A light initiator of colour i meets a dark responder of j.
+          const double adopt = static_cast<double>(from[k + i]) *
+                               static_cast<double>(from[j]) / pairs;
+          if (adopt == 0.0) continue;
+          std::vector<std::int64_t> to = from;
+          --to[k + i];
+          ++to[j];
+          add(std::move(to), adopt);
+        }
+        const double fade = static_cast<double>(from[i]) *
+                            static_cast<double>(from[i] - 1) / pairs /
+                            weights.weight(static_cast<ColorId>(i));
+        if (fade == 0.0) continue;
+        std::vector<std::int64_t> to = from;
+        --to[i];
+        ++to[k + i];
+        add(std::move(to), fade);
+      }
+      matrix[s * size + s] += 1.0 - moved;
+    }
+    chain_.emplace(static_cast<std::int64_t>(size), std::move(matrix));
+  }
+
+  [[nodiscard]] std::size_t size() const { return states_.size(); }
+
+  [[nodiscard]] std::size_t index_of(const CountSimulation& sim) const {
+    std::vector<std::int64_t> state(sim.dark_counts().begin(),
+                                    sim.dark_counts().end());
+    state.insert(state.end(), sim.light_counts().begin(),
+                 sim.light_counts().end());
+    return index_.at(state);
+  }
+
+  /// The pmf over states after `steps` steps from `start`.
+  [[nodiscard]] std::vector<double> pmf(const CountSimulation& start,
+                                        std::int64_t steps) const {
+    std::vector<double> dist(size(), 0.0);
+    dist[index_of(start)] = 1.0;
+    for (std::int64_t t = 0; t < steps; ++t) dist = chain_->evolve(dist);
+    return dist;
+  }
+
+ private:
+  void enumerate(std::vector<std::int64_t>& state, std::size_t cell,
+                 std::int64_t left) {
+    if (cell + 1 == state.size()) {
+      state[cell] = left;
+      index_.emplace(state, states_.size());
+      states_.push_back(state);
+      return;
+    }
+    for (std::int64_t c = 0; c <= left; ++c) {
+      state[cell] = c;
+      enumerate(state, cell + 1, left - c);
+    }
+  }
+
+  std::vector<std::vector<std::int64_t>> states_;
+  std::map<std::vector<std::int64_t>, std::size_t> index_;
+  std::optional<divpp::markov::DenseChain> chain_;
+};
+
+/// Pearson chi-square of `hits` against `pmf`, cells with an expected
+/// count below 5 pooled into one; no hit may land on a null cell.
+void expect_matches_pmf(const std::vector<std::int64_t>& hits,
+                        const std::vector<double>& pmf, std::int64_t draws,
+                        const std::string& label) {
+  double chi2 = 0.0;
+  std::size_t bins = 0;
+  double pooled_expected = 0.0;
+  std::int64_t pooled_hits = 0;
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    const double expected = pmf[i] * static_cast<double>(draws);
+    if (pmf[i] < 1e-15) {
+      EXPECT_EQ(hits[i], 0) << label << ": mass on an unreachable state";
+      continue;
+    }
+    if (expected < 5.0) {
+      pooled_expected += expected;
+      pooled_hits += hits[i];
+      continue;
+    }
+    const double diff = static_cast<double>(hits[i]) - expected;
+    chi2 += diff * diff / expected;
+    ++bins;
+  }
+  if (pooled_expected > 0.0) {
+    const double diff = static_cast<double>(pooled_hits) - pooled_expected;
+    chi2 += diff * diff / pooled_expected;
+    ++bins;
+  }
+  const std::size_t df = bins > 1 ? bins - 1 : 1;
+  EXPECT_LT(chi2, divpp::test::chi2_crit(df))
+      << label << ": chi2 " << chi2 << " on " << df << " df";
+}
+
+TEST(ExactLaw, EnginesMatchTheDenseChainOnKTwoNSix) {
+  // k = 2, n = 6: C(9, 3) = 84 lumped states.  Each engine runs in two
+  // windows, so the jump chain also re-derives its candidate rate at a
+  // window boundary.
+  const WeightMap weights({1.0, 3.0});
+  const ExactLumpedLaw law(weights, 6);
+  ASSERT_EQ(law.size(), 84u);
+  const CountSimulation start(weights, {3, 1}, {1, 1});
+  constexpr std::int64_t kReplicas = 20'000;
+  for (const std::int64_t horizon : {4, 25}) {
+    const std::vector<double> pmf = law.pmf(start, horizon);
+    for (const Engine engine : {Engine::kStep, Engine::kJump, Engine::kAuto}) {
+      std::vector<std::int64_t> hits(law.size(), 0);
+      Xoshiro256 gen(0x1a3 + static_cast<std::uint64_t>(horizon));
+      for (std::int64_t r = 0; r < kReplicas; ++r) {
+        CountSimulation sim = start;
+        sim.advance_with(engine, horizon / 2, gen);
+        sim.advance_with(engine, horizon, gen);
+        ++hits[law.index_of(sim)];
+      }
+      expect_matches_pmf(hits, pmf, kReplicas,
+                         std::string(engine_name(engine)) + " t=" +
+                             std::to_string(horizon));
+    }
+  }
+}
+
+TEST(ExactLaw, SaturatedStartCapsTheCandidateRate) {
+  // k = 1, w = 1, all dark: every ordered pair is a fade, so p = 1 and
+  // the jump chain's candidate rate is capped at 1 — the first step is
+  // a certain fade that draws no gap, only the one uniform that picks it.
+  const WeightMap weights({1.0});
+  const CountSimulation start(weights, {6}, {0});
+  ASSERT_EQ(start.active_probability(), 1.0);
+  for (const Engine engine : {Engine::kJump, Engine::kAuto}) {
+    CountSimulation sim = start;
+    CountingBitGenerator gen(0x5a7);
+    sim.advance_with(engine, 1, gen.generator());
+    EXPECT_EQ(gen.consumed(), 1) << engine_name(engine);
+    EXPECT_EQ(sim.dark(0), 5);
+    EXPECT_EQ(sim.light(0), 1);
+  }
+  const ExactLumpedLaw law(weights, 6);
+  ASSERT_EQ(law.size(), 7u);
+  constexpr std::int64_t kReplicas = 20'000;
+  for (const std::int64_t horizon : {2, 9}) {
+    const std::vector<double> pmf = law.pmf(start, horizon);
+    for (const Engine engine : {Engine::kJump, Engine::kAuto}) {
+      std::vector<std::int64_t> hits(law.size(), 0);
+      Xoshiro256 gen(0x5a8 + static_cast<std::uint64_t>(horizon));
+      for (std::int64_t r = 0; r < kReplicas; ++r) {
+        CountSimulation sim = start;
+        sim.advance_with(engine, horizon, gen);
+        ++hits[law.index_of(sim)];
+      }
+      expect_matches_pmf(hits, pmf, kReplicas,
+                         std::string(engine_name(engine)) + " t=" +
+                             std::to_string(horizon));
+    }
+  }
 }
 
 TEST(CountSimulation, ConvergesToFairSharesFromAdversarialStart) {

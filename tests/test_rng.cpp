@@ -11,8 +11,10 @@
 #include <set>
 #include <vector>
 
+#include "check/counting_generator.h"
 #include "rng/distributions.h"
 #include "rng/xoshiro.h"
+#include "stat_util.h"
 #include "stats/online_stats.h"
 
 namespace {
@@ -216,6 +218,69 @@ TEST(GeometricFailures, MeanMatchesClosedForm) {
     acc.add(static_cast<double>(divpp::rng::geometric_failures(gen, p)));
   // E[failures] = (1-p)/p = 4.
   EXPECT_NEAR(acc.mean(), (1.0 - p) / p, 0.05);
+}
+
+// ---- exponential ziggurat ----------------------------------------------
+
+/// The ziggurat's base layer ends at r; beyond it lies the tail.
+constexpr double kZigguratR = 7.69711747013104972;
+
+TEST(Exponential, ChiSquareAgainstExpOneAcrossStripsWedgesAndTail) {
+  // Bins of width 0.05 up to 7.6 resolve the base strips and the wedges
+  // of every layer (layer i's wedge sits just left of its edge x_i), and
+  // four bins cover [7.6, r), [r, 8.5), [8.5, 10) and [10, ∞) — the tail
+  // drawn as r + Exp(1).
+  Xoshiro256 gen(0xe4);
+  constexpr std::int64_t kDraws = 4'000'000;
+  constexpr double kWidth = 0.05;
+  constexpr std::size_t kStrips = 152;  // [0, 7.6)
+  std::vector<double> edges;
+  for (std::size_t i = 0; i <= kStrips; ++i)
+    edges.push_back(static_cast<double>(i) * kWidth);
+  for (const double edge : {kZigguratR, 8.5, 10.0}) edges.push_back(edge);
+  std::vector<std::int64_t> hits(edges.size(), 0);  // last bin: [10, ∞)
+  divpp::stats::OnlineStats acc;
+  for (std::int64_t i = 0; i < kDraws; ++i) {
+    const double x = divpp::rng::exponential(gen);
+    ASSERT_GE(x, 0.0);
+    ASSERT_TRUE(std::isfinite(x));
+    acc.add(x);
+    const auto bin = static_cast<std::size_t>(
+        std::upper_bound(edges.begin(), edges.end(), x) - edges.begin() - 1);
+    ++hits[bin];
+  }
+  double chi2 = 0.0;
+  for (std::size_t b = 0; b < hits.size(); ++b) {
+    const double upper =
+        b + 1 < edges.size() ? std::exp(-edges[b + 1]) : 0.0;
+    const double expected =
+        (std::exp(-edges[b]) - upper) * static_cast<double>(kDraws);
+    ASSERT_GT(expected, 80.0) << "bin " << b;
+    const double diff = static_cast<double>(hits[b]) - expected;
+    chi2 += diff * diff / expected;
+  }
+  EXPECT_LT(chi2, divpp::test::chi2_crit(hits.size() - 1));
+  // Mean and variance of Exp(1) are both 1; 5 standard errors.
+  EXPECT_NEAR(acc.mean(), 1.0, 5.0 / std::sqrt(static_cast<double>(kDraws)));
+  EXPECT_NEAR(acc.variance(), 1.0,
+              5.0 * std::sqrt(8.0 / static_cast<double>(kDraws)));
+}
+
+TEST(Exponential, FixedSeedConsumesAPinnedNumberOfDraws) {
+  // One 64-bit word per draw on the fast path; wedge tests, tail draws
+  // and redraws add the rest.  The count is a pure function of the seed.
+  constexpr std::int64_t kDraws = 100'000;
+  const auto consume = [] {
+    divpp::check::CountingBitGenerator gen(0xe5);
+    for (std::int64_t i = 0; i < kDraws; ++i)
+      (void)divpp::rng::exponential(gen.generator());
+    return gen.consumed();
+  };
+  const std::int64_t consumed = consume();
+  EXPECT_EQ(consumed, consume());
+  EXPECT_EQ(consumed, 103'452);
+  EXPECT_GT(consumed, kDraws);
+  EXPECT_LT(consumed, kDraws + kDraws / 20);
 }
 
 TEST(TwoDistinct, AlwaysDistinctAndInRange) {

@@ -3,6 +3,7 @@
 // through the public CollisionBatcher hook, the exclude-one-agent
 // advance entry, bit-identity of the small-population fallback, exact
 // segment accounting of run_changes against per-step attribution, the
+// held-out agent surviving a throwing change observer, the
 // headline two-sample law tests of the joint (tagged colour, tagged
 // shade, counts) distribution at fixed window boundaries — tagged
 // engines vs tagged-step at n = 2000, k ∈ {2, 8}, equal and skewed
@@ -15,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "analysis/fairness.h"
@@ -329,6 +331,46 @@ TEST(RunChanges, ValidatesObserverAndTarget) {
   EXPECT_THROW(sim.run_changes(Engine::kBatch, 50, gen,
                                [](std::int64_t, AgentState) {}),
                std::invalid_argument);
+}
+
+TEST(RunChanges, ThrowingObserverLeavesTheTaggedAgentSeated) {
+  // The decomposed engines hold the tagged agent out of the counts while
+  // they run; an observer that throws must not leave it out.  The clock
+  // then counts the interaction whose change was being reported.
+  const WeightMap weights({1.0, 2.0, 3.0});
+  constexpr std::int64_t kN = 1000;
+  for (const Engine engine : {Engine::kJump, Engine::kBatch, Engine::kAuto}) {
+    TaggedCountSimulation sim(
+        CountSimulation::proportional_start(weights, kN), 0, true);
+    Xoshiro256 gen(12);
+    std::int64_t thrown_at = -1;
+    EXPECT_THROW(sim.run_changes(engine, 50 * kN, gen,
+                                 [&](std::int64_t change_time, AgentState) {
+                                   thrown_at = change_time;
+                                   throw std::runtime_error("observer");
+                                 }),
+                 std::runtime_error);
+    ASSERT_GE(thrown_at, 0) << engine_name(engine);
+    const auto expect_seated = [&] {
+      const CountSimulation& counts = sim.counts();
+      EXPECT_EQ(counts.n(), kN) << engine_name(engine);
+      std::int64_t total = 0;
+      for (divpp::core::ColorId c = 0; c < 3; ++c)
+        total += counts.dark(c) + counts.light(c);
+      EXPECT_EQ(total, kN) << engine_name(engine);
+      const AgentState tagged = sim.tagged_state();
+      EXPECT_GE(tagged.is_dark() ? counts.dark(tagged.color)
+                                 : counts.light(tagged.color),
+                1)
+          << engine_name(engine);
+    };
+    expect_seated();
+    EXPECT_EQ(sim.time(), thrown_at + 1) << engine_name(engine);
+    const std::int64_t target = sim.time() + 5 * kN;
+    sim.run_changes(engine, target, gen, [](std::int64_t, AgentState) {});
+    expect_seated();
+    EXPECT_EQ(sim.time(), target);
+  }
 }
 
 // ---- the headline contract: joint law, tagged engines vs tagged-step ------
