@@ -357,6 +357,24 @@ void CountSimulation::apply_fade(ColorId i) noexcept {
   --total_dark_;
 }
 
+void CountSimulation::shift_agent(ColorId i, bool dark_shade,
+                                  std::int64_t delta) noexcept {
+  const auto c = static_cast<std::size_t>(i);
+  n_ += delta;
+  if (dark_shade) {
+    const bool had_two = dark_[c] >= 2;
+    dark_[c] += delta;
+    dark_tree_.add(i, delta);
+    total_dark_ += delta;
+    dark_ge2_ += (dark_[c] >= 2 ? 1 : 0) - (had_two ? 1 : 0);
+    on_dark_changed(c);
+  } else {
+    light_[c] += delta;
+    light_tree_.add(i, delta);
+  }
+  SIM_IF_CHECKED(check_invariants());
+}
+
 CountStepOutcome CountSimulation::step(rng::Xoshiro256& gen) {
   const ClassPick initiator = pick_class(gen, n_, nullptr);
   const ClassPick responder = pick_class(gen, n_ - 1, &initiator);
@@ -842,23 +860,19 @@ void TaggedCountSimulation::run_decomposed(Engine engine,
   const std::int64_t n = sim_.n_;
   // The tagged agent's own cell must still hold it (used-set ⊆ support):
   // anything else means the hold-out bookkeeping leaked.
-  SIM_ASSERT(tagged_cell() >= 1);
-  --tagged_cell();
-  sim_.n_ = n - 1;
-  sim_.rebuild_derived();
+  SIM_ASSERT((tagged_.is_dark() ? sim_.dark(tagged_.color)
+                                : sim_.light(tagged_.color)) >= 1);
+  sim_.shift_agent(tagged_.color, tagged_.is_dark(), -1);
   // Re-seat the agent under its *current* state (it may have changed
-  // colour or shade at an involvement position) and restore n on every
-  // exit, an observer's exception included.
+  // colour or shade at an involvement position) on every exit, an
+  // observer's exception included.
   struct Reseat {
     TaggedCountSimulation& self;
-    std::int64_t n;
     ~Reseat() {
-      ++self.tagged_cell();
-      self.sim_.n_ = n;
-      self.sim_.rebuild_derived();
+      self.sim_.shift_agent(self.tagged_.color, self.tagged_.is_dark(), +1);
     }
   };
-  const Reseat reseat{*this, n};
+  const Reseat reseat{*this};
   while (sim_.time_ < target_time) {
     const std::int64_t chunk =
         std::min(target_time - sim_.time_, kTaggedInvolvementChunk);
@@ -881,11 +895,6 @@ void TaggedCountSimulation::run_decomposed(Engine engine,
     if (sim_.time_ < chunk_start + chunk)
       sim_.advance_core(engine, chunk_start + chunk, gen);
   }
-}
-
-std::int64_t& TaggedCountSimulation::tagged_cell() noexcept {
-  const auto color = static_cast<std::size_t>(tagged_.color);
-  return tagged_.is_dark() ? sim_.dark_[color] : sim_.light_[color];
 }
 
 void TaggedCountSimulation::resolve_tagged_interaction(

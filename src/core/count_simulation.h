@@ -324,6 +324,10 @@ class CountSimulation {
   void apply_fade(ColorId i) noexcept;
   /// Updates the dark-count derived state after dark_[i] changed by ±1.
   void on_dark_changed(std::size_t i) noexcept;
+  /// Adds (delta = +1) or removes (−1) one agent of colour i and the
+  /// given shade, n included, with O(log k) updates of every derived
+  /// structure — the tagged chain's hold-out and re-seat.
+  void shift_agent(ColorId i, bool dark_shade, std::int64_t delta) noexcept;
   /// Exact absorption test on integers, immune to rounding: an adopt
   /// needs a light initiator AND a dark responder; a fade needs a colour
   /// with two dark agents.
@@ -484,8 +488,6 @@ class TaggedCountSimulation {
   /// notifies `on_change` if the tagged state changed.
   void resolve_tagged_interaction(rng::Xoshiro256& gen,
                                   const ChangeObserver* on_change);
-  /// The count cell of the tagged agent's current (colour, shade).
-  [[nodiscard]] std::int64_t& tagged_cell() noexcept;
 
   CountSimulation sim_;
   AgentState tagged_{};
