@@ -225,6 +225,52 @@ void BM_FenwickCountsSample(benchmark::State& state) {
 }
 BENCHMARK(BM_FenwickCountsSample)->Arg(4)->Arg(64)->Arg(1024);
 
+// The jump chain's fade-colour draw: a propensity descent at a random
+// mass position over non-dyadic weights.
+void BM_FenwickPropensitiesFind(benchmark::State& state) {
+  Xoshiro256 gen(3);
+  std::vector<double> weights(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < weights.size(); ++i)
+    weights[i] = 0.37 * static_cast<double>(i + 1);
+  const divpp::sampling::FenwickPropensities tree(weights);
+  const double total = tree.total();
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        tree.find(divpp::rng::uniform01(gen) * total));
+}
+BENCHMARK(BM_FenwickPropensitiesFind)->Arg(4)->Arg(32)->Arg(1024);
+
+// One transition's tree updates (as in a fade): a count -1 on one class,
+// +1 on another, and a propensity set.  Indices and values come from a
+// precomputed ring so the row times the trees, not the generator.
+void BM_FenwickUpdate(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  Xoshiro256 gen(3);
+  divpp::sampling::FenwickCounts counts(
+      std::vector<std::int64_t>(k, std::int64_t{1} << 40));
+  divpp::sampling::FenwickPropensities props(std::vector<double>(k, 1.0));
+  constexpr std::size_t kRing = 4096;
+  std::vector<std::int64_t> index(kRing);
+  std::vector<double> value(kRing);
+  for (std::size_t r = 0; r < kRing; ++r) {
+    index[r] = divpp::rng::uniform_below(gen, static_cast<std::int64_t>(k));
+    value[r] = divpp::rng::uniform01(gen) * 3.0;
+  }
+  std::size_t r = 0;
+  for (auto _ : state) {
+    const std::int64_t i = index[r];
+    const std::int64_t j = index[(r + 1) % kRing];
+    counts.add(i, -1);
+    counts.add(j, +1);
+    props.set(i, value[r]);
+    benchmark::ClobberMemory();
+    r = (r + 1) % kRing;
+  }
+  benchmark::DoNotOptimize(counts.total());
+  benchmark::DoNotOptimize(props.total());
+}
+BENCHMARK(BM_FenwickUpdate)->Arg(4)->Arg(32)->Arg(1024);
+
 void BM_LinearSampleCounts(benchmark::State& state) {
   Xoshiro256 gen(3);
   std::vector<std::int64_t> counts(static_cast<std::size_t>(state.range(0)));
@@ -295,7 +341,7 @@ void BM_CountStep(benchmark::State& state) {
   Xoshiro256 gen(8);
   for (auto _ : state) benchmark::DoNotOptimize(sim.step(gen).transition);
 }
-BENCHMARK(BM_CountStep)->Arg(8)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK(BM_CountStep)->Arg(3)->Arg(8)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_CountStepLinear(benchmark::State& state) {
   const auto k = state.range(0);

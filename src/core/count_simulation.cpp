@@ -92,15 +92,12 @@ void CountSimulation::check_invariants() const {
   SIM_DCHECK_EQ(sum_dark, dark_tree_.total());
   SIM_DCHECK_EQ(sum_light, light_tree_.total());
   SIM_DCHECK_EQ(ge2, dark_ge2_);
-  // The flip total drifts by at most one rounding per incremental update
-  // between FenwickPropensities' periodic exact rebuilds; k·2⁻⁵² relative
-  // is a generous envelope for any k the rebuild period allows.
-  double exact_flip_total = 0.0;
-  for (std::size_t i = 0; i < k; ++i)
-    exact_flip_total += flip_tree_.get(static_cast<std::int64_t>(i));
-  const double flip_tol =
-      1e-9 * std::max(1.0, exact_flip_total) + 1e-300;
-  SIM_DCHECK_LE(std::fabs(flip_tree_.total() - exact_flip_total), flip_tol);
+  // Each tree is a pure function of its leaves: every internal node is
+  // exactly the sum of its children, so the flip total has no drift to
+  // bound.
+  dark_tree_.check_invariants();
+  light_tree_.check_invariants();
+  flip_tree_.check_invariants();
   SIM_DCHECK_GE(time_, 0);
   // Event queue: sorted by firing time, nothing already in the past.
   for (std::size_t e = 0; e < pending_events_.size(); ++e) {
@@ -224,11 +221,6 @@ double CountSimulation::active_probability() const noexcept {
 
 namespace {
 
-/// Below this palette size a linear scan beats the Fenwick descent on
-/// constant factors.  Both map the same draw to the same category, so the
-/// choice is invisible to trajectories — tune freely.
-constexpr std::int64_t kPickClassLinearCutoff = 16;
-
 /// Below this size a collision batch covers only O(√n) interactions and
 /// its fixed per-batch overhead dominates; plain stepping wins and keeps
 /// step()'s draw sequence.  Distributionally the cutoff is invisible.
@@ -280,27 +272,7 @@ CountSimulation::ClassPick CountSimulation::pick_class(
     rng::Xoshiro256& gen, std::int64_t total, const ClassPick* excluded) const {
   // Single uniform draw over the eligible agents, mapped dark-block-first.
   std::int64_t target = rng::uniform_below(gen, total);
-  const auto k = dark_.size();
-  if (static_cast<std::int64_t>(k) <= kPickClassLinearCutoff) {
-    for (std::size_t i = 0; i < k; ++i) {
-      std::int64_t available = dark_[i];
-      if (excluded != nullptr && excluded->dark &&
-          excluded->color == static_cast<ColorId>(i))
-        --available;
-      if (target < available) return {true, static_cast<ColorId>(i)};
-      target -= available;
-    }
-    for (std::size_t i = 0; i < k; ++i) {
-      std::int64_t available = light_[i];
-      if (excluded != nullptr && !excluded->dark &&
-          excluded->color == static_cast<ColorId>(i))
-        --available;
-      if (target < available) return {false, static_cast<ColorId>(i)};
-      target -= available;
-    }
-    throw std::logic_error("CountSimulation::pick_class: inconsistent totals");
-  }
-  // Large palette: the same mapping found in O(log k) by Fenwick descent.
+  // The same mapping as a linear scan, found in O(log k) by tree descent.
   const std::int64_t ex_dark =
       (excluded != nullptr && excluded->dark) ? excluded->color : -1;
   const std::int64_t dark_avail = total_dark_ - (ex_dark >= 0 ? 1 : 0);
@@ -552,17 +524,13 @@ void CountSimulation::advance_to_impl(std::int64_t target_time,
       return;
     }
     // Propensities are maintained incrementally: the adopt weight is a
-    // product of running totals and the flip total is the tree's O(1)
-    // running sum — no O(k) rebuild per active transition.
+    // product of running totals and the flip total is the tree's root —
+    // no O(k) rebuild per active transition.  Not absorbed means an adopt
+    // pair or a positive flip leaf, so the weight is positive.
     const auto adopt_weight = static_cast<double>(total_light()) *
                               static_cast<double>(total_dark_);
     const double weight = adopt_weight + flip_tree_.total();
-    if (!(weight > 0.0)) {
-      // Defensive: not absorbed, so the exact propensity is positive; a
-      // vanishing float total means the drifting tree lost it — resync.
-      rebuild_derived();
-      continue;
-    }
+    SIM_ASSERT(weight > 0.0);
     if (weight > candidate_weight ||
         weight * (kRateSlack * kRateSlack) < candidate_weight) {
       candidate_weight = std::min(kRateSlack * weight, denom);

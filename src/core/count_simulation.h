@@ -22,11 +22,12 @@
 ///    transition.  Near equilibrium only a Θ(1/W) fraction of steps are
 ///    active, so this is several times faster for long windows.
 ///
-/// Both modes run on the Fenwick samplers of sampling/fenwick.h: class
+/// Both modes run on the sum-tree samplers of sampling/fenwick.h: class
 /// and flip-propensity draws cost O(log k) per transition, and the
-/// adopt/flip propensities are maintained by O(1) deltas instead of an
-/// O(k) rebuild per active transition — the standard kinetic-Monte-Carlo
-/// organisation, which is what makes large-k sweeps (E17) tractable.
+/// adopt/flip propensities are maintained by O(log k) point updates
+/// instead of an O(k) rebuild per active transition — the standard
+/// kinetic-Monte-Carlo organisation, which is what makes large-k sweeps
+/// (E17) tractable.
 ///
 /// TaggedCountSimulation additionally carries one distinguished agent
 /// through the lumped dynamics (exactly — see the class comment), which
@@ -253,15 +254,18 @@ class CountSimulation {
     return sampler_context_;
   }
 
-  /// Rebuilds every derived sampling structure (Fenwick trees, flip
-  /// propensities, cached totals) from the raw counts, discarding any
-  /// accumulated float drift.  Checkpoint canonicalisation point: a v2
-  /// restore starts from freshly rebuilt trees, so a resumable driver
-  /// (runtime/durable_runner.h) canonicalises at every checkpoint
-  /// boundary — an uninterrupted run and a killed-and-resumed run then
-  /// follow the same float trajectory, which is what makes resume
-  /// bit-identical rather than merely distributionally identical.
-  /// Consumes no RNG draws and changes no counts, clock, or estimates.
+  /// Rebuilds every derived sampling structure (sum trees, flip
+  /// propensities, cached totals) from the raw counts.  Checkpoint
+  /// canonicalisation point: a v2 restore starts from freshly rebuilt
+  /// derived state, so a resumable driver (runtime/durable_runner.h)
+  /// canonicalises at every checkpoint boundary — an uninterrupted run
+  /// and a killed-and-resumed run then start each window from the same
+  /// derived state, which is what makes resume bit-identical rather than
+  /// merely distributionally identical.  The sum trees are pure
+  /// functions of their leaves, so today this reproduces them exactly;
+  /// the call stays at the boundaries so derived state added later
+  /// cannot break the contract silently.  Consumes no RNG draws and
+  /// changes no counts, clock, or estimates.
   void canonicalize();
 
   // ---- structural changes (adversary API) ------------------------------
@@ -297,10 +301,11 @@ class CountSimulation {
   /// Full O(k) invariant walk (SIM_CHECKED builds only; compiled to an
   /// empty body otherwise and never called from release paths): count
   /// conservation Σ(dark + light) == n, non-negativity, total_dark_ /
-  /// dark_ge2_ / Fenwick-tree / min-tree consistency, flip propensities
-  /// within the rebuild drift bound, event queue sorted and not in the
-  /// past.  Called from window boundaries (drive) and every structural
-  /// rebuild — not per step, so checked runs stay within ~2× wall-clock.
+  /// dark_ge2_ / sum-tree leaf consistency, flip propensities exact, every
+  /// tree node the exact sum of its children, event queue sorted and not
+  /// in the past.  Called from window boundaries (drive) and every
+  /// structural rebuild — not per step, so checked runs stay within ~2×
+  /// wall-clock.
   void check_invariants() const;
   /// Rebuilds every derived structure (trees, propensities, counters)
   /// from dark_/light_ in O(k) — constructor and structural mutators.

@@ -54,8 +54,8 @@ std::string drive_windows(Sim& sim, const core::CountSimulation& counts,
     const std::int64_t next =
         next_window_boundary(now, period, config.target_time);
     sim.advance_with(config.engine, next, gen);
-    // Shed float drift exactly where a restore would rebuild from
-    // scratch — this is what aligns golden and resumed trajectories.
+    // Rebuild derived state exactly where a restore would rebuild it
+    // from scratch — this is what aligns golden and resumed trajectories.
     sim.canonicalize();
     now = next;
     if (audit) {

@@ -26,10 +26,11 @@
 /// on its window boundaries, so a resumed run must advance through the
 /// *same* boundaries as the original — which period-aligned windows
 /// guarantee and crash-relative windows would not.  Why
-/// canonicalisation matters: a restore rebuilds the Fenwick propensity
-/// trees exactly, so the uninterrupted run must shed its accumulated
-/// float drift at the same points or the jump engine's trajectories
-/// diverge.
+/// canonicalisation matters: a restore rebuilds every derived sampling
+/// structure from the counts, so the uninterrupted run rebuilds at the
+/// same points.  The sum trees do not drift (each is a pure function of
+/// its leaves), so this is insurance for any derived state that could
+/// depend on update history.
 
 #include <cstdint>
 #include <functional>

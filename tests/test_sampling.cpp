@@ -1,8 +1,9 @@
-// Tests for the sampling subsystem: Fenwick update/prefix/find unit
-// semantics, exact agreement of the Fenwick draw mapping with the linear
-// scans of rng/distributions.h, chi-square distributional checks pinning
-// every sampler (Fenwick counts, Fenwick propensities, alias table) to
-// the linear-scan references, and the min-tree observable.
+// Tests for the sampling subsystem: sum-tree update/prefix/find unit
+// semantics, exact agreement of the tree draw mapping with the linear
+// scans of rng/distributions.h at every size up to 70, history-free
+// propensity updates, and chi-square distributional checks pinning every
+// sampler (Fenwick counts, Fenwick propensities, alias table) to the
+// linear-scan references.
 
 #include <gtest/gtest.h>
 
@@ -152,6 +153,41 @@ TEST(FenwickCounts, FindExcludingMatchesAdjustedScan) {
   }
 }
 
+/// The category rng::sample_counts maps flattened position `target` to.
+std::int64_t scan_owner(const std::vector<std::int64_t>& counts,
+                        std::int64_t target) {
+  for (std::size_t i = 0; i + 1 < counts.size(); ++i) {
+    target -= counts[i];
+    if (target < 0) return static_cast<std::int64_t>(i);
+  }
+  return static_cast<std::int64_t>(counts.size()) - 1;
+}
+
+TEST(FenwickCounts, ExactAtEverySizeAndTarget) {
+  // Sizes 1..70 cover every padding amount up to capacity 128 and both
+  // sides of each power of two; zero counts sit at the ends and inside.
+  for (std::int64_t k = 1; k <= 70; ++k) {
+    std::vector<std::int64_t> counts(static_cast<std::size_t>(k));
+    for (std::int64_t i = 0; i < k; ++i)
+      counts[static_cast<std::size_t>(i)] = (i * 7 + k) % 5;
+    if (std::accumulate(counts.begin(), counts.end(), std::int64_t{0}) == 0)
+      counts[0] = 1;
+    const FenwickCounts tree(counts);
+    ASSERT_EQ(tree.total(),
+              std::accumulate(counts.begin(), counts.end(), std::int64_t{0}));
+    for (std::int64_t t = 0; t < tree.total(); ++t)
+      ASSERT_EQ(tree.find(t), scan_owner(counts, t)) << "k " << k << " t " << t;
+    for (std::int64_t e = 0; e < k; ++e) {
+      if (counts[static_cast<std::size_t>(e)] == 0) continue;
+      std::vector<std::int64_t> adjusted = counts;
+      --adjusted[static_cast<std::size_t>(e)];
+      for (std::int64_t t = 0; t + 1 < tree.total(); ++t)
+        ASSERT_EQ(tree.find_excluding(t, e), scan_owner(adjusted, t))
+            << "k " << k << " excluded " << e << " t " << t;
+    }
+  }
+}
+
 // ---- FenwickPropensities unit semantics -----------------------------------
 
 TEST(FenwickPropensities, TotalTracksUpdates) {
@@ -181,6 +217,55 @@ TEST(FenwickPropensities, ManyUpdatesStayDriftFree) {
   }
   const FenwickPropensities fresh(weights);
   EXPECT_NEAR(tree.total(), fresh.total(), 1e-9 * fresh.total());
+}
+
+TEST(FenwickPropensities, UpdatesAreHistoryFree) {
+  // Every ancestor is recomputed from its children, so the tree depends
+  // only on its leaves: after any update history, total() and find()
+  // equal a freshly built tree's bit for bit.  Non-dyadic values (and
+  // some zeros) make a delta-maintained running total drift.
+  const std::size_t k = 37;
+  std::vector<double> weights(k, 0.1);
+  FenwickPropensities tree(weights);
+  Xoshiro256 gen(104);
+  for (int round = 0; round < 20'001; ++round) {
+    const auto i = static_cast<std::size_t>(
+        divpp::rng::uniform_below(gen, static_cast<std::int64_t>(k)));
+    weights[i] =
+        round % 7 == 0 ? 0.0 : divpp::rng::uniform01(gen) * 3.0 / 7.0;
+    tree.set(static_cast<std::int64_t>(i), weights[i]);
+  }
+  const FenwickPropensities fresh(weights);
+  EXPECT_EQ(tree.total(), fresh.total());
+  for (int g = 0; g <= 1000; ++g) {
+    const double target = fresh.total() * static_cast<double>(g) / 1000.0;
+    ASSERT_EQ(tree.find(target), fresh.find(target)) << "grid point " << g;
+  }
+}
+
+TEST(FenwickPropensities, FindStaysOnPositiveWeightsAtEverySize) {
+  // Targets at both ends of [0, total]: total itself occurs because the
+  // jump chain's `pick − adopt_weight` can round up to the flip total.
+  for (std::int64_t k = 1; k <= 70; ++k) {
+    std::vector<double> weights(static_cast<std::size_t>(k));
+    // Zeros inside and at the last category (next to the padding), so
+    // an overshooting target has zero-weight leaves to fall onto.
+    for (std::int64_t i = 0; i + 1 < k; ++i) {
+      weights[static_cast<std::size_t>(i)] =
+          (i * 5 + k) % 3 == 0 ? 0.0 : 0.1 * static_cast<double>(i + 1);
+    }
+    if (std::accumulate(weights.begin(), weights.end(), 0.0) == 0.0)
+      weights[0] = 0.3;
+    const FenwickPropensities tree(weights);
+    for (const double target :
+         {0.0, std::nextafter(tree.total(), 0.0), tree.total()}) {
+      const std::int64_t idx = tree.find(target);
+      ASSERT_GE(idx, 0) << "k " << k << " target " << target;
+      ASSERT_LT(idx, k) << "k " << k << " target " << target;
+      ASSERT_GT(weights[static_cast<std::size_t>(idx)], 0.0)
+          << "k " << k << " target " << target;
+    }
+  }
 }
 
 TEST(FenwickPropensities, FindNeverReturnsZeroWeightCategory) {
