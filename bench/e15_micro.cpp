@@ -3,8 +3,10 @@
 // linear-scan references), rule application, engine steps (agent-based
 // and count-chain, plain and jump), neighbour sampling on generated
 // topologies, the BatchRunner pool running tagged replicas at one
-// thread and at one per hardware thread, and the v2 checkpoint
-// encode/decode the sweep pays at every window boundary.
+// thread and at one per hardware thread, the v2 checkpoint
+// encode/decode the sweep pays at every window boundary, and one batch
+// window at the sweep's shapes through run_batched and through the
+// collision chain alone.
 //
 // Besides the google-benchmark suite, `--pr2-json=FILE` runs a dedicated
 // before/after harness that times the PR-2 rewrites against the retained
@@ -25,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "batch/collision_batch.h"
 #include "core/checkpoint.h"
 #include "core/count_simulation.h"
 #include "core/diversification.h"
@@ -452,6 +455,53 @@ void BM_CheckpointV2Decode(benchmark::State& state) {
                           static_cast<std::int64_t>(blob.size()));
 }
 BENCHMARK(BM_CheckpointV2Decode)->Arg(3)->Arg(16);
+
+// One 4096-interaction batch window at the sweep's shapes (weights
+// cycling 1..4, proportional start warmed up for 8n interactions), once
+// through run_batched — which walks agent labels or runs the collision
+// chain, as its cost rule picks — and once through the chain alone.  The
+// two rows per shape are the crossover data behind the rule's constants.
+constexpr std::int64_t kBatchWindow = 4096;
+
+CountSimulation warm_sweep_state(std::int64_t n, std::int64_t k,
+                                 Xoshiro256& gen) {
+  std::vector<double> w(static_cast<std::size_t>(k));
+  for (std::int64_t i = 0; i < k; ++i)
+    w[static_cast<std::size_t>(i)] = 1.0 + static_cast<double>(i % 4);
+  auto sim = CountSimulation::proportional_start(WeightMap(std::move(w)), n);
+  sim.advance_to(8 * n, gen);
+  return sim;
+}
+
+void BM_RunBatchedWindow(benchmark::State& state) {
+  Xoshiro256 gen(17);
+  auto sim = warm_sweep_state(state.range(0), state.range(1), gen);
+  for (auto _ : state) {
+    sim.run_batched(sim.time() + kBatchWindow, gen);
+    benchmark::DoNotOptimize(sim.total_dark());
+  }
+  state.SetItemsProcessed(state.iterations() * kBatchWindow);
+}
+BENCHMARK(BM_RunBatchedWindow)->ArgsProduct({{256, 4096, 16384}, {3, 16}});
+
+void BM_CollisionBatcherAdvance(benchmark::State& state) {
+  Xoshiro256 gen(17);
+  const auto sim = warm_sweep_state(state.range(0), state.range(1), gen);
+  std::vector<std::int64_t> dark(sim.dark_counts().begin(),
+                                 sim.dark_counts().end());
+  std::vector<std::int64_t> light(sim.light_counts().begin(),
+                                  sim.light_counts().end());
+  divpp::batch::CollisionBatcher batcher(sim.weights());
+  for (auto _ : state) {
+    for (std::int64_t done = 0; done < kBatchWindow;)
+      done += batcher.advance(dark, light, kBatchWindow - done, gen);
+    benchmark::DoNotOptimize(dark.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kBatchWindow);
+}
+BENCHMARK(BM_CollisionBatcherAdvance)
+    ->ArgsProduct({{256, 4096, 16384}, {3, 16}});
 
 void BM_NeighborSampleRegular(benchmark::State& state) {
   Xoshiro256 topo_gen(10);

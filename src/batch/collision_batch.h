@@ -51,11 +51,20 @@
 /// below — rng/discrete.h); a batch covers ℓ = Θ(√n) interactions in
 /// expectation, so the amortised cost per interaction is O(k / √n),
 /// vanishing as n grows with k fixed.  This is what makes n = 10⁷–10⁹
-/// sweeps tractable (bench e20_batch, BENCH_pr4.json).
+/// sweeps tractable (bench e20_batch, BENCH_pr4.json).  The fixed cost
+/// per batch also means that at small n, where a batch covers only
+/// ~10–80 interactions, the chain loses to walking the scheduler
+/// directly: CountSimulation::run_batched hands it only the windows its
+/// cost rule gives it (a pure function of n, k and the window length)
+/// and walks agent labels for the rest.
 ///
 /// Distributional contract: a run assembled from these batches has
-/// *exactly* the law of the single-step chain (tests/test_batch.cpp pins
-/// per-window count distributions against step() with chi-square tests).
+/// *exactly* the law of the single-step chain.  Tests drive advance()
+/// directly, so the pins hold whatever run_batched picks: per-window
+/// count distributions against step() at n = 2000
+/// (tests/test_batch.cpp), the exact pmf of the dense lumped chain at
+/// n = 6 (tests/test_count_simulation.cpp), and a golden draw stream at
+/// n = 20000 (tests/test_check.cpp).
 /// The RNG draw sequence necessarily differs from both step() and the
 /// jump chain — the README's reproducibility note applies.
 

@@ -221,11 +221,11 @@ double CountSimulation::active_probability() const noexcept {
 
 namespace {
 
-/// Below this size a collision batch covers only O(√n) interactions and
-/// its fixed per-batch overhead dominates; plain stepping wins and keeps
-/// step()'s draw sequence.  Distributionally the cutoff is invisible.
-/// The tagged engines share the cutoff: below it every tagged engine
-/// falls back to the step loop, bit-identically.
+/// Below this size every tagged engine falls back to the step loop,
+/// bit-identically, and the auto engine picks the jump chain.  It serves
+/// those two only: run_batched picks the label walk or the collision
+/// chain per window (label_walk_wins).  Distributionally the cutoff is
+/// invisible.
 constexpr std::int64_t kBatchMinPopulation = 64;
 
 /// The tagged decomposition draws involvement positions one window chunk
@@ -248,6 +248,22 @@ constexpr std::int64_t kTaggedInvolvementChunk = 1 << 22;
 constexpr double kAutoJumpNsPerTransition = 70.0;
 constexpr double kAutoBatchNsBase = 1400.0;
 constexpr double kAutoBatchNsPerColor = 225.0;
+/// The label walk (run_batched's other path) pays a roughly flat cost
+/// per interaction — two uniform draws, two label loads, a fade coin for
+/// same-colour dark pairs — plus an O(n) labelling pass per window.
+/// e15's BM_RunBatchedWindow and BM_CollisionBatcherAdvance rows at the
+/// sweep's shapes (4-vCPU Xeon, g++ 12, Release) read the walk at 16–21
+/// ns/int at k = 3 and 8.5–13 at k = 16, flat in n, with labelling at
+/// 0.15–0.3 ns/agent; the chain read 15–21 ns/int at n = 16384, k = 3.
+/// The constants are rounded up so a toss-up such as that one, and every
+/// window at k <= 3 and n >= 20000, stays on the chain.
+constexpr double kLabelWalkNsPerInteraction = 24.0;
+constexpr double kLabelWalkNsPerAgent = 0.5;
+/// The walk's label array holds one uint16 per agent (colour << 1 | light),
+/// so it serves at most 2^15 colours, and it is capped at 2^20 agents
+/// (2 MiB of scratch) — far above any n where it beats the chain.
+constexpr std::int64_t kLabelWalkMaxPopulation = std::int64_t{1} << 20;
+constexpr std::int64_t kLabelWalkMaxColors = std::int64_t{1} << 15;
 /// Per-window EWMA decay of the measured active-transition fraction:
 /// new_estimate = (1 − λ)·old + λ·measured with λ = 0.5, so a regime
 /// change (an adversary event, a phase transition) is absorbed within a
@@ -265,6 +281,37 @@ constexpr double kPiOver8 = 0.39269908169872414;
 /// 1 − 1/s² ≈ 21% of candidates are thinned away; on the tagged k = 32,
 /// n = 5000 fairness run 11% were, with ~1.04 derivations per call.
 constexpr double kRateSlack = 9.0 / 8.0;
+
+/// The collision chain's predicted cost per interaction: its per-batch
+/// constant over the expected collision-free stretch E[ℓ] = √(πn/8),
+/// clamped by the window when the window is shorter.
+double chain_ns_per_interaction(std::int64_t n, std::int64_t k,
+                                std::int64_t window) noexcept {
+  const double expected_stretch = std::sqrt(kPiOver8 * static_cast<double>(n));
+  const double effective_stretch =
+      std::min(expected_stretch, static_cast<double>(window));
+  return (kAutoBatchNsBase + kAutoBatchNsPerColor * static_cast<double>(k)) /
+         effective_stretch;
+}
+
+/// Whether run_batched walks a window of `window` interactions over agent
+/// labels instead of running the collision chain: a pure function of
+/// (n, k, window), so a window's draws never depend on a timing.
+bool label_walk_wins(std::int64_t n, std::int64_t k,
+                     std::int64_t window) noexcept {
+  if (n > kLabelWalkMaxPopulation || k > kLabelWalkMaxColors) return false;
+  const double walk_ns =
+      kLabelWalkNsPerInteraction + kLabelWalkNsPerAgent *
+                                       static_cast<double>(n) /
+                                       static_cast<double>(window);
+  return walk_ns < chain_ns_per_interaction(n, k, window);
+}
+
+/// The label walk's agent array: scratch, rebuilt from the counts at the
+/// start of every walked window, so it is no part of any simulation's
+/// value (copies and checkpoints never see it).  One per thread, at most
+/// kLabelWalkMaxPopulation entries.
+thread_local std::vector<std::uint16_t> t_labels;
 
 }  // namespace
 
@@ -580,8 +627,8 @@ void CountSimulation::advance_to_impl(std::int64_t target_time,
 
 void CountSimulation::run_batched_impl(std::int64_t target_time,
                                        rng::Xoshiro256& gen) {
-  if (n_ < kBatchMinPopulation) {
-    run_to_impl(target_time, gen);
+  if (label_walk_wins(n_, num_colors(), target_time - time_)) {
+    run_label_walk(target_time, gen);
     return;
   }
   if (!batcher_.has_value() || batcher_->num_colors() != num_colors()) {
@@ -620,25 +667,84 @@ void CountSimulation::run_batched_impl(std::int64_t target_time,
   rebuild_derived();
 }
 
+void CountSimulation::run_label_walk(std::int64_t target_time,
+                                     rng::Xoshiro256& gen) {
+  // Absorbed: every further interaction is a no-op, decided without a
+  // draw, like the chain's per-batch test.
+  if (is_absorbed()) {
+    time_ = target_time;
+    return;
+  }
+  // The scheduler itself over one label per agent, colour << 1 | light:
+  // the dark block, then the light block.  Any fixed order will do — the
+  // scheduler picks uniformly — but it must be a function of the counts
+  // alone so the window's draws replay.
+  std::vector<std::uint16_t>& labels = t_labels;
+  labels.clear();
+  for (std::size_t c = 0; c < dark_.size(); ++c)
+    labels.insert(labels.end(), static_cast<std::size_t>(dark_[c]),
+                  static_cast<std::uint16_t>(c << 1));
+  for (std::size_t c = 0; c < light_.size(); ++c)
+    labels.insert(labels.end(), static_cast<std::size_t>(light_[c]),
+                  static_cast<std::uint16_t>(c << 1 | 1U));
+  std::uint16_t* const agent = labels.data();
+  std::int64_t* const dark = dark_.data();
+  std::int64_t* const light = light_.data();
+  const double* const inv_weight = inv_weight_.data();
+  const std::int64_t n = n_;
+  std::int64_t active = 0;
+  for (std::int64_t t = time_; t < target_time; ++t) {
+    // A uniform ordered pair of distinct agents.
+    const std::int64_t a = rng::uniform_below(gen, n);
+    std::int64_t b = rng::uniform_below(gen, n - 1);
+    b += b >= a ? 1 : 0;
+    const unsigned initiator = agent[a];
+    const unsigned responder = agent[b];
+    if ((initiator & 1U) > (responder & 1U)) {
+      // Light initiator, dark responder: adopt the responder's colour.
+      agent[a] = static_cast<std::uint16_t>(responder);
+      --light[initiator >> 1];
+      ++dark[responder >> 1];
+      ++active;
+    } else if (initiator == responder && (initiator & 1U) == 0 &&
+               rng::bernoulli(gen, inv_weight[initiator >> 1])) {
+      // Two dark agents of one colour: the initiator fades at rate 1/w.
+      agent[a] = static_cast<std::uint16_t>(initiator | 1U);
+      --dark[initiator >> 1];
+      ++light[initiator >> 1];
+      ++active;
+    }
+  }
+  time_ = target_time;
+  active_transitions_ += active;
+  SIM_IF_CHECKED({
+    // The labels and the counts moved in lockstep: the labels' class
+    // histogram is exactly dark_/light_, and it covers all n agents.
+    std::vector<std::int64_t> dark_seen(dark_.size(), 0);
+    std::vector<std::int64_t> light_seen(light_.size(), 0);
+    for (const std::uint16_t label : labels)
+      ++((label & 1U) != 0 ? light_seen : dark_seen)[label >> 1];
+    SIM_DCHECK_EQ(static_cast<std::int64_t>(labels.size()), n_);
+    for (std::size_t c = 0; c < dark_.size(); ++c) {
+      SIM_DCHECK_EQ(dark_seen[c], dark_[c]);
+      SIM_DCHECK_EQ(light_seen[c], light_[c]);
+    }
+  });
+  rebuild_derived();
+}
+
 double CountSimulation::active_fraction_estimate() const noexcept {
   return active_ewma_ >= 0.0 ? active_ewma_ : active_probability();
 }
 
 Engine CountSimulation::pick_auto_engine(
     std::int64_t window) const noexcept {
-  // Tiny populations: run_batched would fall back to plain stepping,
-  // which the jump chain strictly dominates.
+  // Tiny populations: a batch there covers a handful of interactions,
+  // and the jump chain skips the no-ops.
   if (n_ < kBatchMinPopulation) return Engine::kJump;
   const double jump_ns =
       kAutoJumpNsPerTransition * active_fraction_estimate();
-  const double expected_stretch =
-      std::sqrt(kPiOver8 * static_cast<double>(n_));
-  const double effective_stretch =
-      std::min(expected_stretch, static_cast<double>(window));
-  const double batch_ns =
-      (kAutoBatchNsBase +
-       kAutoBatchNsPerColor * static_cast<double>(num_colors())) /
-      effective_stretch;
+  const double batch_ns = chain_ns_per_interaction(n_, num_colors(), window);
   return batch_ns < jump_ns ? Engine::kBatch : Engine::kJump;
 }
 

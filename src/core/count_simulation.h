@@ -172,10 +172,11 @@ class CountSimulation {
   /// Collision-batch run (batch/collision_batch.h): advances until
   /// time() == target_time applying whole collision-free stretches of
   /// interactions in aggregate — amortised sub-constant work per
-  /// interaction at large n.  Distributionally identical to run_to /
-  /// advance_to; the RNG draw *sequence* differs from both (see the
-  /// README reproducibility note).  Falls back to plain stepping for
-  /// populations too small for batching to pay.
+  /// interaction at large n.  Windows too small for a batch to pay (a
+  /// pure function of n, k and the window length) instead walk the
+  /// scheduler over one label per agent.  Distributionally identical to
+  /// run_to / advance_to; the RNG draw *sequence* differs from both (see
+  /// the README reproducibility note).
   void run_batched(std::int64_t target_time, rng::Xoshiro256& gen);
 
   /// Auto-adaptive run: treats the call as one window, predicts the
@@ -315,6 +316,9 @@ class CountSimulation {
   void run_to_impl(std::int64_t target_time, rng::Xoshiro256& gen);
   void advance_to_impl(std::int64_t target_time, rng::Xoshiro256& gen);
   void run_batched_impl(std::int64_t target_time, rng::Xoshiro256& gen);
+  /// run_batched's small-population path: the uniform scheduler itself,
+  /// walked over one label per agent (exact by construction).
+  void run_label_walk(std::int64_t target_time, rng::Xoshiro256& gen);
   void run_auto_impl(std::int64_t target_time, rng::Xoshiro256& gen);
   /// Advances to target_time with `engine`, firing every scheduled event
   /// at exactly its interaction index (each split segment is its own

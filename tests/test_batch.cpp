@@ -1,11 +1,11 @@
 // Tests for the collision-batch engine (batch/): the birthday run-length
 // sampler pinned against the exact survival law and a naive
 // pair-drawing simulation, CollisionBatcher conservation/margin
-// invariants, the CountSimulation::run_batched entry (fallback
-// bit-identity, absorption short-circuit), the agent-level
-// batch::run_batched, and — the headline distributional contract — a
-// fixed-seed two-sample chi-square showing batch and step produce the
-// same per-window count distributions at n = 2000.
+// invariants, the CountSimulation::run_batched entry (absorption
+// short-circuit, conservation), the agent-level batch::run_batched, and —
+// the headline distributional contract — fixed-seed two-sample
+// chi-squares showing run_batched and the collision chain each produce
+// step's per-window count distributions at n = 2000.
 
 #include <gtest/gtest.h>
 
@@ -355,22 +355,6 @@ TEST(CollisionBatcher, BudgetTruncationConsumesExactly) {
 
 // ---- CountSimulation::run_batched -----------------------------------------
 
-TEST(RunBatched, SmallPopulationFallbackIsBitIdenticalToRunTo) {
-  const WeightMap weights({1.0, 2.0, 4.0});
-  auto a = CountSimulation::equal_start(weights, 50);  // < batching cutoff
-  auto b = CountSimulation::equal_start(weights, 50);
-  Xoshiro256 gen_a(9);
-  Xoshiro256 gen_b(9);
-  a.run_batched(5'000, gen_a);
-  b.run_to(5'000, gen_b);
-  EXPECT_EQ(gen_a, gen_b);
-  EXPECT_EQ(a.time(), b.time());
-  for (divpp::core::ColorId i = 0; i < 3; ++i) {
-    EXPECT_EQ(a.dark(i), b.dark(i));
-    EXPECT_EQ(a.light(i), b.light(i));
-  }
-}
-
 TEST(RunBatched, RejectsPastTarget) {
   auto sim = CountSimulation::equal_start(WeightMap({1.0, 2.0}), 1'000);
   Xoshiro256 gen(10);
@@ -441,13 +425,14 @@ TEST(AdvanceWith, DispatchesToAllFourEngines) {
 
 // ---- the distributional contract: batch law == step law -------------------
 
-TEST(BatchVsStepLaw, PerWindowCountDistributionsMatchAtN2000) {
-  // The ISSUE-3 acceptance pin: at n = 2000, the per-window law of the
-  // lumped counts under run_batched must equal the law under plain
-  // stepping.  Two independent replica ensembles (fixed seeds), one per
-  // engine, compared by two-sample chi-square on pooled-quantile bins of
-  // two observables: the light total and the heaviest colour's dark
-  // count after a window of 2n interactions from the adversarial start.
+/// The per-window law contract at n = 2000: two independent replica
+/// ensembles (fixed seeds), one stepped with run_to and one advanced by
+/// `advance(sim, target, gen)`, compared by two-sample chi-square on
+/// pooled-quantile bins of two observables: the light total and the
+/// heaviest colour's dark count after a window of 2n interactions from
+/// the adversarial start.
+template <typename Advance>
+void expect_window_law_matches_step(const Advance& advance) {
   constexpr std::int64_t kNAgents = 2'000;
   constexpr std::int64_t kWindow = 2 * kNAgents;
   // Scalable: two-sample construction — both ensembles shrink together
@@ -466,7 +451,7 @@ TEST(BatchVsStepLaw, PerWindowCountDistributionsMatchAtN2000) {
 
     auto batch_sim = CountSimulation::adversarial_start(weights, kNAgents);
     Xoshiro256 batch_gen(static_cast<std::uint64_t>(900'000 + r));
-    batch_sim.run_batched(kWindow, batch_gen);
+    advance(batch_sim, kWindow, batch_gen);
     light_batch.push_back(batch_sim.total_light());
     dark0_batch.push_back(batch_sim.dark(0));
   }
@@ -485,6 +470,31 @@ TEST(BatchVsStepLaw, PerWindowCountDistributionsMatchAtN2000) {
   };
   compare(light_step, light_batch, "total_light");
   compare(dark0_step, dark0_batch, "dark(0)");
+}
+
+TEST(BatchVsStepLaw, PerWindowCountDistributionsMatchAtN2000) {
+  // Through run_batched: at n = 2000, k = 3 its cost rule walks agent
+  // labels, so this pins the label walk.
+  expect_window_law_matches_step(
+      [](CountSimulation& sim, std::int64_t target, Xoshiro256& gen) {
+        sim.run_batched(target, gen);
+      });
+}
+
+TEST(BatchVsStepLaw, CollisionChainMatchesStepAtN2000) {
+  // The same contract for the collision chain itself, driven through
+  // CollisionBatcher::advance with no engine choice in between.
+  expect_window_law_matches_step(
+      [](CountSimulation& sim, std::int64_t target, Xoshiro256& gen) {
+        std::vector<std::int64_t> dark(sim.dark_counts().begin(),
+                                       sim.dark_counts().end());
+        std::vector<std::int64_t> light(sim.light_counts().begin(),
+                                        sim.light_counts().end());
+        CollisionBatcher batcher(sim.weights());
+        for (std::int64_t t = sim.time(); t < target;)
+          t += batcher.advance(dark, light, target - t, gen);
+        sim = CountSimulation(sim.weights(), dark, light);
+      });
 }
 
 TEST(BatchEngineRuntime, BitIdenticalStatsAtAnyThreadCount) {

@@ -18,7 +18,9 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "batch/collision_batch.h"
 #include "check/counting_generator.h"
 #include "check/invariant.h"
 #include "core/count_simulation.h"
@@ -252,8 +254,11 @@ struct GoldenCase {
 // check layer is only allowed to observe, never to draw.  The jump and
 // auto entries were re-captured when the jump chain was uniformised
 // (an exponential gap and one thinning uniform per candidate step); the
-// step and batch entries predate that change, which pins the inlined
-// xoshiro / uniform01 / uniform_below draws to the old stream.
+// step entries predate that change, which pins the inlined xoshiro /
+// uniform01 / uniform_below draws to the old stream.  The three batch
+// entries were re-captured when run_batched began walking agent labels
+// for windows its cost rule gives the walk (k = 8 at n <= 20000 here);
+// kChainGolden below keeps the collision chain's own stream pinned.
 constexpr GoldenCase kUntaggedGolden[] = {
     {"untagged_step_n20000", {16063, 3, 2, 1, 2, 1, 1, 5},
      {3922, 0, 0, 0, 0, 0, 0, 0}, 80000,
@@ -263,10 +268,10 @@ constexpr GoldenCase kUntaggedGolden[] = {
      {3978, 0, 0, 0, 0, 0, 0, 0}, 80000,
      {0xfa860ee5fdaab41ULL, 0xda3efc9f951f01b8ULL, 0x9c01f7b0927230baULL,
       0x72054970c0c2acd6ULL}},
-    {"untagged_batch_n20000", {16042, 2, 1, 1, 4, 1, 2, 1},
-     {3946, 0, 0, 0, 0, 0, 0, 0}, 80000,
-     {0x72b9eef0c9f771bULL, 0xe8cc7458db5897bfULL, 0x3d19506564d8816fULL,
-      0xf3bd382d8035f638ULL}},
+    {"untagged_batch_n20000", {15976, 1, 1, 1, 1, 1, 1, 1},
+     {4017, 0, 0, 0, 0, 0, 0, 0}, 80000,
+     {0x2808d61ebd48155bULL, 0x2692faef8097a720ULL, 0x12a09687869a770dULL,
+      0x95c9cdffa397d38dULL}},
     {"untagged_auto_n20000", {16011, 2, 1, 1, 2, 1, 1, 3},
      {3978, 0, 0, 0, 0, 0, 0, 0}, 80000,
      {0xfa860ee5fdaab41ULL, 0xda3efc9f951f01b8ULL, 0x9c01f7b0927230baULL,
@@ -279,10 +284,10 @@ constexpr GoldenCase kUntaggedGolden[] = {
      {3, 0, 0, 0, 0, 0, 0, 0}, 200,
      {0xc91b21b556449372ULL, 0xb82f28eb607d7555ULL, 0xb3046512328e6c8fULL,
       0x7dcd856917ae9226ULL}},
-    {"untagged_batch_n50", {33, 1, 4, 1, 2, 3, 1, 1},
-     {4, 0, 0, 0, 0, 0, 0, 0}, 200,
-     {0xfaa068c996937141ULL, 0x4957e019cc300f9aULL, 0x8101bbe1c091e94ULL,
-      0xad37e75f3d3dd72ULL}},
+    {"untagged_batch_n50", {37, 1, 1, 1, 1, 2, 1, 1},
+     {4, 0, 1, 0, 0, 0, 0, 0}, 200,
+     {0x968661b9b06366ffULL, 0x74845e418e7bbff2ULL, 0x7ee813e552facd5dULL,
+      0x80af003ee33ffa62ULL}},
     {"untagged_auto_n50", {36, 1, 2, 1, 1, 1, 2, 3},
      {3, 0, 0, 0, 0, 0, 0, 0}, 200,
      {0xc91b21b556449372ULL, 0xb82f28eb607d7555ULL, 0xb3046512328e6c8fULL,
@@ -298,15 +303,24 @@ constexpr GoldenCase kTaggedGolden[] = {
      {3823, 0, 0, 0, 0, 0, 0, 0}, 80000,
      {0x47bf4d80f5c3fef0ULL, 0xc6baa0fa7f62f8d2ULL, 0xad7a37af96981c85ULL,
       0x5761621d5cdf95faULL}},
-    {"tagged_batch", {16125, 2, 5, 1, 1, 1, 1, 2},
-     {3862, 0, 0, 0, 0, 0, 0, 0}, 80000,
-     {0x4a3100208695d055ULL, 0xa81f4e28a73f5b3fULL, 0x3f627b519c4e70e3ULL,
-      0xd8ced97c49c0f256ULL}},
+    {"tagged_batch", {16043, 1, 3, 1, 1, 2, 2, 1},
+     {3946, 0, 0, 0, 0, 0, 0, 0}, 80000,
+     {0x20cd70badfaaae98ULL, 0xc0f64f2f7f56e892ULL, 0x83fc3f37b7941c29ULL,
+      0xf0b45dcb69b99364ULL}},
     {"tagged_auto", {16165, 1, 5, 1, 1, 1, 1, 2},
      {3823, 0, 0, 0, 0, 0, 0, 0}, 80000,
      {0x47bf4d80f5c3fef0ULL, 0xc6baa0fa7f62f8d2ULL, 0xad7a37af96981c85ULL,
       0x5761621d5cdf95faULL}},
 };
+
+// CollisionBatcher::advance looped to T = 4n from the adversarial start
+// at n = 20000 with the weights above and seed 0xc4a1; captured from
+// the chain as it stood before run_batched gained the label walk.
+constexpr GoldenCase kChainGolden = {
+    "chain_n20000", {16048, 2, 1, 2, 1, 1, 2, 2}, {3941, 0, 0, 0, 0, 0, 0, 0},
+    80000,
+    {0x1c27ca83334ea274ULL, 0x60dfa842464f6a98ULL, 0x9cafbae7fb699407ULL,
+     0xd6a7bc45fcb20fcfULL}};
 
 void expect_golden(const GoldenCase& golden, const CountSimulation& sim,
                    const Xoshiro256& gen) {
@@ -351,6 +365,32 @@ TEST(GoldenStream, TaggedEnginesReproducePreInstrumentationRuns) {
     ASSERT_LT(next, std::size(kTaggedGolden));
     expect_golden(kTaggedGolden[next++], tagged.counts(), gen);
   }
+}
+
+TEST(GoldenStream, CollisionChainReproducesItsDrawStream) {
+  // The collision chain driven directly, with no engine choice in
+  // between: CollisionBatcher::advance looped to T = 4n at n = 20000,
+  // k = 8.  run_batched hands windows of this shape to the label walk, so
+  // this pin is what keeps the chain's own draw stream from moving.
+  const WeightMap weights({4.0, 1.0, 1.0, 2.0, 1.0, 3.0, 1.0, 1.0});
+  constexpr std::int64_t kN = 20'000;
+  const auto start = CountSimulation::adversarial_start(weights, kN);
+  std::vector<std::int64_t> dark(start.dark_counts().begin(),
+                                 start.dark_counts().end());
+  std::vector<std::int64_t> light(start.light_counts().begin(),
+                                  start.light_counts().end());
+  divpp::batch::CollisionBatcher batcher(weights);
+  Xoshiro256 gen(0xc4a1ULL);
+  std::int64_t time = 0;
+  while (time < 4 * kN)
+    time += batcher.advance(dark, light, 4 * kN - time, gen);
+  EXPECT_EQ(time, kChainGolden.time);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(dark[i], kChainGolden.dark[i]) << "dark " << i;
+    EXPECT_EQ(light[i], kChainGolden.light[i]) << "light " << i;
+  }
+  for (std::size_t i = 0; i < 4; ++i)
+    EXPECT_EQ(gen.state()[i], kChainGolden.state[i]) << "rng word " << i;
 }
 
 }  // namespace

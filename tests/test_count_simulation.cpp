@@ -1,8 +1,8 @@
 // Tests for the lumped count-chain simulator: exact transition semantics,
 // conservation laws, the sustainability invariant, jump-chain/plain-chain
-// distributional agreement, the engines' time-t laws against the exact
-// pmf of the dense lumped chain at n = 6, structural-change mutators,
-// and the tagged-agent extension.
+// distributional agreement, the engines' and the collision chain's time-t
+// laws against the exact pmf of the dense lumped chain at n = 6,
+// structural-change mutators, and the tagged-agent extension.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "batch/collision_batch.h"
 #include "check/counting_generator.h"
 #include "core/count_simulation.h"
 #include "core/equilibrium.h"
@@ -329,7 +330,7 @@ void expect_matches_pmf(const std::vector<std::int64_t>& hits,
 TEST(ExactLaw, EnginesMatchTheDenseChainOnKTwoNSix) {
   // k = 2, n = 6: C(9, 3) = 84 lumped states.  Each engine runs in two
   // windows, so the jump chain also re-derives its candidate rate at a
-  // window boundary.
+  // window boundary.  At this size kBatch walks agent labels.
   const WeightMap weights({1.0, 3.0});
   const ExactLumpedLaw law(weights, 6);
   ASSERT_EQ(law.size(), 84u);
@@ -337,7 +338,8 @@ TEST(ExactLaw, EnginesMatchTheDenseChainOnKTwoNSix) {
   constexpr std::int64_t kReplicas = 20'000;
   for (const std::int64_t horizon : {4, 25}) {
     const std::vector<double> pmf = law.pmf(start, horizon);
-    for (const Engine engine : {Engine::kStep, Engine::kJump, Engine::kAuto}) {
+    for (const Engine engine :
+         {Engine::kStep, Engine::kJump, Engine::kBatch, Engine::kAuto}) {
       std::vector<std::int64_t> hits(law.size(), 0);
       Xoshiro256 gen(0x1a3 + static_cast<std::uint64_t>(horizon));
       for (std::int64_t r = 0; r < kReplicas; ++r) {
@@ -350,6 +352,35 @@ TEST(ExactLaw, EnginesMatchTheDenseChainOnKTwoNSix) {
                          std::string(engine_name(engine)) + " t=" +
                              std::to_string(horizon));
     }
+  }
+}
+
+TEST(ExactLaw, CollisionChainMatchesTheDenseChainOnKTwoNSix) {
+  // The collision chain itself at n = 6, where run_batched never runs
+  // it: CollisionBatcher::advance looped to the horizon, in the same two
+  // windows.  Each batch covers at most three interactions here, so the
+  // collision step and the budget truncation carry most of the law.
+  const WeightMap weights({1.0, 3.0});
+  const ExactLumpedLaw law(weights, 6);
+  const CountSimulation start(weights, {3, 1}, {1, 1});
+  constexpr std::int64_t kReplicas = 20'000;
+  for (const std::int64_t horizon : {4, 25}) {
+    const std::vector<double> pmf = law.pmf(start, horizon);
+    std::vector<std::int64_t> hits(law.size(), 0);
+    divpp::batch::CollisionBatcher batcher(weights);
+    Xoshiro256 gen(0x1c4 + static_cast<std::uint64_t>(horizon));
+    for (std::int64_t r = 0; r < kReplicas; ++r) {
+      std::vector<std::int64_t> dark(start.dark_counts().begin(),
+                                     start.dark_counts().end());
+      std::vector<std::int64_t> light(start.light_counts().begin(),
+                                      start.light_counts().end());
+      std::int64_t t = 0;
+      for (const std::int64_t edge : {horizon / 2, horizon})
+        while (t < edge) t += batcher.advance(dark, light, edge - t, gen);
+      ++hits[law.index_of(CountSimulation(weights, dark, light))];
+    }
+    expect_matches_pmf(hits, pmf, kReplicas,
+                       "chain t=" + std::to_string(horizon));
   }
 }
 

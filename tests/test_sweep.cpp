@@ -66,8 +66,8 @@ ScenarioSpec scenario(const std::string& name, std::int64_t n,
   return spec;
 }
 
-/// A varied scenario list: mixed populations (including sub-64 ones the
-/// batch engine serves via its step fallback), engines, and targets.
+/// A varied scenario list: mixed populations (the batch engine walks
+/// agent labels at every one of them), engines, and targets.
 std::vector<ScenarioSpec> mixed_specs(int count) {
   const std::vector<std::int64_t> populations{40, 150, 400, 1000, 2500};
   const std::vector<Engine> engines{Engine::kBatch, Engine::kAuto,
