@@ -57,10 +57,12 @@ int main(int argc, char** argv) {
   const auto ns = args.get_int_list("ns", {1024, 4096, 16384, 65536});
   const std::int64_t seeds = args.get_int("seeds", 3);
   const double delta = args.get_double("delta", 0.25);
+  const std::int64_t wn = args.get_int("wn", 16384);
   const divpp::core::Engine engine =
       divpp::core::parse_engine(args.get_string("engine", "jump"));
   divpp::runtime::BatchRunner runner(
       static_cast<int>(args.get_int("threads", 0)));
+  args.reject_unknown();
   double wall_n_sweep = 0.0;
   double wall_w_sweep = 0.0;
 
@@ -96,7 +98,7 @@ int main(int argc, char** argv) {
   }
 
   {
-    const std::int64_t n = args.get_int("wn", 16384);
+    const std::int64_t n = wn;
     std::cout << "Sweep over total weight W (n = " << n
               << ", k = 2, delta = " << delta << "):\n";
     divpp::io::Table table({"weights", "W", "tau1 (mean)",

@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
       args.get_int_list("ns", {1024, 4096, 16384, 65536, 262144});
   const std::int64_t seeds = args.get_int("seeds", 3);
   const std::int64_t probes = args.get_int("probes", 40);
+  args.reject_unknown();
   const divpp::core::WeightMap weights({1.0, 2.0, 5.0});  // W = 8
 
   std::cout << divpp::io::banner(

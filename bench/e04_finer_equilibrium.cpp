@@ -67,6 +67,7 @@ int main(int argc, char** argv) {
   const auto ns = args.get_int_list("ns", {4096, 16384, 65536, 262144});
   const std::int64_t seeds = args.get_int("seeds", 3);
   const std::int64_t window_mult = args.get_int("window-mult", 20);
+  args.reject_unknown();
   const WeightMap weights({1.0, 3.0});  // W = 4
 
   std::cout << divpp::io::banner(

@@ -120,6 +120,7 @@ int run_sweep(const divpp::io::Args& args, bool smoke,
   const double w = args.get_double("w", 4.0);
   const std::int64_t window_flag = args.get_int("window", 0);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 99));
+  args.reject_unknown();
   const WeightMap weights(
       std::vector<double>(static_cast<std::size_t>(k), w));
 
@@ -211,6 +212,7 @@ int main(int argc, char** argv) {
   const std::int64_t warmup_mult = args.get_int("warmup-mult", 60);
   divpp::runtime::BatchRunner runner(
       static_cast<int>(args.get_int("threads", 0)));
+  args.reject_unknown();
   double wall_total = 0.0;
   const WeightMap weights({1.0, 2.0, 3.0});  // W = 6
 

@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
   const std::int64_t n = args.get_int("n", 512);
   const std::int64_t seeds = args.get_int("seeds", 8);
   const std::int64_t steps_mult = args.get_int("steps-mult", 2000);
+  args.reject_unknown();
   const divpp::core::WeightMap weights({1.0, 2.0, 4.0});
 
   std::cout << divpp::io::banner(

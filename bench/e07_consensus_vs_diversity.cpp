@@ -70,6 +70,7 @@ int main(int argc, char** argv) {
   const std::int64_t k = args.get_int("k", 8);
   const std::int64_t consensus_n = args.get_int("consensus-n", 256);
   Xoshiro256 gen(static_cast<std::uint64_t>(args.get_int("seed", 9)));
+  args.reject_unknown();
 
   std::cout << divpp::io::banner(
       "E7: consensus dynamics collapse diversity; Diversification keeps it");

@@ -67,6 +67,7 @@ int main(int argc, char** argv) {
   const std::int64_t n = args.get_int("n", 8192);
   const std::int64_t seeds = args.get_int("seeds", 3);
   const double delta = args.get_double("delta", 0.25);
+  args.reject_unknown();
 
   std::cout << divpp::io::banner(
       "E8: adversarial robustness — recovery after structural shocks");

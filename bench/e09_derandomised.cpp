@@ -74,6 +74,7 @@ int main(int argc, char** argv) {
   const divpp::io::Args args(argc, argv);
   const auto ns = args.get_int_list("ns", {1024, 4096, 16384});
   const std::int64_t seeds = args.get_int("seeds", 3);
+  args.reject_unknown();
   const WeightMap weights({1.0, 3.0});  // integral: both variants apply
 
   std::cout << divpp::io::banner(

@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
   const std::int64_t n = args.get_int("n", 4096);  // 64² for the torus
   const std::int64_t seeds = args.get_int("seeds", 3);
   const std::int64_t steps_mult = args.get_int("steps-mult", 400);
+  args.reject_unknown();
   const divpp::core::WeightMap weights({1.0, 2.0, 5.0});
 
   std::cout << divpp::io::banner(

@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
   const std::int64_t horizon = args.get_int("horizon", 4'000'000);
   divpp::rng::Xoshiro256 gen(
       static_cast<std::uint64_t>(args.get_int("seed", 3)));
+  args.reject_unknown();
   const divpp::core::WeightMap weights({1.0, 3.0});  // W = 4, k = 2
   const std::int64_t k = weights.num_colors();
 

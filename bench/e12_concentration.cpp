@@ -33,6 +33,7 @@ int main(int argc, char** argv) {
   const std::int64_t t_steps = args.get_int("t", 300);
   divpp::runtime::BatchRunner runner(
       static_cast<int>(args.get_int("threads", 0)));
+  args.reject_unknown();
   double wall_contraction = 0.0;
 
   std::cout << divpp::io::banner(

@@ -20,6 +20,7 @@
 int main(int argc, char** argv) {
   const divpp::io::Args args(argc, argv);
   const std::int64_t trials = args.get_int("trials", 50'000);
+  args.reject_unknown();
 
   std::cout << divpp::io::banner(
       "E13: gambler's-ruin closed forms vs Monte Carlo  [Theorem A.1]");

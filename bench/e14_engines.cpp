@@ -53,6 +53,7 @@ int main(int argc, char** argv) {
   if (tp_replicas < 1)
     throw std::invalid_argument("e14: --tp-replicas must be >= 1");
   BatchRunner runner(static_cast<int>(args.get_int("threads", 0)));
+  args.reject_unknown();
   const WeightMap weights({1.0, 3.0});
 
   std::cout << divpp::io::banner(

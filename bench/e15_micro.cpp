@@ -8,21 +8,15 @@
 // window at the sweep's shapes through run_batched and through the
 // collision chain alone.
 //
-// Besides the google-benchmark suite, `--pr2-json=FILE` runs a dedicated
-// before/after harness that times the PR-2 rewrites against the retained
-// linear-scan baselines (count step, jump chain, agent step) at
-// k ∈ {8, 64, 256, 1024} and writes one machine-readable JSON object —
-// the perf-trajectory record.  `--pr2-quick` shrinks the step counts for
-// CI smoke runs.
+// The Fenwick count chain and the devirtualised agent step each have a
+// retained baseline row at the same k and n: BM_CountStep vs
+// BM_CountStepLinear, BM_CountJumpAdvance vs BM_CountJumpAdvanceLinear,
+// BM_AgentStepComplete vs BM_AgentStepCompleteVirtual.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <cstring>
-#include <fstream>
-#include <iostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,7 +27,6 @@
 #include "core/diversification.h"
 #include "core/population.h"
 #include "graph/topologies.h"
-#include "io/json.h"
 #include "rng/distributions.h"
 #include "rng/xoshiro.h"
 #include "runtime/batch_runner.h"
@@ -50,7 +43,7 @@ using divpp::rng::Xoshiro256;
 // ---------------------------------------------------------------------------
 // Linear-scan count-chain baseline: a faithful copy of the pre-Fenwick hot
 // path (O(k) class scans per step; O(k) propensity rebuild per active jump
-// transition), kept as the measured "before" of the PR-2 comparison.
+// transition), kept as the baseline of the BM_*Linear rows.
 // ---------------------------------------------------------------------------
 
 struct LinearCountRef {
@@ -513,161 +506,6 @@ void BM_NeighborSampleRegular(benchmark::State& state) {
 }
 BENCHMARK(BM_NeighborSampleRegular);
 
-// ---------------------------------------------------------------------------
-// PR-2 before/after harness (--pr2-json=FILE)
-// ---------------------------------------------------------------------------
-
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration_cast<std::chrono::duration<double>>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-/// ns per step over EXACTLY the measured window: the timer starts after
-/// every warmup advance has completed and the divisor is the measured
-/// step count alone, so warmup iterations can neither leak into the
-/// elapsed time nor inflate the divisor.  The warmups are timed
-/// separately (time_warmup below) and reported as their own JSON field —
-/// verified against a plain untimed run in PR 3.
-template <class Body>
-double time_ns_per_step(std::int64_t steps, Body&& body) {
-  const auto t0 = std::chrono::steady_clock::now();
-  body(steps);
-  return seconds_since(t0) * 1e9 / static_cast<double>(steps);
-}
-
-/// Runs a warmup body and returns its wall seconds (accumulated into the
-/// harness-level "warmup_seconds_total" JSON field).
-template <class Body>
-double time_warmup(Body&& body) {
-  const auto t0 = std::chrono::steady_clock::now();
-  body();
-  return seconds_since(t0);
-}
-
-void run_pr2_harness(const std::string& path, bool quick) {
-  constexpr std::int64_t kN = 1 << 20;
-  const std::int64_t step_budget = quick ? 20'000 : 2'000'000;
-  const std::int64_t jump_budget = quick ? 20'000 : 1'000'000;
-  // Both engines are warmed to the same O(n log n)-scale time via their
-  // jump chains, so the per-step costs are measured in the equilibrium
-  // regime the paper's sweeps live in, not at the all-dark start.
-  const std::int64_t warm_time = quick ? 100'000 : 32 * kN;
-  double warmup_seconds = 0.0;
-  divpp::io::Json out;
-  out.set("bench", "e15_micro_pr2");
-  out.set("n", kN);
-  out.set("quick", quick);
-  out.set("warm_time_steps", warm_time);
-
-  for (const std::int64_t k : {8, 64, 256, 1024}) {
-    const std::string suffix = "_k" + std::to_string(k);
-    std::vector<double> w(static_cast<std::size_t>(k), 2.0);
-
-    // Plain count-chain stepping: Fenwick vs linear scan.
-    {
-      auto sim = CountSimulation::equal_start(WeightMap(w), kN);
-      Xoshiro256 gen(8);
-      warmup_seconds += time_warmup([&] { sim.advance_to(warm_time, gen); });
-      const double fenwick_ns = time_ns_per_step(
-          step_budget, [&](std::int64_t s) { sim.run_to(sim.time() + s, gen); });
-      auto ref = LinearCountRef::equal_start(k, kN, 2.0);
-      Xoshiro256 ref_gen(8);
-      warmup_seconds +=
-          time_warmup([&] { ref.advance_to(warm_time, ref_gen); });
-      const double linear_ns = time_ns_per_step(
-          step_budget, [&](std::int64_t s) {
-            for (std::int64_t i = 0; i < s; ++i) ref.step(ref_gen);
-          });
-      out.set("count_step_linear_ns" + suffix, linear_ns);
-      out.set("count_step_fenwick_ns" + suffix, fenwick_ns);
-      out.set("count_step_speedup" + suffix, linear_ns / fenwick_ns);
-    }
-
-    // Jump chain: incremental propensities vs per-transition rebuild.
-    {
-      auto sim = CountSimulation::equal_start(WeightMap(w), kN);
-      Xoshiro256 gen(9);
-      warmup_seconds += time_warmup([&] { sim.advance_to(warm_time, gen); });
-      const double fenwick_ns = time_ns_per_step(
-          jump_budget,
-          [&](std::int64_t s) { sim.advance_to(sim.time() + s, gen); });
-      auto ref = LinearCountRef::equal_start(k, kN, 2.0);
-      Xoshiro256 ref_gen(9);
-      warmup_seconds +=
-          time_warmup([&] { ref.advance_to(warm_time, ref_gen); });
-      const double linear_ns = time_ns_per_step(
-          jump_budget,
-          [&](std::int64_t s) { ref.advance_to(ref.time + s, ref_gen); });
-      out.set("jump_linear_ns" + suffix, linear_ns);
-      out.set("jump_fenwick_ns" + suffix, fenwick_ns);
-      out.set("jump_speedup" + suffix, linear_ns / fenwick_ns);
-    }
-  }
-
-  // Agent engine: virtual dispatch + per-step event structs ("before")
-  // vs devirtualised complete-graph sampling + discard-path run().
-  {
-    constexpr std::int64_t kAgents = 262'144;
-    const std::int64_t agent_budget = quick ? 100'000 : 4'000'000;
-    const divpp::graph::CompleteGraph graph(kAgents);
-    std::vector<std::int64_t> supports = {kAgents / 2, kAgents / 2};
-    const divpp::core::DiversificationRule rule(WeightMap({1.0, 3.0}));
-
-    const divpp::graph::Graph& base = graph;
-    auto pop_virtual = divpp::core::make_population(base, supports, rule);
-    Xoshiro256 gen_virtual(5);
-    const double virtual_ns = time_ns_per_step(
-        agent_budget, [&](std::int64_t s) {
-          for (std::int64_t i = 0; i < s; ++i)
-            (void)pop_virtual.step(gen_virtual);
-        });
-
-    auto pop_fast = divpp::core::make_population(graph, supports, rule);
-    Xoshiro256 gen_fast(5);
-    const double fast_ns = time_ns_per_step(
-        agent_budget,
-        [&](std::int64_t s) { pop_fast.run(s, gen_fast); });
-
-    out.set("agent_step_virtual_ns", virtual_ns);
-    out.set("agent_step_fast_ns", fast_ns);
-    out.set("agent_step_speedup", virtual_ns / fast_ns);
-  }
-  out.set("warmup_seconds_total", warmup_seconds);
-
-  std::ofstream file(path);
-  if (!file) {
-    std::cerr << "e15_micro: cannot write " << path << "\n";
-    std::exit(1);
-  }
-  file << out.to_string() << "\n";
-  std::cout << out.to_string() << "\n";
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string pr2_path;
-  bool pr2_quick = false;
-  std::vector<char*> remaining;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--pr2-json=", 11) == 0) {
-      pr2_path = argv[i] + 11;
-    } else if (std::strcmp(argv[i], "--pr2-quick") == 0) {
-      pr2_quick = true;
-    } else {
-      remaining.push_back(argv[i]);
-    }
-  }
-  if (!pr2_path.empty()) {
-    run_pr2_harness(pr2_path, pr2_quick);
-    return 0;
-  }
-  int rem_argc = static_cast<int>(remaining.size());
-  benchmark::Initialize(&rem_argc, remaining.data());
-  if (benchmark::ReportUnrecognizedArguments(rem_argc, remaining.data()))
-    return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
   const std::int64_t n = args.get_int("n", 16384);
   const std::int64_t seeds = args.get_int("seeds", 3);
   const double epsilon = args.get_double("epsilon", 0.15);
+  args.reject_unknown();
   const divpp::core::WeightMap weights({1.0, 2.0, 4.0});  // W = 7
 
   std::cout << divpp::io::banner(

@@ -63,6 +63,7 @@ int main(int argc, char** argv) {
       divpp::core::parse_engine(args.get_string("engine", "jump"));
   divpp::runtime::BatchRunner runner(
       static_cast<int>(args.get_int("threads", 0)));
+  args.reject_unknown();
   double wall_k_sweep = 0.0;
   double wall_w_sweep = 0.0;
 

@@ -30,6 +30,7 @@ int main(int argc, char** argv) {
   const auto ns = args.get_int_list("ns", {4096, 16384, 65536});
   const std::int64_t seeds = args.get_int("seeds", 3);
   const auto window_mults = args.get_int_list("window-mults", {1, 8, 64});
+  args.reject_unknown();
   if (window_mults.size() != 3)
     throw std::invalid_argument(
         "e18: --window-mults must list exactly three window lengths");

@@ -33,6 +33,7 @@ int main(int argc, char** argv) {
   const std::int64_t k = args.get_int("k", 8);
   const std::int64_t horizon_mult = args.get_int("horizon-mult", 600);
   const std::int64_t seeds = args.get_int("seeds", 3);
+  args.reject_unknown();
   const divpp::core::WeightMap weights =
       divpp::core::WeightMap::uniform(k);
 

@@ -121,6 +121,7 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 99));
   const std::string json_path =
       args.get_string("pr4-json", args.get_string("pr3-json", ""));
+  args.reject_unknown();
   const WeightMap weights(
       std::vector<double>(static_cast<std::size_t>(k), w));
 

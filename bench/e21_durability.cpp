@@ -115,6 +115,7 @@ int run_kill_resume(const divpp::io::Args& args) {
   const std::int64_t target = args.get_int("target", 2'000'000);
   const std::int64_t period = args.get_int("period", 250'000);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 99));
+  args.reject_unknown();
   const WeightMap weights({1.0, 2.0, 3.0, 4.0});
 
   CountSimulation sim = CountSimulation::adversarial_start(weights, n);
@@ -191,6 +192,7 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 99));
   const std::string ckpt = args.get_string("ckpt", default_ckpt_path());
   const std::string json_path = args.get_string("pr7-json", "");
+  args.reject_unknown();
   const WeightMap weights(std::vector<double>(static_cast<std::size_t>(k), w));
 
   std::cout << divpp::io::banner(

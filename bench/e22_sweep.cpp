@@ -160,6 +160,7 @@ int run_bench(const divpp::io::Args& args) {
   const std::string json_path = args.get_string("pr8-json", "");
   const bool supervised = args.get_bool("supervised", false);
   int threads = static_cast<int>(args.get_int("threads", 0));
+  args.reject_unknown();
   if (threads <= 0)
     threads = std::max(1U, std::thread::hardware_concurrency());
   if (count < 1 || period < 1 || reps < 1) {
@@ -280,6 +281,7 @@ int run_smoke(const divpp::io::Args& args) {
   const std::int64_t count = args.get_int("scenarios", 96);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2024));
   const int threads = static_cast<int>(args.get_int("threads", 4));
+  args.reject_unknown();
   // Small populations, >= 4 checkpoint boundaries per scenario so
   // window-triggered faults always find their boundary.
   const auto specs = mixed_scenarios(count, seed, {40, 150, 400, 1000}, 0);

@@ -124,6 +124,7 @@ int run_bench(const divpp::io::Args& args) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2024));
   const std::string json_path = args.get_string("pr9-json", "");
   int workers = static_cast<int>(args.get_int("workers", 0));
+  args.reject_unknown();
   if (workers <= 0)
     workers = static_cast<int>(
         std::max(1U, std::thread::hardware_concurrency()));
@@ -245,6 +246,7 @@ int run_smoke(const divpp::io::Args& args) {
   const std::int64_t count = args.get_int("scenarios", 32);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2024));
   const int workers = static_cast<int>(args.get_int("workers", 4));
+  args.reject_unknown();
   const double hang_timeout = 2.0;
 
   // Small populations, >= 4 checkpoint boundaries per scenario so

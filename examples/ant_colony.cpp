@@ -56,6 +56,7 @@ int main(int argc, char** argv) {
   const divpp::io::Args args(argc, argv);
   const std::int64_t n = args.get_int("n", 4000);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+  args.reject_unknown();
 
   // Foraging matters most, patrolling least.
   const divpp::core::WeightMap weights({4.0, 2.0, 2.0, 1.0});

@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
   const std::int64_t n = args.get_int("n", 600);
   const std::int64_t horizon_factor = args.get_int("horizon-factor", 3000);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
+  args.reject_unknown();
 
   const char* kAssets[] = {"bonds", "equities", "real estate", "gold"};
   // Target allocation 40/30/20/10 — weights 4/3/2/1.

@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   const divpp::core::Engine engine =
       divpp::core::parse_engine(args.get_string("engine", "jump"));
+  args.reject_unknown();
 
   // Three "tasks" with importance weights 1, 2 and 5.
   const divpp::core::WeightMap weights({1.0, 2.0, 5.0});

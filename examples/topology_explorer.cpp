@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
   const std::int64_t n = args.get_int("n", 1024);  // square for the torus
   const std::int64_t steps_factor = args.get_int("steps-factor", 400);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 5));
+  args.reject_unknown();
 
   const divpp::core::WeightMap weights({1.0, 2.0, 5.0});
   const std::vector<std::string> topologies = {

@@ -139,9 +139,6 @@ CollisionBatcher::CollisionBatcher(
                   &known_dark_, &known_light_, &rest_dark_pool_,
                   &rest_light_pool_})
     v->assign(k, 0);
-  outcome_.adopt_out.assign(k, 0);
-  outcome_.adopt_in.assign(k, 0);
-  outcome_.fade_by_color.assign(k, 0);
 }
 
 std::int64_t CollisionBatcher::advance(std::span<std::int64_t> dark,
@@ -159,24 +156,12 @@ std::int64_t CollisionBatcher::advance(std::span<std::int64_t> dark,
   if (n < 2)
     throw std::invalid_argument("CollisionBatcher: need n >= 2 agents");
 
-  // Reset the outcome in place: the margin vectors were sized k in the
-  // constructor and must keep their buffers — reallocating three vectors
-  // per batch would rival the cost of the O(1) counting draws below.
-  outcome_.interactions = 0;
-  outcome_.adopts = 0;
-  outcome_.fades = 0;
-  outcome_.collision_adopt_from = -1;
-  outcome_.collision_adopt_to = -1;
-  outcome_.collision_fade = -1;
+  outcome_ = Outcome{};
 #ifdef SIM_CHECKED
   // Draw audit: replay-count the stream this advance consumes.  Checked
   // builds only — draws_between re-runs the stream.
   const rng::Xoshiro256 entry_gen = gen;
 #endif
-  std::fill(outcome_.adopt_out.begin(), outcome_.adopt_out.end(), 0);
-  std::fill(outcome_.adopt_in.begin(), outcome_.adopt_in.end(), 0);
-  std::fill(outcome_.fade_by_color.begin(), outcome_.fade_by_color.end(), 0);
-
   // Eager shared table when the context has one for this population,
   // else the private on-demand table — identical contents either way
   // (RunLengthTable is a pure function of n), so the draw sequence does
@@ -401,12 +386,9 @@ void CollisionBatcher::apply_batch(std::span<std::int64_t> dark,
     known_light_[i] = fades_i;
     dark[i] += adopt_in_[i] - fades_i;
     light[i] += fades_i - adopt_out_[i];
-    outcome_.adopt_in[i] += adopt_in_[i];
-    outcome_.adopt_out[i] += adopt_out_[i];
-    outcome_.fade_by_color[i] += fades_i;
-    outcome_.adopts += adopt_in_[i];
     outcome_.fades += fades_i;
   }
+  outcome_.adopts += adopts;
   // Scalar used/untouched split of the rest pools: dark participants not
   // adopted and not in candidate pairs, light participants that did not
   // adopt.
@@ -525,20 +507,12 @@ void CollisionBatcher::collision_step(std::span<std::int64_t> dark,
     --light[initiator.color];
     ++dark[responder.color];
     ++outcome_.adopts;
-    ++outcome_.adopt_out[initiator.color];
-    ++outcome_.adopt_in[responder.color];
-    outcome_.collision_adopt_from =
-        static_cast<std::int64_t>(initiator.color);
-    outcome_.collision_adopt_to =
-        static_cast<std::int64_t>(responder.color);
   } else if (initiator.is_dark && responder.is_dark &&
              initiator.color == responder.color) {
     if (rng::bernoulli(gen, inv_weight[initiator.color])) {
       --dark[initiator.color];
       ++light[initiator.color];
       ++outcome_.fades;
-      ++outcome_.fade_by_color[initiator.color];
-      outcome_.collision_fade = static_cast<std::int64_t>(initiator.color);
     }
   }
 }

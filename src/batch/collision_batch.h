@@ -193,29 +193,12 @@ class CollisionBatcher {
                                       std::int64_t window,
                                       std::vector<std::int64_t>& positions);
 
-  /// The aggregate outcome of the most recent advance() — per-colour
-  /// adopt and fade margins, exposed so agent-level batching
-  /// (batch/agent_batch.h) and tests can replay the same count deltas.
+  /// The aggregate outcome of the most recent advance(): how many
+  /// interactions it consumed and how many of them changed the state.
   struct Outcome {
     std::int64_t interactions = 0;  ///< consumed, == advance()'s return
     std::int64_t adopts = 0;        ///< adopt transitions applied
     std::int64_t fades = 0;         ///< fade transitions applied
-    /// adopt_out[i] light-i agents adopted some colour (light_i -= ..).
-    std::vector<std::int64_t> adopt_out;
-    /// adopt_in[j] agents turned dark-j by adopting (dark_j += ..).
-    std::vector<std::int64_t> adopt_in;
-    /// fade_by_color[i] dark-i agents turned light-i.
-    std::vector<std::int64_t> fade_by_color;
-    /// The collision interaction's own effect, already *included* in the
-    /// margins above, broken out because its initiator may be an agent
-    /// that changed class earlier in the same advance() — agent-level
-    /// resolution (batch/agent_batch.cpp) must replay it after the
-    /// batch phase.  Exactly one of the pairs is set when the collision
-    /// changed the state: an adopt (from = light colour, to = dark
-    /// colour) or a fade (colour), else all three stay -1.
-    std::int64_t collision_adopt_from = -1;
-    std::int64_t collision_adopt_to = -1;
-    std::int64_t collision_fade = -1;
   };
   [[nodiscard]] const Outcome& last_outcome() const noexcept {
     return outcome_;

@@ -9,8 +9,8 @@
 /// neighbour v on the interaction graph (the other n-1 agents on the
 /// complete graph) and applies the protocol rule.  The engine is
 /// templated on the rule so the hot loop is fully devirtualised, and on
-/// the state type so colour protocols (AgentState), opinion protocols
-/// (ColorId) and averaging protocols (double) share one engine.
+/// the state type so colour protocols (AgentState) and opinion protocols
+/// (ColorId) share one engine.
 ///
 /// Rule concept:
 ///   static constexpr int  kResponders        — 1 or 2 sampled responders;
@@ -162,19 +162,6 @@ class Population {
   void run_observed(std::int64_t steps, rng::Xoshiro256& gen,
                     Observer&& observer) {
     for (std::int64_t i = 0; i < steps; ++i) observer(step(gen));
-  }
-
-  /// Bulk-mutation entry for whole-batch engines (batch/agent_batch.h):
-  /// applies `f(states)` to the mutable state vector, then advances the
-  /// clock by `steps`.  The callable must keep states().size() == n and
-  /// every state valid for the rule — it is trusted the way set_state
-  /// is, not revalidated per agent.
-  template <typename F>
-  void apply_batch(std::int64_t steps, F&& f) {
-    if (steps < 0)
-      throw std::invalid_argument("apply_batch: negative step count");
-    f(states_);
-    time_ += steps;
   }
 
  private:

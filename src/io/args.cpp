@@ -23,8 +23,20 @@ Args::Args(int argc, const char* const* argv) {
   }
 }
 
+const std::string* Args::find(const std::string& name) const {
+  read_.insert(name);
+  const auto it = values_.find(name);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
 bool Args::has(const std::string& name) const {
-  return values_.count(name) > 0;
+  return find(name) != nullptr;
+}
+
+void Args::reject_unknown() const {
+  for (const auto& [name, value] : values_)
+    if (read_.count(name) == 0)
+      throw std::invalid_argument("Args: unknown flag --" + name);
 }
 
 namespace {
@@ -61,28 +73,25 @@ double parse_double(const std::string& name, const std::string& value) {
 
 std::int64_t Args::get_int(const std::string& name,
                            std::int64_t fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  return parse_int(name, it->second);
+  const std::string* value = find(name);
+  return value == nullptr ? fallback : parse_int(name, *value);
 }
 
 double Args::get_double(const std::string& name, double fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  return parse_double(name, it->second);
+  const std::string* value = find(name);
+  return value == nullptr ? fallback : parse_double(name, *value);
 }
 
 std::string Args::get_string(const std::string& name,
                              std::string fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  return it->second;
+  const std::string* value = find(name);
+  return value == nullptr ? fallback : *value;
 }
 
 bool Args::get_bool(const std::string& name, bool fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* value = find(name);
+  if (value == nullptr) return fallback;
+  return *value == "true" || *value == "1" || *value == "yes";
 }
 
 namespace {
@@ -99,10 +108,10 @@ std::vector<std::string> split_commas(const std::string& value) {
 
 std::vector<std::int64_t> Args::get_int_list(
     const std::string& name, std::vector<std::int64_t> fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
+  const std::string* value = find(name);
+  if (value == nullptr) return fallback;
   std::vector<std::int64_t> out;
-  for (const std::string& part : split_commas(it->second))
+  for (const std::string& part : split_commas(*value))
     out.push_back(parse_int(name, part));
   if (out.empty())
     throw std::invalid_argument("Args: empty list for --" + name);
@@ -111,10 +120,10 @@ std::vector<std::int64_t> Args::get_int_list(
 
 std::vector<double> Args::get_double_list(const std::string& name,
                                           std::vector<double> fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
+  const std::string* value = find(name);
+  if (value == nullptr) return fallback;
   std::vector<double> out;
-  for (const std::string& part : split_commas(it->second))
+  for (const std::string& part : split_commas(*value))
     out.push_back(parse_double(name, part));
   if (out.empty())
     throw std::invalid_argument("Args: empty list for --" + name);

@@ -10,8 +10,12 @@
 ///   * h(x → a): expected steps to first reach a from x, the solution of
 ///     (I − P_{-a}) h = 1 restricted to the non-target states;
 ///   * expected return time of a = 1/π(a) (Kac's formula), which the
-///     tests verify against the solver, and experiment E11 verifies
-///     against the simulated tagged agent.
+///     tests verify against the solver.
+///
+/// No bench calls these yet.  They are kept as the planned exact-answer
+/// oracle for the convergence time of Theorem 2.5: the expected hitting
+/// time of E(δ) on the small-n lumped chain, against which the simulated
+/// estimators of analysis/convergence are to be checked.
 
 #include <cstdint>
 #include <vector>
@@ -34,7 +38,7 @@ namespace divpp::markov {
                                           std::int64_t state);
 
 /// Monte-Carlo estimate of the hitting time from `start` to `target`
-/// (used by tests and E11 as an independent cross-check).
+/// (an independent cross-check of the solver in the tests).
 [[nodiscard]] double simulate_hitting_time(const DenseChain& chain,
                                            std::int64_t start,
                                            std::int64_t target,

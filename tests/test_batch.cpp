@@ -1,11 +1,11 @@
 // Tests for the collision-batch engine (batch/): the birthday run-length
 // sampler pinned against the exact survival law and a naive
-// pair-drawing simulation, CollisionBatcher conservation/margin
+// pair-drawing simulation, CollisionBatcher conservation and outcome
 // invariants, the CountSimulation::run_batched entry (absorption
-// short-circuit, conservation), the agent-level batch::run_batched, and —
-// the headline distributional contract — fixed-seed two-sample
-// chi-squares showing run_batched and the collision chain each produce
-// step's per-window count distributions at n = 2000.
+// short-circuit, conservation), and — the headline distributional
+// contract — fixed-seed two-sample chi-squares showing run_batched and
+// the collision chain each produce step's per-window count distributions
+// at n = 2000.
 
 #include <gtest/gtest.h>
 
@@ -15,14 +15,9 @@
 #include <numeric>
 #include <vector>
 
-#include "batch/agent_batch.h"
 #include "batch/collision_batch.h"
-#include "core/agent.h"
 #include "core/count_simulation.h"
-#include "core/diversification.h"
-#include "core/population.h"
 #include "core/weights.h"
-#include "graph/topologies.h"
 #include "rng/distributions.h"
 #include "rng/xoshiro.h"
 #include "runtime/batch_runner.h"
@@ -303,39 +298,33 @@ TEST(CollisionBatcher, ValidatesArguments) {
                std::invalid_argument);
 }
 
-TEST(CollisionBatcher, ConservesPopulationAndMarginsMatchDeltas) {
+TEST(CollisionBatcher, ConservesPopulationAndShadeTotalsMatchOutcome) {
   const WeightMap weights({1.0, 2.0, 4.0});
   CollisionBatcher batcher(weights);
   Xoshiro256 gen(7);
   std::vector<std::int64_t> dark = {400, 300, 300};
   std::vector<std::int64_t> light = {0, 0, 0};
   constexpr std::int64_t kN = 1000;
+  const auto sum = [](const std::vector<std::int64_t>& v) {
+    return std::accumulate(v.begin(), v.end(), std::int64_t{0});
+  };
   for (int round = 0; round < 300; ++round) {
-    const std::vector<std::int64_t> dark_before = dark;
-    const std::vector<std::int64_t> light_before = light;
+    const std::int64_t dark_before = sum(dark);
+    const std::int64_t light_before = sum(light);
     const std::int64_t consumed = batcher.advance(dark, light, 1'000, gen);
     EXPECT_GE(consumed, 1);
     EXPECT_LE(consumed, 1'000);
     const auto& out = batcher.last_outcome();
     EXPECT_EQ(out.interactions, consumed);
-    std::int64_t total = 0, adopt_in = 0, adopt_out = 0, fades = 0;
     for (std::size_t i = 0; i < dark.size(); ++i) {
       EXPECT_GE(dark[i], 0);
       EXPECT_GE(light[i], 0);
-      total += dark[i] + light[i];
-      adopt_in += out.adopt_in[i];
-      adopt_out += out.adopt_out[i];
-      fades += out.fade_by_color[i];
-      // The outcome margins are exactly the applied count deltas.
-      EXPECT_EQ(dark[i] - dark_before[i],
-                out.adopt_in[i] - out.fade_by_color[i]);
-      EXPECT_EQ(light[i] - light_before[i],
-                out.fade_by_color[i] - out.adopt_out[i]);
     }
-    EXPECT_EQ(total, kN);
-    EXPECT_EQ(adopt_in, out.adopts);
-    EXPECT_EQ(adopt_out, out.adopts);
-    EXPECT_EQ(fades, out.fades);
+    EXPECT_EQ(sum(dark) + sum(light), kN);
+    // Adopts turn light agents dark and fades turn dark agents light, so
+    // the outcome's scalars are exactly the applied shade-total deltas.
+    EXPECT_EQ(sum(dark) - dark_before, out.adopts - out.fades);
+    EXPECT_EQ(sum(light) - light_before, out.fades - out.adopts);
     // State changes cannot outnumber interactions.
     EXPECT_LE(out.adopts + out.fades, consumed);
   }
@@ -514,72 +503,6 @@ TEST(BatchEngineRuntime, BitIdenticalStatsAtAnyThreadCount) {
   EXPECT_EQ(a.stats.mean(), b.stats.mean());
   EXPECT_EQ(a.stats.variance(), b.stats.variance());
   EXPECT_EQ(a.stats.count(), b.stats.count());
-}
-
-// ---- agent-level batching -------------------------------------------------
-
-TEST(AgentBatch, PreservesSizeStatesAndClock) {
-  const WeightMap weights({1.0, 2.0, 4.0});
-  const divpp::graph::CompleteGraph graph(1'000);
-  auto pop = divpp::core::make_population(
-      graph, std::vector<std::int64_t>{400, 300, 300},
-      divpp::core::DiversificationRule(weights));
-  Xoshiro256 gen(14);
-  divpp::batch::run_batched(pop, 5'000, gen);
-  EXPECT_EQ(pop.time(), 5'000);
-  EXPECT_EQ(pop.size(), 1'000);
-  const auto counts = divpp::core::tally(pop.states(), 3);
-  EXPECT_EQ(counts.total_dark() + counts.total_light(), 1'000);
-  for (const auto& s : pop.states()) {
-    EXPECT_GE(s.color, 0);
-    EXPECT_LT(s.color, 3);
-  }
-  EXPECT_THROW(divpp::batch::run_batched(pop, -1, gen),
-               std::invalid_argument);
-}
-
-TEST(AgentBatchLaw, CountObservablesMatchStepEngine) {
-  // Same two-sample construction as the lumped law test, on the
-  // agent-based engine: batch::run_batched vs Population::run.
-  constexpr std::int64_t kNAgents = 256;
-  constexpr std::int64_t kWindow = 4 * kNAgents;
-  // Scalable: same two-sample argument as the lumped-law test above.
-  const int kReplicas = static_cast<int>(scaled(2'000));
-  const WeightMap weights({1.0, 3.0});
-  const divpp::graph::CompleteGraph graph(kNAgents);
-  const std::vector<std::int64_t> supports = {kNAgents / 2, kNAgents / 2};
-  const divpp::core::DiversificationRule rule(weights);
-  std::vector<std::int64_t> light_step, light_batch;
-  std::vector<std::int64_t> dark1_step, dark1_batch;
-  for (int r = 0; r < kReplicas; ++r) {
-    auto step_pop = divpp::core::make_population(graph, supports, rule);
-    Xoshiro256 step_gen(static_cast<std::uint64_t>(5'000 + r));
-    step_pop.run(kWindow, step_gen);
-    const auto sc = divpp::core::tally(step_pop.states(), 2);
-    light_step.push_back(sc.total_light());
-    dark1_step.push_back(sc.dark[1]);
-
-    auto batch_pop = divpp::core::make_population(graph, supports, rule);
-    Xoshiro256 batch_gen(static_cast<std::uint64_t>(700'000 + r));
-    divpp::batch::run_batched(batch_pop, kWindow, batch_gen);
-    const auto bc = divpp::core::tally(batch_pop.states(), 2);
-    light_batch.push_back(bc.total_light());
-    dark1_batch.push_back(bc.dark[1]);
-  }
-  const auto compare = [&](const std::vector<std::int64_t>& a,
-                           const std::vector<std::int64_t>& b,
-                           const char* label) {
-    std::vector<std::int64_t> pooled = a;
-    pooled.insert(pooled.end(), b.begin(), b.end());
-    const std::vector<std::int64_t> edges = quantile_edges(pooled, 10);
-    ASSERT_GE(edges.size(), 3u) << label;
-    EXPECT_LT(chi_square_two_sample(bin_by_edges(a, edges),
-                                    bin_by_edges(b, edges)),
-              chi2_crit(edges.size()))
-        << label;
-  };
-  compare(light_step, light_batch, "total_light");
-  compare(dark1_step, dark1_batch, "dark(1)");
 }
 
 }  // namespace

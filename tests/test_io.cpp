@@ -121,6 +121,24 @@ TEST(ArgsTest, RejectsMalformedFlags) {
   EXPECT_THROW(Args(2, argv), std::invalid_argument);
 }
 
+// A supplied flag no accessor asked for is a typo: reject_unknown names
+// it.  Every accessor counts as a read, present flag or not.
+TEST(ArgsTest, UnknownFlagRejected) {
+  const char* argv[] = {"prog", "--n=100", "--seeed=7", "--smoke"};
+  const Args args(4, argv);
+  EXPECT_EQ(args.get_int("n", 0), 100);
+  (void)args.get_int("seed", 1);
+  EXPECT_TRUE(args.has("smoke"));
+  try {
+    args.reject_unknown();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "Args: unknown flag --seeed");
+  }
+  (void)args.get_int("seeed", 0);
+  EXPECT_NO_THROW(args.reject_unknown());
+}
+
 // Parse failures must name the flag and the offending value — a bare
 // std::stoll "stoll" message is useless in an experiment sweep.
 TEST(ArgsTest, IntParseErrorNamesFlagAndValue) {

@@ -10,7 +10,6 @@
 #include "core/diversification.h"
 #include "core/population.h"
 #include "graph/topologies.h"
-#include "protocols/averaging.h"
 #include "rng/xoshiro.h"
 #include "sched/schedulers.h"
 
@@ -29,6 +28,18 @@ struct RecorderRule {
   static constexpr int kResponders = 1;
   static constexpr bool kMutatesResponder = false;
   Transition apply(AgentState&, const AgentState&, Xoshiro256&) const {
+    return Transition::kNoOp;
+  }
+};
+
+/// Rule that counts, on both participants, how often each agent took
+/// part in an interaction.
+struct CountingRule {
+  static constexpr int kResponders = 1;
+  static constexpr bool kMutatesResponder = true;
+  Transition apply(int& initiator, int& responder, Xoshiro256&) const {
+    ++initiator;
+    ++responder;
     return Transition::kNoOp;
   }
 };
@@ -72,41 +83,16 @@ TEST(Matching, RoundExecutesFloorHalfNInteractions) {
   EXPECT_EQ(divpp::sched::run_matching(pop, 5, gen), 15);
 }
 
-TEST(Matching, AveragingConservesMeanPerRound) {
-  const CompleteGraph g(64);
-  std::vector<double> init(64);
-  for (std::size_t i = 0; i < init.size(); ++i)
-    init[i] = static_cast<double>(i);
-  Population<double, divpp::protocols::AveragingRule> pop(
-      g, init, divpp::protocols::AveragingRule{});
-  const double mean_before = divpp::protocols::value_mean(pop.states());
-  Xoshiro256 gen(4);
-  divpp::sched::run_matching(pop, 200, gen);
-  EXPECT_NEAR(divpp::protocols::value_mean(pop.states()), mean_before, 1e-9);
-  // Discrepancy collapses geometrically under matching averaging ([29]).
-  EXPECT_LT(divpp::protocols::discrepancy(pop.states()), 1e-6);
-}
-
 TEST(Matching, PairsAreDisjointWithinARound) {
-  // With an averaging rule, a perfect matching halves the number of
-  // distinct values per round at most — but more tellingly, each agent's
-  // value changes at most once per round.  Track change counts.
+  // A perfect matching touches every agent exactly once per round (n
+  // even).  CountingRule bumps both participants of each interaction, so
+  // after one round every agent must read exactly 1.
   const CompleteGraph g(16);
-  std::vector<double> init(16);
-  for (std::size_t i = 0; i < init.size(); ++i)
-    init[i] = static_cast<double>(i * 1000);
-  Population<double, divpp::protocols::AveragingRule> pop(
-      g, init, divpp::protocols::AveragingRule{});
+  Population<int, CountingRule> pop(g, std::vector<int>(16, 0),
+                                    CountingRule{});
   Xoshiro256 gen(5);
-  const std::vector<double> before(pop.states().begin(), pop.states().end());
-  (void)divpp::sched::run_matching_round(pop, gen);
-  // Every agent paired exactly once (n even): all values changed exactly
-  // once, and changed values come in equal pairs.
-  std::int64_t changed = 0;
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    if (pop.states()[i] != before[i]) ++changed;
-  }
-  EXPECT_EQ(changed, 16);
+  EXPECT_EQ(divpp::sched::run_matching_round(pop, gen), 8);
+  for (const int touched : pop.states()) EXPECT_EQ(touched, 1);
 }
 
 }  // namespace

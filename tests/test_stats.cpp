@@ -1,6 +1,6 @@
 // Tests for the statistics substrate: online moments, quantiles,
-// chi-square, linear fits, histograms, time series, and the paper's
-// potential functions on hand-worked examples.
+// chi-square, linear fits, and the paper's potential functions on
+// hand-worked examples.
 
 #include <gtest/gtest.h>
 
@@ -8,16 +8,12 @@
 #include <cstdint>
 #include <vector>
 
-#include "stats/histogram.h"
 #include "stats/online_stats.h"
 #include "stats/potentials.h"
-#include "stats/time_series.h"
 
 namespace {
 
-using divpp::stats::Histogram;
 using divpp::stats::OnlineStats;
-using divpp::stats::TimeSeries;
 
 TEST(OnlineStats, EmptyDefaults) {
   OnlineStats s;
@@ -144,98 +140,6 @@ TEST(LinearFit, RejectsDegenerateInput) {
   EXPECT_THROW((void)divpp::stats::linear_fit(std::vector<double>{1.0},
                                               std::vector<double>{1.0}),
                std::invalid_argument);
-}
-
-TEST(HistogramTest, RoutesToBuckets) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bucket 0
-  h.add(3.9);   // bucket 1
-  h.add(9.99);  // bucket 4
-  h.add(-1.0);  // underflow
-  h.add(10.0);  // overflow (right edge exclusive)
-  EXPECT_EQ(h.count(0), 1);
-  EXPECT_EQ(h.count(1), 1);
-  EXPECT_EQ(h.count(4), 1);
-  EXPECT_EQ(h.underflow(), 1);
-  EXPECT_EQ(h.overflow(), 1);
-  EXPECT_EQ(h.total(), 5);
-}
-
-TEST(HistogramTest, BucketEdges) {
-  Histogram h(0.0, 1.0, 4);
-  EXPECT_NEAR(h.bucket_lo(0), 0.0, 1e-12);
-  EXPECT_NEAR(h.bucket_hi(0), 0.25, 1e-12);
-  EXPECT_NEAR(h.bucket_lo(3), 0.75, 1e-12);
-  EXPECT_NEAR(h.bucket_hi(3), 1.0, 1e-12);
-  EXPECT_THROW((void)h.bucket_lo(4), std::out_of_range);
-}
-
-TEST(HistogramTest, RenderMentionsCounts) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(0.1);
-  h.add(0.6);
-  h.add(0.7);
-  const std::string text = h.render(10);
-  EXPECT_NE(text.find('#'), std::string::npos);
-  EXPECT_NE(text.find('2'), std::string::npos);
-}
-
-TEST(HistogramTest, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 0.0, 3), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(TimeSeriesTest, LinearStrideRecordsEveryKth) {
-  TimeSeries series(10);
-  for (std::int64_t t = 0; t < 100; ++t)
-    series.offer(t, static_cast<double>(t));
-  EXPECT_EQ(series.samples().size(), 10u);
-  EXPECT_EQ(series.samples().front().t, 0);
-  EXPECT_EQ(series.samples()[1].t, 10);
-}
-
-TEST(TimeSeriesTest, GeometricStrideGrows) {
-  TimeSeries series(1, /*geometric=*/true, 2.0);
-  for (std::int64_t t = 0; t < 1000; ++t)
-    series.offer(t, static_cast<double>(t));
-  // Strides double: far fewer than 1000 samples.
-  EXPECT_LT(series.samples().size(), 20u);
-  EXPECT_GE(series.samples().size(), 8u);
-}
-
-TEST(TimeSeriesTest, ForceAlwaysRecords) {
-  TimeSeries series(1000);
-  series.offer(0, 1.0);
-  series.force(1, 2.0);
-  series.force(2, 3.0);
-  EXPECT_EQ(series.samples().size(), 3u);
-}
-
-TEST(TimeSeriesTest, QueriesWork) {
-  TimeSeries series(1);
-  series.offer(0, 5.0);
-  series.offer(1, 3.0);
-  series.offer(2, 8.0);
-  series.offer(3, 1.0);
-  EXPECT_EQ(series.max_value(), 8.0);
-  EXPECT_EQ(series.last_value(), 1.0);
-  EXPECT_EQ(series.first_time_below(3.0), 1);
-  EXPECT_EQ(series.first_time_below(0.5), -1);
-  EXPECT_EQ(series.max_in_window(1, 2), 8.0);
-  EXPECT_TRUE(std::isnan(series.max_in_window(10, 20)));
-}
-
-TEST(TimeSeriesTest, CsvHasHeaderAndRows) {
-  TimeSeries series(1);
-  series.offer(0, 1.5);
-  const std::string csv = series.to_csv();
-  EXPECT_EQ(csv.rfind("t,value\n", 0), 0u);
-  EXPECT_NE(csv.find("0,1.5"), std::string::npos);
-}
-
-TEST(TimeSeriesTest, RejectsBadConstruction) {
-  EXPECT_THROW(TimeSeries(0), std::invalid_argument);
-  EXPECT_THROW(TimeSeries(1, true, 1.0), std::invalid_argument);
 }
 
 // ---- potential functions (paper §2.2, §2.3) ----------------------------
