@@ -1,5 +1,6 @@
 // E15 — google-benchmark micro-suite for the hot paths: RNG primitives
-// (both jump-chain gap samplers among them), samplers (alias, Fenwick,
+// (both jump-chain gap samplers among them), the collision chain's
+// binomial and colour-split draws, samplers (alias, Fenwick,
 // linear-scan references), rule application, engine steps (agent-based
 // and count-chain, plain and jump), neighbour sampling on generated
 // topologies, the BatchRunner pool running tagged replicas at one
@@ -27,6 +28,7 @@
 #include "core/diversification.h"
 #include "core/population.h"
 #include "graph/topologies.h"
+#include "rng/discrete.h"
 #include "rng/distributions.h"
 #include "rng/xoshiro.h"
 #include "runtime/batch_runner.h"
@@ -200,6 +202,45 @@ void BM_Exponential(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(divpp::rng::exponential(gen));
 }
 BENCHMARK(BM_Exponential);
+
+// The collision chain's counting draws.  Binomial rows at n·p ∈ {2, 22,
+// 370, 1470}: the first is the tagged-involvement shape (BINV), the
+// others the p = 1/8 proposals of a k = 8 multinomial split (BTRD).
+// Args are (n, n·p).
+void BM_Binomial(benchmark::State& state) {
+  Xoshiro256 gen(6);
+  const std::int64_t n = state.range(0);
+  const double p =
+      static_cast<double>(state.range(1)) / static_cast<double>(n);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(divpp::rng::binomial(gen, n, p));
+}
+BENCHMARK(BM_Binomial)
+    ->Args({1000, 2})
+    ->Args({176, 22})
+    ->Args({2960, 370})
+    ->Args({11'760, 1470});
+
+// One colour split of `draws` agents from k equal colour counts summing
+// to `pool`.  Args are (k, pool, draws): converge's adopt and candidate
+// splits at n = 10⁸ take the multinomial path; the sweep shape (pool
+// 16384, 200 draws) stays on the conditional hypergeometric chain.
+void BM_MultivariateHypergeometric(benchmark::State& state) {
+  Xoshiro256 gen(7);
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const std::vector<std::int64_t> counts(
+      k, state.range(1) / static_cast<std::int64_t>(k));
+  const std::int64_t draws = state.range(2);
+  std::vector<std::int64_t> out(k);
+  for (auto _ : state) {
+    divpp::rng::multivariate_hypergeometric(gen, counts, draws, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_MultivariateHypergeometric)
+    ->Args({8, 100'000'000, 182})
+    ->Args({8, 100'000'000, 2940})
+    ->Args({16, 16'384, 200});
 
 void BM_AliasTableSample(benchmark::State& state) {
   Xoshiro256 gen(3);

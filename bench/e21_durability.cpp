@@ -15,7 +15,9 @@
 //                              max(4e6, n))
 //        --divisors=16,4,1    (periods = window / d; d=1 means one
 //                              checkpoint per window)
-//        --reps=3             (min-of-reps timing)
+//        --reps=3             (raw/durable pairs per period, timed
+//                              alternately; overhead = median per-pair
+//                              ratio − 1)
 //        --seed=99
 //        --ckpt=FILE          (checkpoint path; default under /tmp)
 //        --pr7-json=FILE      (machine-readable summary; BENCH_pr7.json
@@ -39,6 +41,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -72,40 +75,77 @@ std::string default_ckpt_path() {
       .string();
 }
 
-/// min-of-reps ns/interaction for the raw batch engine over `window`.
-double baseline_ns(const CountSimulation& warmed, const Xoshiro256& gen0,
-                   std::int64_t window, int reps) {
-  double best = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    CountSimulation sim = warmed;
-    Xoshiro256 gen = gen0;
-    const auto t0 = std::chrono::steady_clock::now();
-    sim.advance_with(Engine::kBatch, sim.time() + window, gen);
-    best = std::min(best,
-                    seconds_since(t0) * 1e9 / static_cast<double>(window));
-  }
-  return best;
+/// ns/interaction of one raw batch-engine run over `window`.
+double raw_run_ns(const CountSimulation& warmed, const Xoshiro256& gen0,
+                  std::int64_t window) {
+  CountSimulation sim = warmed;
+  Xoshiro256 gen = gen0;
+  const auto t0 = std::chrono::steady_clock::now();
+  sim.advance_with(Engine::kBatch, sim.time() + window, gen);
+  return seconds_since(t0) * 1e9 / static_cast<double>(window);
 }
 
-/// min-of-reps ns/interaction of the durable run at `period`.
-double durable_ns(const CountSimulation& warmed, const Xoshiro256& gen0,
-                  std::int64_t window, std::int64_t period, int reps,
-                  const std::string& ckpt) {
-  double best = 1e300;
+/// ns/interaction of one durable run over `window` at `period`.
+double durable_run_ns(const CountSimulation& warmed, const Xoshiro256& gen0,
+                      std::int64_t window, std::int64_t period,
+                      const std::string& ckpt) {
+  CountSimulation sim = warmed;
+  Xoshiro256 gen = gen0;
+  DurableRunConfig config;
+  config.engine = Engine::kBatch;
+  config.target_time = sim.time() + window;
+  config.checkpoint_period = period;
+  config.checkpoint_path = ckpt;
+  const auto t0 = std::chrono::steady_clock::now();
+  (void)divpp::runtime::run_windows(sim, gen, config);
+  return seconds_since(t0) * 1e9 / static_cast<double>(window);
+}
+
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                : 0.5 * (values[mid - 1] + values[mid]);
+}
+
+/// The raw and durable arms timed alternately, rep by rep, from the same
+/// snapshot: pair r runs raw first when r is even and durable first when
+/// it is odd, so a drift in host speed lands on both arms of a pair.
+/// The overhead is the median per-pair ratio durable/raw, minus one.
+struct PairedOverhead {
+  double raw_ns = 0.0;      // median over the raw arm's runs
+  double durable_ns = 0.0;  // median over the durable arm's runs
+  std::vector<double> ratios;
+  double overhead = 0.0;
+};
+
+PairedOverhead paired_overhead(const CountSimulation& warmed,
+                               const Xoshiro256& gen0, std::int64_t window,
+                               std::int64_t period, int reps,
+                               const std::string& ckpt) {
+  // One untimed pair first: the durable arm's first run of a row meets
+  // a cold checkpoint file.
+  (void)raw_run_ns(warmed, gen0, window);
+  (void)durable_run_ns(warmed, gen0, window, period, ckpt);
+  std::vector<double> raw, durable;
+  PairedOverhead result;
   for (int rep = 0; rep < reps; ++rep) {
-    CountSimulation sim = warmed;
-    Xoshiro256 gen = gen0;
-    DurableRunConfig config;
-    config.engine = Engine::kBatch;
-    config.target_time = sim.time() + window;
-    config.checkpoint_period = period;
-    config.checkpoint_path = ckpt;
-    const auto t0 = std::chrono::steady_clock::now();
-    (void)divpp::runtime::run_windows(sim, gen, config);
-    best = std::min(best,
-                    seconds_since(t0) * 1e9 / static_cast<double>(window));
+    double r = 0.0, d = 0.0;
+    if (rep % 2 == 0) {
+      r = raw_run_ns(warmed, gen0, window);
+      d = durable_run_ns(warmed, gen0, window, period, ckpt);
+    } else {
+      d = durable_run_ns(warmed, gen0, window, period, ckpt);
+      r = raw_run_ns(warmed, gen0, window);
+    }
+    raw.push_back(r);
+    durable.push_back(d);
+    result.ratios.push_back(d / r);
   }
-  return best;
+  result.raw_ns = median(raw);
+  result.durable_ns = median(durable);
+  result.overhead = median(result.ratios) - 1.0;
+  return result;
 }
 
 int run_kill_resume(const divpp::io::Args& args) {
@@ -202,7 +242,7 @@ int main(int argc, char** argv) {
                "checkpoint + atomic fsync'd write per boundary.\n\n";
 
   divpp::io::Table table({"n", "period", "checkpoints", "raw ns/int",
-                          "durable ns/int", "overhead %"});
+                          "durable ns/int", "pair ratios", "overhead %"});
   divpp::io::Json out;
   out.set("bench", "e21_durability");
   out.set("k", k);
@@ -219,38 +259,49 @@ int main(int argc, char** argv) {
     const std::int64_t window =
         window_flag > 0 ? window_flag : std::max<std::int64_t>(4'000'000, n);
     // One shared warmup per n: every measurement resumes from the same
-    // (sim, gen) snapshot, so raw and durable time identical work.
+    // (sim, gen) snapshot, so raw and durable time identical work, and
+    // each period gets its own interleaved raw arm.  run_windows puts
+    // its boundaries at absolute multiples of the period, so the warmup
+    // ends at time `window`: the measured stretch is then exactly d
+    // windows with d checkpoints.
     CountSimulation warmed = CountSimulation::equal_start(weights, n);
     Xoshiro256 gen(seed);
-    warmed.advance_with(Engine::kBatch, std::min(window, n), gen);
+    warmed.advance_with(Engine::kBatch, window, gen);
     warmed.canonicalize();
 
-    const double raw = baseline_ns(warmed, gen, window, reps);
-    out.set("raw_ns_n" + std::to_string(n), raw);
     for (const std::int64_t d : divisors) {
       if (d < 1) {
         std::cerr << "e21_durability: --divisors entries must be >= 1\n";
         return 1;
       }
       const std::int64_t period = std::max<std::int64_t>(1, window / d);
-      const double durable =
-          durable_ns(warmed, gen, window, period, reps, ckpt);
-      const double overhead = durable / raw - 1.0;
+      const PairedOverhead paired =
+          paired_overhead(warmed, gen, window, period, reps, ckpt);
+      std::string ratios;
+      for (const double ratio : paired.ratios) {
+        if (!ratios.empty()) ratios += ' ';
+        ratios += divpp::io::format_double(ratio, 3);
+      }
       table.begin_row()
           .add_cell(n)
           .add_cell(period)
           .add_cell(d)
-          .add_cell(raw, 3)
-          .add_cell(durable, 3)
-          .add_cell(100.0 * overhead, 2);
+          .add_cell(paired.raw_ns, 3)
+          .add_cell(paired.durable_ns, 3)
+          .add_cell(ratios)
+          .add_cell(100.0 * paired.overhead, 2);
       const std::string suffix =
           "_n" + std::to_string(n) + "_d" + std::to_string(d);
-      out.set("durable_ns" + suffix, durable);
-      out.set("overhead" + suffix, overhead);
-      if (smoke && d == 1 && overhead > 0.05) {
+      out.set("raw_ns" + suffix, paired.raw_ns);
+      out.set("durable_ns" + suffix, paired.durable_ns);
+      out.set("ratios" + suffix, std::span<const double>(paired.ratios));
+      out.set("overhead" + suffix, paired.overhead);
+      if (smoke && d == 1 && paired.overhead > 0.05) {
         smoke_ok = false;
         std::cerr << "e21 smoke FAILED: durability overhead "
-                  << 100.0 * overhead << "% > 5% at one checkpoint per "
+                  << 100.0 * paired.overhead
+                  << "% > 5% (median of per-pair ratios) at one checkpoint "
+                     "per "
                   << window << "-interaction window (n = " << n << ")\n";
       }
     }

@@ -26,7 +26,10 @@
 ///      then multivariate-hypergeometric splits *directly off the
 ///      population counts* (a uniform subset of a uniform subset is a
 ///      uniform subset — the full participant compositions are never
-///      materialised);
+///      materialised).  At large n a split's sample is small against
+///      its pool (8·draws² <= pool), so rng::multivariate_hypergeometric
+///      draws it as a binomial-chain multinomial with an exact
+///      acceptance correction instead of k hypergeometric draws;
 ///   3. a dark–dark pair fades only when it is monochromatic AND clears
 ///      the rate 1/w_i, which factors into a colour-blind first stage at
 ///      p_max = max_j 1/w_j and a per-colour remainder — so the fade
@@ -47,8 +50,8 @@
 ///      formulation.
 ///
 /// Per batch the engine spends O(k) counting draws, each O(1) expected
-/// time (HRUA rejection above the variance cutoff, short chop-down walks
-/// below — rng/discrete.h); a batch covers ℓ = Θ(√n) interactions in
+/// time (HRUA and BTRD rejection, short chop-down walks for narrow
+/// laws — rng/discrete.h); a batch covers ℓ = Θ(√n) interactions in
 /// expectation, so the amortised cost per interaction is O(k / √n),
 /// vanishing as n grows with k fixed.  This is what makes n = 10⁷–10⁹
 /// sweeps tractable (bench e20_batch, BENCH_pr4.json).  The fixed cost

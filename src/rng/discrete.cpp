@@ -203,7 +203,7 @@ std::int64_t binomial_inversion(Xoshiro256& gen, std::int64_t n, double p) {
   const double q = 1.0 - p;
   const double s = p / q;
   const double a = static_cast<double>(n + 1) * s;
-  // q^n; n·p small implies n·log1p(-p) >= -O(30), no underflow.
+  // q^n; n·p < 10 keeps n·log1p(-p) far above the underflow range.
   const double r0 = std::exp(static_cast<double>(n) * std::log1p(-p));
   while (true) {
     double r = r0;
@@ -219,113 +219,102 @@ std::int64_t binomial_inversion(Xoshiro256& gen, std::int64_t n, double p) {
   }
 }
 
-/// BTPE (Kachitvichyanukul & Schmeiser 1988): rejection from a
-/// triangle + parallelogram + two exponential tails fitted around the
-/// mode, with a squeeze and a final Stirling-corrected exact test.
-/// O(1) expected time for any (n, p).  \pre n·min(p,1-p) >= 30.
-std::int64_t binomial_btpe(Xoshiro256& gen, std::int64_t n, double p) {
-  const double r = std::min(p, 1.0 - p);
-  const double q = 1.0 - r;
-  const double fm = static_cast<double>(n) * r + r;
-  const auto m = static_cast<std::int64_t>(std::floor(fm));
-  const double nrq = static_cast<double>(n) * r * q;
-  const double p1 = std::floor(2.195 * std::sqrt(nrq) - 4.6 * q) + 0.5;
-  const double xm = static_cast<double>(m) + 0.5;
-  const double xl = xm - p1;
-  const double xr = xm + p1;
-  const double c = 0.134 + 20.5 / (15.3 + static_cast<double>(m));
-  double a = (fm - xl) / (fm - xl * r);
-  const double laml = a * (1.0 + a / 2.0);
-  a = (xr - fm) / (xr * q);
-  const double lamr = a * (1.0 + a / 2.0);
-  const double p2 = p1 * (1.0 + 2.0 * c);
-  const double p3 = p2 + c / laml;
-  const double p4 = p3 + c / lamr;
+/// Tail of the Stirling series, fc(k) = log k! − (k + ½)·log(k + 1)
+/// + (k + 1) − log √(2π): tabulated below 10, three series terms above
+/// (the next omitted term is below 1e-10 there).
+double stirling_tail(std::int64_t k) {
+  static constexpr double kSmall[10] = {
+      0.08106146679532726, 0.04134069595540929, 0.02767792568499834,
+      0.02079067210376509, 0.01664469118982119, 0.01387612882307075,
+      0.01189670994589177, 0.01041126526197209, 0.009255462182712733,
+      0.008330563433362871};
+  if (k < 10) return kSmall[k];
+  const double inv = 1.0 / static_cast<double>(k + 1);
+  const double inv2 = inv * inv;
+  return (1.0 / 12.0 - (1.0 / 360.0 - inv2 / 1260.0) * inv2) * inv;
+}
 
+/// BTRD (Hörmann 1993, "The generation of binomial random variates"):
+/// transformed rejection u ↦ ⌊(2a/(½ − |u|) + b)·u + c⌋ from a hat
+/// fitted around the mode m.  The central box of the hat accepts with
+/// one uniform and no pmf evaluation (half the draws at n·p = 10, up to
+/// ~79% as n·p grows);
+/// otherwise f(k)/f(m) is a product of adjacent ratios when |k − m| <=
+/// 15, and above that a squeeze around −(k − m)²/(2npq) and the final
+/// Stirling-corrected log test.  Exact, O(1) expected time for any (n,
+/// p) with n·p >= 10.  \pre 0 < p <= 0.5 and n·p >= 10.
+std::int64_t binomial_btrd(Xoshiro256& gen, std::int64_t n, double p) {
+  const double dn = static_cast<double>(n);
+  const double r = p / (1.0 - p);
+  const double npq = dn * p * (1.0 - p);
+  const double sqrt_npq = std::sqrt(npq);
+  const double b = 1.15 + 2.53 * sqrt_npq;
+  const double a = -0.0873 + 0.0248 * b + 0.01 * p;
+  const double c = dn * p + 0.5;
+  const double alpha = (2.83 + 5.1 / b) * sqrt_npq;
+  const double v_r = 0.92 - 4.2 / b;
+  const double u_rv_r = 0.86 * v_r;
+  // Both floors below take non-negative arguments (the box maps into
+  // [0, n] for n·p >= 10), where a truncating conversion is the floor
+  // and stays inline (std::floor is a libm call on baseline x86-64).
+  const auto m = static_cast<std::int64_t>((dn + 1.0) * p);
   while (true) {
-    // Region draw: u picks the envelope piece, v is the rejection uniform.
-    const double u = uniform01(gen) * p4;
     double v = uniform01(gen);
-    std::int64_t y;
-    bool accepted = false;
-    if (u <= p1) {
-      // Triangle: accept immediately.
-      y = static_cast<std::int64_t>(std::floor(xm - p1 * v + u));
-      accepted = true;
-    } else if (u <= p2) {
-      // Parallelogram.
-      const double x = xl + (u - p1) / c;
-      v = v * c + 1.0 - std::abs(static_cast<double>(m) - x + 0.5) / p1;
-      if (v > 1.0) continue;
-      y = static_cast<std::int64_t>(std::floor(x));
-    } else if (u <= p3) {
-      // Left exponential tail.
-      y = static_cast<std::int64_t>(std::floor(xl + std::log(v) / laml));
-      if (y < 0) continue;
-      v = v * (u - p2) * laml;
-    } else {
-      // Right exponential tail.
-      y = static_cast<std::int64_t>(std::floor(xr - std::log(v) / lamr));
-      if (y > n) continue;
-      v = v * (u - p3) * lamr;
+    double u;
+    if (v <= u_rv_r) {  // inside the box: accept at once
+      u = v / v_r - 0.43;
+      return static_cast<std::int64_t>(
+          (2.0 * a / (0.5 - std::abs(u)) + b) * u + c);
     }
-
-    if (!accepted) {
-      const std::int64_t k = std::llabs(y - m);
-      if (k <= 20 || static_cast<double>(k) >= nrq / 2.0 - 1.0) {
-        // Direct pmf-ratio evaluation f(y)/f(m) by recurrence.
-        const double s = r / q;
-        a = s * static_cast<double>(n + 1);
-        double f = 1.0;
-        if (m < y) {
-          for (std::int64_t i = m + 1; i <= y; ++i)
-            f *= (a / static_cast<double>(i) - s);
-        } else if (m > y) {
-          for (std::int64_t i = y + 1; i <= m; ++i)
-            f /= (a / static_cast<double>(i) - s);
-        }
-        if (v > f) continue;
-      } else {
-        // Squeeze on log f(y)/f(m), then the exact Stirling-series test.
-        const double kd = static_cast<double>(k);
-        const double rho =
-            (kd / nrq) *
-            ((kd * (kd / 3.0 + 0.625) + 1.0 / 6.0) / nrq + 0.5);
-        const double t = -kd * kd / (2.0 * nrq);
-        const double alv = std::log(v);
-        if (alv < t - rho) {
-          // accepted by squeeze
-        } else if (alv > t + rho) {
-          continue;
-        } else {
-          const double x1 = static_cast<double>(y + 1);
-          const double f1 = static_cast<double>(m + 1);
-          const double z = static_cast<double>(n + 1 - m);
-          const double w = static_cast<double>(n - y + 1);
-          const double x2 = x1 * x1;
-          const double f2 = f1 * f1;
-          const double z2 = z * z;
-          const double w2 = w * w;
-          const auto stirling = [](double v2, double v1) {
-            return (13860.0 -
-                    (462.0 - (132.0 - (99.0 - 140.0 / v2) / v2) / v2) / v2) /
-                   v1 / 166320.0;
-          };
-          // log f(y)/f(m) = lg(m+1) + lg(n−m+1) − lg(y+1) − lg(n−y+1)
-          // + (y−m)·log(r/q): the Stirling corrections of the numerator
-          // terms (f1, z) enter positively, those of the denominator
-          // terms (x1, w) negatively.
-          const double bound =
-              xm * std::log(f1 / x1) +
-              (static_cast<double>(n - m) + 0.5) * std::log(z / w) +
-              static_cast<double>(y - m) * std::log(w * r / (x1 * q)) +
-              stirling(f2, f1) + stirling(z2, z) - stirling(x2, x1) -
-              stirling(w2, w);
-          if (alv > bound) continue;
-        }
+    if (v >= v_r) {
+      u = uniform01(gen) - 0.5;
+    } else {  // the two slivers beside the box reuse v
+      u = v / v_r - 0.93;
+      u = (u < 0.0 ? -0.5 : 0.5) - u;
+      v = uniform01(gen) * v_r;
+    }
+    const double us = 0.5 - std::abs(u);
+    // |u| == ½ maps to ±inf; the double-valued range check rejects it
+    // (and NaN) before the integer conversion, which truncates a
+    // non-negative value to its floor.
+    const double kd = (2.0 * a / us + b) * u + c;
+    if (!(kd >= 0.0 && kd < dn + 1.0)) continue;
+    const auto k = static_cast<std::int64_t>(kd);
+    v = v * alpha / (a / (us * us) + b);
+    const std::int64_t km = std::llabs(k - m);
+    if (km <= 15) {
+      // f(i)/f(i−1) = (n + 1 − i)·r / i, multiplied over (min, max] as
+      // separate numerator and denominator products (each below 2^950
+      // for any int64 n, so no division is needed): accept iff
+      // v <= f(k)/f(m).
+      double num = 1.0;
+      double den = 1.0;
+      for (std::int64_t i = std::min(k, m) + 1; i <= std::max(k, m); ++i) {
+        const auto di = static_cast<double>(i);
+        num *= (dn + 1.0 - di) * r;
+        den *= di;
       }
+      if (k >= m ? v * den <= num : v * num <= den) return k;
+      continue;
     }
-    return p > 0.5 ? n - y : y;
+    const double kmd = static_cast<double>(km);
+    const double lv = std::log(v);
+    const double rho =
+        (kmd / npq) * (((kmd / 3.0 + 0.625) * kmd + 1.0 / 6.0) / npq + 0.5);
+    const double t = -kmd * kmd / (2.0 * npq);
+    if (lv < t - rho) return k;   // squeeze: accept
+    if (lv > t + rho) continue;   // squeeze: reject
+    // log f(k)/f(m) through the Stirling tails (the linear terms cancel).
+    const double dm = static_cast<double>(m);
+    const double dk = static_cast<double>(k);
+    const double nm = dn - dm + 1.0;
+    const double nk = dn - dk + 1.0;
+    const double h = (dm + 0.5) * std::log((dm + 1.0) / (r * nm)) +
+                     stirling_tail(m) + stirling_tail(n - m);
+    if (lv <= h + (dn + 1.0) * std::log(nm / nk) +
+                  (dk + 0.5) * std::log(nk * r / (dk + 1.0)) -
+                  stirling_tail(k) - stirling_tail(n - k))
+      return k;
   }
 }
 
@@ -345,14 +334,14 @@ std::int64_t binomial(Xoshiro256& gen, std::int64_t n, double p) {
     // the collision-batch fade thinnings live here.  Trivially exact.
     for (std::int64_t i = 0; i < n; ++i)
       if (uniform01(gen) < p) ++result;
-  } else if (const double pr = std::min(p, 1.0 - p);
-             static_cast<double>(n) * pr < 30.0) {
-    const std::int64_t x = binomial_inversion(gen, n, pr);
-    result = p > 0.5 ? n - x : x;
   } else {
-    result = binomial_btpe(gen, n, p);
+    const double pr = std::min(p, 1.0 - p);
+    const std::int64_t x = static_cast<double>(n) * pr < 10.0
+                               ? binomial_inversion(gen, n, pr)
+                               : binomial_btrd(gen, n, pr);
+    result = p > 0.5 ? n - x : x;
   }
-  // Support check on every kernel: a BINV/BTPE float-edge escape would
+  // Support check on every kernel: a BINV/BTRD float-edge escape would
   // silently corrupt the batch margins downstream.
   SIM_ASSERT(result >= 0 && result <= n);
   return result;
@@ -528,31 +517,49 @@ std::int64_t hypergeometric(Xoshiro256& gen, std::int64_t total,
   return x;
 }
 
+namespace {
+
+/// The conditional-binomial chain: category i takes Binomial(remaining
+/// trials, w_i / remaining weight), the last category the rest.  Shared
+/// by multinomial() (W = double probability weights) and the multinomial
+/// proposal of multivariate_hypergeometric() (W = std::int64_t item
+/// counts, whose remaining pool is then exact).  Writes all of `out`.
+template <class W>
+void binomial_chain(Xoshiro256& gen, std::int64_t trials,
+                    std::span<const W> weights, W remaining_weight,
+                    std::span<std::int64_t> out) {
+  std::fill(out.begin(), out.end(), std::int64_t{0});
+  std::int64_t remaining = trials;
+  for (std::size_t i = 0; i + 1 < weights.size() && remaining > 0; ++i) {
+    const double p = std::clamp(static_cast<double>(weights[i]) /
+                                    static_cast<double>(remaining_weight),
+                                0.0, 1.0);
+    const std::int64_t x = binomial(gen, remaining, p);
+    out[i] = x;
+    remaining -= x;
+    remaining_weight -= weights[i];
+    if (!(remaining_weight > 0)) break;  // all residual mass spent
+  }
+  out.back() = remaining;
+}
+
+}  // namespace
+
 std::vector<std::int64_t> multinomial(Xoshiro256& gen, std::int64_t trials,
                                       std::span<const double> weights) {
   if (weights.empty())
     throw std::invalid_argument("multinomial: empty weight vector");
   if (trials < 0) throw std::invalid_argument("multinomial: trials < 0");
-  double remaining_weight = 0.0;
+  double total_weight = 0.0;
   for (const double w : weights) {
     if (!(w >= 0.0))
       throw std::invalid_argument("multinomial: negative weight");
-    remaining_weight += w;
+    total_weight += w;
   }
-  if (!(remaining_weight > 0.0))
+  if (!(total_weight > 0.0))
     throw std::invalid_argument("multinomial: weights sum to zero");
-  std::vector<std::int64_t> out(weights.size(), 0);
-  std::int64_t remaining = trials;
-  for (std::size_t i = 0; i + 1 < weights.size() && remaining > 0; ++i) {
-    const double p =
-        std::clamp(weights[i] / remaining_weight, 0.0, 1.0);
-    const std::int64_t x = binomial(gen, remaining, p);
-    out[i] = x;
-    remaining -= x;
-    remaining_weight -= weights[i];
-    if (!(remaining_weight > 0.0)) break;  // all residual mass spent
-  }
-  out.back() = remaining;
+  std::vector<std::int64_t> out(weights.size());
+  binomial_chain(gen, trials, weights, total_weight, std::span(out));
   SIM_IF_CHECKED({
     std::int64_t sum = 0;
     for (const std::int64_t c : out) {
@@ -575,12 +582,21 @@ namespace {
 /// hypergeometric — so the cutoff is distributionally invisible.
 constexpr std::int64_t kMvhUrnCutoff = 32;
 
-}  // namespace
+/// Above the urn cutoff, a sample with kMvhMultinomialPoolRatio·draws²
+/// <= pool is drawn as a corrected multinomial: the mean acceptance is
+/// then at least e^{−1/16}, and k cheap binomials beat k hypergeometric
+/// setups.
+constexpr std::int64_t kMvhMultinomialPoolRatio = 8;
 
-void multivariate_hypergeometric(Xoshiro256& gen,
-                                 std::span<const std::int64_t> counts,
-                                 std::int64_t draws,
-                                 std::span<std::int64_t> out) {
+bool mvh_uses_multinomial(std::int64_t pool, std::int64_t draws) {
+  // 8·draws² <= pool without the overflow of squaring.
+  return draws > kMvhUrnCutoff &&
+         draws <= pool / (kMvhMultinomialPoolRatio * draws);
+}
+
+/// Validates a multivariate-hypergeometric call and returns the pool.
+std::int64_t mvh_validate(std::span<const std::int64_t> counts,
+                          std::int64_t draws, std::span<std::int64_t> out) {
   if (out.size() != counts.size())
     throw std::invalid_argument(
         "multivariate_hypergeometric: out size mismatch");
@@ -594,6 +610,64 @@ void multivariate_hypergeometric(Xoshiro256& gen,
   if (draws < 0 || draws > pool)
     throw std::invalid_argument(
         "multivariate_hypergeometric: draws outside [0, sum(counts)]");
+  return pool;
+}
+
+/// Sampling without replacement as a corrected multinomial.  The
+/// proposal c ~ Multinomial(draws; counts/pool) is accepted with
+/// probability A(c) = Π_i Π_{j<c_i} (1 − j/counts_i), which is exact:
+/// Multinomial(c)·A(c) ∝ Π_i counts_i^{c_i}/c_i! · counts_i!/
+/// ((counts_i − c_i)!·counts_i^{c_i}) = Π_i C(counts_i, c_i).  A(c) is
+/// 0 once some c_i exceeds counts_i (the factor j = counts_i vanishes).
+/// With D = Σ_i c_i(c_i − 1)/(2·counts_i), 1 − D <= A(c) <= e^{−D}, so
+/// the product is only formed when the uniform falls between the two.
+void mvh_multinomial(Xoshiro256& gen, std::span<const std::int64_t> counts,
+                     std::int64_t pool, std::int64_t draws,
+                     std::span<std::int64_t> out) {
+  while (true) {
+    binomial_chain(gen, draws, counts, pool, out);
+    double d = 0.0;
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      const auto c = static_cast<double>(out[i]);
+      if (out[i] >= 2)
+        d += c * (c - 1.0) / (2.0 * static_cast<double>(counts[i]));
+    }
+    const double u = uniform01(gen);
+    if (u < 1.0 - d) return;
+    if (u >= std::exp(-d)) continue;
+    double a = 1.0;
+    for (std::size_t i = 0; i < counts.size() && a > u; ++i) {
+      const auto ci = static_cast<double>(counts[i]);
+      for (std::int64_t j = 1; j < out[i] && a > u; ++j)
+        a *= 1.0 - static_cast<double>(j) / ci;
+    }
+    if (u < a) return;
+  }
+}
+
+}  // namespace
+
+bool multivariate_hypergeometric_uses_multinomial(std::int64_t pool,
+                                                  std::int64_t draws) {
+  if (draws < 0 || draws > pool)
+    throw std::invalid_argument(
+        "multivariate_hypergeometric: draws outside [0, sum(counts)]");
+  return mvh_uses_multinomial(pool, draws);
+}
+
+void multivariate_hypergeometric_multinomial(
+    Xoshiro256& gen, std::span<const std::int64_t> counts, std::int64_t draws,
+    std::span<std::int64_t> out) {
+  const std::int64_t pool = mvh_validate(counts, draws, out);
+  if (counts.empty()) return;
+  mvh_multinomial(gen, counts, pool, draws, out);
+}
+
+void multivariate_hypergeometric(Xoshiro256& gen,
+                                 std::span<const std::int64_t> counts,
+                                 std::int64_t draws,
+                                 std::span<std::int64_t> out) {
+  std::int64_t pool = mvh_validate(counts, draws, out);
   if (draws <= kMvhUrnCutoff) {
     // `out` holds the *remaining* counts during the walk (one load per
     // category in the scan) and is flipped to the taken counts at the
@@ -610,21 +684,23 @@ void multivariate_hypergeometric(Xoshiro256& gen,
       }
     }
     for (std::size_t i = 0; i < out.size(); ++i) out[i] = counts[i] - out[i];
-    return;
-  }
-  std::int64_t remaining = draws;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    if (remaining == 0) {
-      out[i] = 0;
-      continue;
+  } else if (mvh_uses_multinomial(pool, draws)) {
+    mvh_multinomial(gen, counts, pool, draws, out);
+  } else {
+    std::int64_t remaining = draws;
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      if (remaining == 0) {
+        out[i] = 0;
+        continue;
+      }
+      // The loop invariants guarantee the preconditions, so skip the
+      // per-call validation of the public entry point.
+      const std::int64_t x =
+          hypergeometric_impl(gen, pool, counts[i], remaining);
+      out[i] = x;
+      remaining -= x;
+      pool -= counts[i];
     }
-    // The loop invariants guarantee the preconditions, so skip the
-    // per-call validation of the public entry point.
-    const std::int64_t x =
-        hypergeometric_impl(gen, pool, counts[i], remaining);
-    out[i] = x;
-    remaining -= x;
-    pool -= counts[i];
   }
   SIM_IF_CHECKED({
     std::int64_t sum = 0;

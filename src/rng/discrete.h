@@ -10,10 +10,10 @@
 /// binomial / hypergeometric / multinomial splits, so the per-sample cost
 /// of these functions bounds the per-batch cost of the engine.
 ///
-///  * binomial()        — BINV inversion when n·min(p,1-p) is small,
-///    BTPE-style triangle/parallelogram/exponential rejection otherwise
-///    (Kachitvichyanukul & Schmeiser 1988), so the cost is O(1) for any
-///    (n, p) instead of O(n·p);
+///  * binomial()        — a Bernoulli loop for n <= 16, BINV inversion
+///    when n·min(p,1-p) < 10, BTRD transformed rejection otherwise
+///    (Hörmann 1993), so the cost is O(1) for any (n, p) instead of
+///    O(n·p);
 ///  * hypergeometric()  — HRUA-style ratio-of-uniforms rejection
 ///    (Stadlober 1990) in O(1) expected time when the distribution is
 ///    wide (variance >= kRejectionVarianceCutoff), falling back to the
@@ -23,8 +23,11 @@
 ///  * full_pairs()      — the same two-regime dispatch over the
 ///    slot-occupancy law of a uniform perfect matching;
 ///  * multinomial()     — conditional binomial chain;
-///  * multivariate_hypergeometric() — conditional hypergeometric chain
-///    (sampling without replacement from per-class counts).
+///  * multivariate_hypergeometric() — sampling without replacement from
+///    per-class counts: an urn walk for small samples, the binomial
+///    chain's multinomial with an exact acceptance correction when the
+///    sample is small against the pool, and the conditional
+///    hypergeometric chain otherwise.
 ///
 /// The rejection kernels are what make the collision-batch engine's
 /// per-batch constant independent of n: every draw the batcher issues
@@ -115,13 +118,33 @@ void warm_log_fact_table();
 /// Splits a without-replacement sample of size `draws` over categories
 /// holding `counts` items each (a random `draws`-subset of the pooled
 /// population, tallied by category).  Writes the per-category sample
-/// sizes to `out` (same length as `counts`).  Conditional hypergeometric
-/// chain: O(k) hypergeometric() calls.
+/// sizes to `out` (same length as `counts`).  Three exact paths, chosen
+/// by (draws, pool = sum(counts)) alone: an urn walk for draws <= 32;
+/// the corrected multinomial (multivariate_hypergeometric_multinomial)
+/// when 8·draws² <= pool, in O(k) binomial() calls; otherwise the
+/// conditional hypergeometric chain, O(k) hypergeometric() calls.
 /// \pre draws <= sum(counts); out.size() == counts.size().
 void multivariate_hypergeometric(Xoshiro256& gen,
                                  std::span<const std::int64_t> counts,
                                  std::int64_t draws,
                                  std::span<std::int64_t> out);
+
+/// The multinomial path of multivariate_hypergeometric(), exact for
+/// every parameter set: a Multinomial(draws; counts/pool) proposal from
+/// the conditional-binomial chain, accepted with probability
+/// Π_i Π_{j<c_i} (1 − j/counts_i).  The mean acceptance is about
+/// e^{−draws²/(2·pool)}, so the dispatcher takes it only where that is
+/// at least e^{−1/16}; exposed so tests can pin its joint law at a small
+/// shape where a plain multinomial would visibly differ.
+void multivariate_hypergeometric_multinomial(
+    Xoshiro256& gen, std::span<const std::int64_t> counts, std::int64_t draws,
+    std::span<std::int64_t> out);
+
+/// True when multivariate_hypergeometric() takes the multinomial path
+/// for a sample of `draws` from a pool of `pool` items: draws > 32 and
+/// 8·draws² <= pool.  \pre 0 <= draws <= pool.
+[[nodiscard]] bool multivariate_hypergeometric_uses_multinomial(
+    std::int64_t pool, std::int64_t draws);
 
 /// Allocating convenience overload of the above.
 [[nodiscard]] std::vector<std::int64_t> multivariate_hypergeometric(

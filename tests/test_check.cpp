@@ -314,13 +314,16 @@ constexpr GoldenCase kTaggedGolden[] = {
 };
 
 // CollisionBatcher::advance looped to T = 4n from the adversarial start
-// at n = 20000 with the weights above and seed 0xc4a1; captured from
-// the chain as it stood before run_batched gained the label walk.
+// at n = 20000 with the weights above and seed 0xc4a1.  Re-captured
+// when binomial() moved from BTPE to BTRD and BINV's range shrank to
+// n·p < 10 (this run's colour-0 fade thinnings reach BTRD), and when
+// multivariate_hypergeometric() gained its multinomial path (43 of this
+// run's colour splits take it).
 constexpr GoldenCase kChainGolden = {
-    "chain_n20000", {16048, 2, 1, 2, 1, 1, 2, 2}, {3941, 0, 0, 0, 0, 0, 0, 0},
+    "chain_n20000", {16019, 1, 3, 4, 1, 1, 1, 3}, {3967, 0, 0, 0, 0, 0, 0, 0},
     80000,
-    {0x1c27ca83334ea274ULL, 0x60dfa842464f6a98ULL, 0x9cafbae7fb699407ULL,
-     0xd6a7bc45fcb20fcfULL}};
+    {0xa023e47cfbbaac37ULL, 0xbf052209c0fae965ULL, 0xdcc16877c18402e0ULL,
+     0x195f3f6682bacb61ULL}};
 
 void expect_golden(const GoldenCase& golden, const CountSimulation& sim,
                    const Xoshiro256& gen) {

@@ -1,5 +1,5 @@
 // Tests for the exact counting-distribution samplers (rng/discrete.h):
-// chi-square pins of binomial (both the inversion and the BTPE regime),
+// chi-square pins of binomial (the Bernoulli, inversion and BTRD regimes),
 // hypergeometric, multinomial and multivariate-hypergeometric draws
 // against the lgamma-evaluated exact pmfs AND against the naive loop
 // references (n Bernoulli trials; urn draws one ball at a time), plus
@@ -13,7 +13,9 @@
 #include <cstdint>
 #include <map>
 #include <numeric>
+#include <span>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "rng/discrete.h"
@@ -108,6 +110,42 @@ std::int64_t binomial_naive(Xoshiro256& gen, std::int64_t n, double p) {
   return hits;
 }
 
+/// Half-width in sd of a lumped chi-square window that tracks the draw
+/// budget: each 0.5 sigma shaved off multiplies the edge-bin tail mass
+/// by ~8, so the expected edge count stays level as the budget shrinks
+/// and the chi-square stays calibrated.
+double budget_z(double z_at_full_scale) {
+  return z_at_full_scale -
+         0.5 * std::log10(static_cast<double>(divpp::test::test_scale()));
+}
+
+/// The window mean ± z·sd of Binomial(n, p), clipped to the support.
+std::pair<std::int64_t, std::int64_t> binomial_window(std::int64_t n,
+                                                      double p, double z) {
+  const double mean = static_cast<double>(n) * p;
+  const double sd = std::sqrt(mean * (1.0 - p));
+  return {std::max<std::int64_t>(
+              0, static_cast<std::int64_t>(std::floor(mean - z * sd))),
+          std::min<std::int64_t>(
+              n, static_cast<std::int64_t>(std::ceil(mean + z * sd)))};
+}
+
+/// Chi-square pin of scaled(120'000) binomial(n, p) draws against the
+/// exact pmf on binomial_window(n, p, z), tails folded into the edge
+/// bins.
+void expect_binomial_pinned(std::int64_t n, double p, double z,
+                            std::uint64_t seed) {
+  const std::int64_t draws = scaled(120'000);
+  const auto [lo, hi] = binomial_window(n, p, z);
+  const std::vector<double> pmf = binomial_pmf_lumped(n, p, lo, hi);
+  Xoshiro256 gen(seed);
+  const auto hits = histogram(lo, hi, draws, [&] {
+    return divpp::rng::binomial(gen, n, p);
+  });
+  EXPECT_LT(chi_square(hits, pmf, draws), chi2_crit(pmf.size() - 1))
+      << "n = " << n << ", p = " << p;
+}
+
 /// The naive urn: `draws` balls one at a time without replacement.
 std::int64_t hypergeometric_naive(Xoshiro256& gen, std::int64_t total,
                                   std::int64_t marked, std::int64_t draws) {
@@ -179,22 +217,14 @@ TEST(BinomialChiSquare, InversionRegimePinnedToExactPmfAndNaiveLoop) {
   EXPECT_LT(chi_square(lump(naive), pmf_l, kDraws), crit);
 }
 
-TEST(BinomialChiSquare, BtpeRegimePinnedToExactPmfAndNaiveLoop) {
-  // n·p = 300 >= 30: the BTPE rejection path.  The window mean ± 4.5 sd
+TEST(BinomialChiSquare, BtrdRegimePinnedToExactPmfAndNaiveLoop) {
+  // n·p = 300 >= 10: the BTRD rejection path.  The window mean ± 4.5 sd
   // keeps every in-window expected count comfortably above 5 at this
   // draw budget; the tails are folded into the edge bins.
   constexpr std::int64_t kN = 1000;
   constexpr double kP = 0.3;
   const std::int64_t kDraws = scaled(120'000);
-  const double mean = static_cast<double>(kN) * kP;
-  const double sd = std::sqrt(mean * (1.0 - kP));
-  // The lump window tracks the draw budget: each 0.5 sigma shaved off
-  // multiplies the edge-bin tail mass by ~8, so the expected edge count
-  // stays level as kDraws shrinks and the chi-square stays calibrated.
-  const double z = 4.5 - 0.5 * std::log10(static_cast<double>(
-                             divpp::test::test_scale()));
-  const auto lo = static_cast<std::int64_t>(std::floor(mean - z * sd));
-  const auto hi = static_cast<std::int64_t>(std::ceil(mean + z * sd));
+  const auto [lo, hi] = binomial_window(kN, kP, budget_z(4.5));
   const std::vector<double> pmf = binomial_pmf_lumped(kN, kP, lo, hi);
   Xoshiro256 gen(5);
   const auto fast = histogram(lo, hi, kDraws, [&] {
@@ -209,24 +239,32 @@ TEST(BinomialChiSquare, BtpeRegimePinnedToExactPmfAndNaiveLoop) {
   EXPECT_LT(chi_square(naive, pmf, kDraws), crit);
 }
 
-TEST(BinomialChiSquare, BtpeHighPUsesComplementCorrectly) {
-  // p > 0.5 exercises the n - y reflection at the end of BTPE.
-  constexpr std::int64_t kN = 400;
-  constexpr double kP = 0.85;
-  const std::int64_t kDraws = scaled(120'000);
-  const double mean = static_cast<double>(kN) * kP;
-  const double sd = std::sqrt(mean * (1.0 - kP));
-  // Same budget-tracking lump window as the regime test above.
-  const double z = 4.5 - 0.5 * std::log10(static_cast<double>(
-                             divpp::test::test_scale()));
-  const auto lo = static_cast<std::int64_t>(std::floor(mean - z * sd));
-  const auto hi = static_cast<std::int64_t>(std::ceil(mean + z * sd));
-  const std::vector<double> pmf = binomial_pmf_lumped(kN, kP, lo, hi);
-  Xoshiro256 gen(7);
-  const auto fast = histogram(lo, hi, kDraws, [&] {
-    return divpp::rng::binomial(gen, kN, kP);
-  });
-  EXPECT_LT(chi_square(fast, pmf, kDraws), chi2_crit(pmf.size() - 1));
+TEST(BinomialChiSquare, BtrdHighPUsesComplementCorrectly) {
+  // p > 0.5 exercises the n - y reflection after BTRD.
+  expect_binomial_pinned(400, 0.85, budget_z(4.5), 7);
+}
+
+TEST(BinomialChiSquare, BtrdAtFormerInversionRangePinned) {
+  // 10 <= n·min(p, 1−p) < 30 used to walk BINV and now takes BTRD: its
+  // central box accepts half or more of the draws outright, and most of
+  // the rest are decided by the |k − m| <= 15 product of adjacent pmf
+  // ratios.
+  for (const auto& [n, p, seed] :
+       {std::tuple<std::int64_t, double, std::uint64_t>{50, 0.22, 40},
+        {200, 0.12, 41},
+        {60, 0.6, 42},
+        {90, 0.33, 43}})
+    expect_binomial_pinned(n, p, budget_z(4.5), seed);
+}
+
+TEST(BinomialChiSquare, BtrdSqueezeAndLogTestPinned) {
+  // sd ≈ 22: about three quarters of the candidates outside BTRD's box
+  // land more than 15 from the mode, where the squeeze decides them,
+  // and about a third of those fall inside the squeeze band and reach
+  // the final Stirling-corrected log test (~8,000 such tests at the
+  // full budget).  The window mean ± 3.5 sd keeps the edge bins well
+  // filled.
+  expect_binomial_pinned(2000, 0.5, budget_z(3.5), 44);
 }
 
 TEST(Binomial, HugeNMomentsMatch) {
@@ -453,56 +491,93 @@ TEST(MultivariateHypergeometric, ConservesAndValidates) {
                std::invalid_argument);
 }
 
-TEST(MultivariateHypergeometricChiSquare, JointPinnedToExactPmfAndNaiveUrn) {
-  // Full-joint chi-square: counts {4, 3, 5}, 6 draws — 26 reachable
-  // outcomes, each with exact pmf Π C(c_i, x_i) / C(12, 6).
-  const std::vector<std::int64_t> counts = {4, 3, 5};
-  constexpr std::int64_t kSample = 6;
-  const std::int64_t kDraws = scaled(120'000);
-  const auto key = [](const std::vector<std::int64_t>& x) {
-    return x[0] * 100 + x[1] * 10 + x[2];
-  };
-  // Enumerate the exact joint pmf.
+/// The joint-pin shape: counts {4, 3, 5} with 6 draws has 26 reachable
+/// outcomes, each with exact pmf Π C(c_i, x_i) / C(12, 6), keyed by
+/// x0·100 + x1·10 + x2.
+const std::vector<std::int64_t> kJointCounts = {4, 3, 5};
+constexpr std::int64_t kJointSample = 6;
+
+std::int64_t joint_key(std::span<const std::int64_t> x) {
+  return x[0] * 100 + x[1] * 10 + x[2];
+}
+
+std::map<std::int64_t, double> joint_pmf() {
   std::map<std::int64_t, double> pmf;
-  const double log_denom = log_choose(12, kSample);
-  for (std::int64_t a = 0; a <= counts[0]; ++a)
-    for (std::int64_t b = 0; b <= counts[1]; ++b) {
-      const std::int64_t c = kSample - a - b;
-      if (c < 0 || c > counts[2]) continue;
-      pmf[a * 100 + b * 10 + c] =
-          std::exp(log_choose(counts[0], a) + log_choose(counts[1], b) +
-                   log_choose(counts[2], c) - log_denom);
+  const double log_denom = log_choose(12, kJointSample);
+  for (std::int64_t a = 0; a <= kJointCounts[0]; ++a)
+    for (std::int64_t b = 0; b <= kJointCounts[1]; ++b) {
+      const std::int64_t c = kJointSample - a - b;
+      if (c < 0 || c > kJointCounts[2]) continue;
+      pmf[a * 100 + b * 10 + c] = std::exp(
+          log_choose(kJointCounts[0], a) + log_choose(kJointCounts[1], b) +
+          log_choose(kJointCounts[2], c) - log_denom);
     }
+  return pmf;
+}
+
+/// Chi-square of joint-outcome hits against joint_pmf(); an outcome
+/// outside the support fails the test outright.
+double joint_chi_square(const std::map<std::int64_t, std::int64_t>& hits,
+                        std::int64_t draws) {
+  const std::map<std::int64_t, double> pmf = joint_pmf();
+  for (const auto& [k, h] : hits)
+    EXPECT_TRUE(pmf.contains(k)) << "outcome " << k << " drawn " << h
+                                 << " times outside the support";
+  std::vector<double> pmf_vec;
+  std::vector<std::int64_t> hit_vec;
+  for (const auto& [k, p] : pmf) {
+    pmf_vec.push_back(p);
+    const auto it = hits.find(k);
+    hit_vec.push_back(it == hits.end() ? 0 : it->second);
+  }
+  return chi_square(hit_vec, pmf_vec, draws);
+}
+
+TEST(MultivariateHypergeometricChiSquare, JointPinnedToExactPmfAndNaiveUrn) {
+  // Full-joint chi-square at the joint-pin shape, through the public
+  // dispatcher (the urn path at 6 draws) and a naive urn.
+  const std::int64_t kDraws = scaled(120'000);
   Xoshiro256 gen(19);
   Xoshiro256 ref_gen(20);
   std::map<std::int64_t, std::int64_t> fast_hits, naive_hits;
   for (std::int64_t d = 0; d < kDraws; ++d) {
-    ++fast_hits[key(
-        divpp::rng::multivariate_hypergeometric(gen, counts, kSample))];
+    ++fast_hits[joint_key(divpp::rng::multivariate_hypergeometric(
+        gen, kJointCounts, kJointSample))];
     // Naive urn: a flat pool of 12 labelled balls, 6 drawn one at a time.
     std::vector<std::int64_t> pool;
-    for (std::size_t i = 0; i < counts.size(); ++i)
-      pool.insert(pool.end(), static_cast<std::size_t>(counts[i]),
+    for (std::size_t i = 0; i < kJointCounts.size(); ++i)
+      pool.insert(pool.end(), static_cast<std::size_t>(kJointCounts[i]),
                   static_cast<std::int64_t>(i));
-    std::vector<std::int64_t> out(counts.size(), 0);
-    for (std::int64_t t = 0; t < kSample; ++t) {
+    std::vector<std::int64_t> out(kJointCounts.size(), 0);
+    for (std::int64_t t = 0; t < kJointSample; ++t) {
       const auto pick = static_cast<std::size_t>(divpp::rng::uniform_below(
           ref_gen, static_cast<std::int64_t>(pool.size())));
       ++out[static_cast<std::size_t>(pool[pick])];
       pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(pick));
     }
-    ++naive_hits[key(out)];
+    ++naive_hits[joint_key(out)];
   }
-  std::vector<double> pmf_vec;
-  std::vector<std::int64_t> fast_vec, naive_vec;
-  for (const auto& [k, p] : pmf) {
-    pmf_vec.push_back(p);
-    fast_vec.push_back(fast_hits[k]);
-    naive_vec.push_back(naive_hits[k]);
+  const double crit = chi2_crit(joint_pmf().size() - 1);
+  EXPECT_LT(joint_chi_square(fast_hits, kDraws), crit);
+  EXPECT_LT(joint_chi_square(naive_hits, kDraws), crit);
+}
+
+TEST(MultivariateHypergeometricChiSquare, MultinomialPathJointPinned) {
+  // The corrected-multinomial kernel driven directly at the joint-pin
+  // shape, far outside its dispatch range (8·6² > 12).  A plain
+  // Multinomial(6; 4/12, 3/12, 5/12) puts ~6% of its mass beyond some
+  // count and misweights the rest, so only the exact acceptance step
+  // passes this pin.
+  const std::int64_t kDraws = scaled(120'000);
+  Xoshiro256 gen(45);
+  std::vector<std::int64_t> out(kJointCounts.size());
+  std::map<std::int64_t, std::int64_t> hits;
+  for (std::int64_t d = 0; d < kDraws; ++d) {
+    divpp::rng::multivariate_hypergeometric_multinomial(gen, kJointCounts,
+                                                        kJointSample, out);
+    ++hits[joint_key(out)];
   }
-  const double crit = chi2_crit(pmf_vec.size() - 1);
-  EXPECT_LT(chi_square(fast_vec, pmf_vec, kDraws), crit);
-  EXPECT_LT(chi_square(naive_vec, pmf_vec, kDraws), crit);
+  EXPECT_LT(joint_chi_square(hits, kDraws), chi2_crit(joint_pmf().size() - 1));
 }
 
 // ---- full_pairs (uniform-matching slot occupancy) --------------------------
@@ -618,6 +693,83 @@ TEST(MultivariateHypergeometricChiSquare, ChainPathMarginalPinned) {
     return divpp::rng::multivariate_hypergeometric(gen, counts, kSample)[0];
   });
   EXPECT_LT(chi_square(hits, pmf, kDraws), chi2_crit(pmf.size() - 1));
+}
+
+TEST(MultivariateHypergeometricChiSquare, MultinomialPathMarginalPinned) {
+  // 38 draws from a pool of 12000 take the multinomial path (8·38² =
+  // 11552 <= 12000); the first marginal is exactly
+  // Hypergeometric(12000, 4000, 38).
+  const std::vector<std::int64_t> counts = {4000, 3000, 5000};
+  constexpr std::int64_t kSample = 38;
+  ASSERT_TRUE(
+      divpp::rng::multivariate_hypergeometric_uses_multinomial(12'000, kSample));
+  const std::int64_t kDraws = scaled(120'000);
+  constexpr std::int64_t kLo = 4, kHi = 22;
+  std::vector<double> pmf(static_cast<std::size_t>(kHi - kLo + 1), 0.0);
+  for (std::int64_t x = 0; x <= kSample; ++x)
+    pmf[static_cast<std::size_t>(std::clamp(x, kLo, kHi) - kLo)] +=
+        hypergeometric_pmf(12'000, 4000, kSample, x);
+  Xoshiro256 gen(46);
+  const auto hits = histogram(kLo, kHi, kDraws, [&] {
+    return divpp::rng::multivariate_hypergeometric(gen, counts, kSample)[0];
+  });
+  EXPECT_LT(chi_square(hits, pmf, kDraws), chi2_crit(pmf.size() - 1));
+}
+
+TEST(MultivariateHypergeometricMultinomial, DispatchPredicateMatchesCutoffs) {
+  using divpp::rng::multivariate_hypergeometric_uses_multinomial;
+  // Samples of at most 32 draws stay on the urn at any pool.
+  EXPECT_FALSE(multivariate_hypergeometric_uses_multinomial(100'000'000, 32));
+  // Above it 8·draws² <= pool decides: 8·33² = 8712.
+  EXPECT_TRUE(multivariate_hypergeometric_uses_multinomial(8712, 33));
+  EXPECT_FALSE(multivariate_hypergeometric_uses_multinomial(8711, 33));
+  // The collision chain's colour splits at n = 10⁸.
+  EXPECT_TRUE(multivariate_hypergeometric_uses_multinomial(100'000'000, 182));
+  EXPECT_TRUE(
+      multivariate_hypergeometric_uses_multinomial(100'000'000, 2940));
+  // A pool of 16384: 45 draws take it, 46 stay on the chain.
+  EXPECT_TRUE(multivariate_hypergeometric_uses_multinomial(16'384, 45));
+  EXPECT_FALSE(multivariate_hypergeometric_uses_multinomial(16'384, 46));
+  // No overflow where draws² leaves the int64 range.
+  EXPECT_TRUE(multivariate_hypergeometric_uses_multinomial(
+      4'000'000'000'000'000'000, 700'000'000));
+  EXPECT_FALSE(multivariate_hypergeometric_uses_multinomial(
+      4'000'000'000'000'000'000, 1'000'000'000));
+  EXPECT_THROW(
+      (void)multivariate_hypergeometric_uses_multinomial(10, 11),
+      std::invalid_argument);
+}
+
+TEST(MultivariateHypergeometricMultinomial, DispatcherBitIdenticalToKernel) {
+  // Where the predicate holds, the dispatcher is the multinomial kernel
+  // draw for draw, consuming the identical RNG stream; empty categories
+  // take nothing and every split conserves the sample.
+  Xoshiro256 gen_a(47);
+  Xoshiro256 gen_b(47);
+  const std::vector<std::int64_t> k8(8, 12'500'000);
+  const std::vector<std::int64_t> uneven = {0, 40'000'000, 0, 60'000'000};
+  for (const auto& [counts, draws] :
+       {std::pair<std::vector<std::int64_t>, std::int64_t>{k8, 182},
+        {k8, 2940},
+        {uneven, 500},
+        {{4000, 3000, 5000}, 38}}) {
+    const std::int64_t pool =
+        std::accumulate(counts.begin(), counts.end(), std::int64_t{0});
+    ASSERT_TRUE(
+        divpp::rng::multivariate_hypergeometric_uses_multinomial(pool, draws));
+    std::vector<std::int64_t> out(counts.size());
+    for (int i = 0; i < 300; ++i) {
+      divpp::rng::multivariate_hypergeometric_multinomial(gen_b, counts,
+                                                          draws, out);
+      ASSERT_EQ(divpp::rng::multivariate_hypergeometric(gen_a, counts, draws),
+                out);
+      ASSERT_EQ(gen_a, gen_b);
+      ASSERT_EQ(std::accumulate(out.begin(), out.end(), std::int64_t{0}),
+                draws);
+      for (std::size_t j = 0; j < counts.size(); ++j)
+        ASSERT_TRUE(counts[j] > 0 || out[j] == 0) << "category " << j;
+    }
+  }
 }
 
 // ---- the HRUA rejection regime (PR 4) --------------------------------------

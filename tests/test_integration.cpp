@@ -215,9 +215,13 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParams{1024, {1.0, 1.0, 8.0}, 16},
         SweepParams{2048, {1.0, 2.0}, 17}),
     [](const ::testing::TestParamInfo<SweepParams>& info) {
-      return "n" + std::to_string(info.param.n) + "_k" +
-             std::to_string(info.param.weights.size()) + "_s" +
-             std::to_string(info.param.seed);
+      std::string name = "n";
+      name += std::to_string(info.param.n);
+      name += "_k";
+      name += std::to_string(info.param.weights.size());
+      name += "_s";
+      name += std::to_string(info.param.seed);
+      return name;
     });
 
 class TopologySweep : public ::testing::TestWithParam<std::string> {};

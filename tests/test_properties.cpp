@@ -130,9 +130,13 @@ INSTANTIATE_TEST_SUITE_P(
                       SplitParams{{1.0, 2.0, 4.0, 8.0}, 2000},
                       SplitParams{{5.0, 5.0}, 1000}),
     [](const ::testing::TestParamInfo<SplitParams>& info) {
-      return "k" + std::to_string(info.param.weights.size()) + "_n" +
-             std::to_string(info.param.n) + "_i" +
-             std::to_string(info.index);
+      std::string name = "k";
+      name += std::to_string(info.param.weights.size());
+      name += "_n";
+      name += std::to_string(info.param.n);
+      name += "_i";
+      name += std::to_string(info.index);
+      return name;
     });
 
 // ---- beyond the paper's start: mixed shades still converge ----------------
