@@ -24,6 +24,7 @@
 namespace {
 
 using divpp::core::CountSimulation;
+using divpp::core::Engine;
 using divpp::core::Equilibrium;
 using divpp::core::WeightMap;
 
@@ -36,7 +37,7 @@ std::pair<double, double> windowed_sup(const WeightMap& weights,
   divpp::rng::Xoshiro256 gen(seed);
   const auto tau = static_cast<std::int64_t>(
       3.0 * divpp::core::convergence_time_scale(n, weights.total()));
-  sim.advance_to(tau, gen);
+  sim.advance_with(Engine::kJump, tau, gen);
   const Equilibrium eq = divpp::core::equilibrium_shares(weights);
   const double envelope = divpp::core::theorem213_envelope(n, 1.0);
   const double dn = static_cast<double>(n);
@@ -44,7 +45,7 @@ std::pair<double, double> windowed_sup(const WeightMap& weights,
   double light_sup = 0.0;
   const std::int64_t probe = std::max<std::int64_t>(n / 4, 64);
   while (sim.time() < tau + window) {
-    sim.advance_to(sim.time() + probe, gen);
+    sim.advance_with(Engine::kJump, sim.time() + probe, gen);
     for (divpp::core::ColorId i = 0; i < sim.num_colors(); ++i) {
       const auto idx = static_cast<std::size_t>(i);
       dark_sup = std::max(

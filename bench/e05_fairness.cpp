@@ -109,10 +109,9 @@ int run_sweep(const divpp::io::Args& args, bool smoke,
             : args.get_int_list("ns",
                                 {100'000, 1'000'000, 10'000'000, 100'000'000});
   for (const std::int64_t n : ns) {
-    if (n < 64 || n > kMaxPopulation) {
-      std::cerr << "e05_fairness: --ns entries must be in [64, 1e9] (got "
-                << n << "); below 64 every tagged engine falls back to the "
-                   "step loop anyway\n";
+    if (n < 2 || n > kMaxPopulation) {
+      std::cerr << "e05_fairness: --ns entries must be in [2, 1e9] (got "
+                << n << "); the cap is a wall-clock budget guard\n";
       return 1;
     }
   }

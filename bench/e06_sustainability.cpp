@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
     divpp::rng::Xoshiro256 gen(51 + static_cast<std::uint64_t>(s));
     divpp::analysis::SustainabilityMonitor monitor(3);
     while (sim.time() < steps_mult * n) {
-      sim.advance_to(sim.time() + n, gen);
+      sim.advance_with(divpp::core::Engine::kJump, sim.time() + n, gen);
       monitor.observe(sim.dark_counts(), sim.time());
     }
     diversification_deaths += monitor.colors_died();

@@ -6,7 +6,7 @@
 // topologies, the BatchRunner pool running tagged replicas at one
 // thread and at one per hardware thread, the v2 checkpoint
 // encode/decode the sweep pays at every window boundary, and one batch
-// window at the sweep's shapes through run_batched and through the
+// window at the sweep's shapes through Engine::kBatch and through the
 // collision chain alone.
 //
 // The Fenwick count chain and the devirtualised agent step each have a
@@ -38,6 +38,7 @@
 namespace {
 
 using divpp::core::CountSimulation;
+using divpp::core::Engine;
 using divpp::core::TaggedCountSimulation;
 using divpp::core::WeightMap;
 using divpp::rng::Xoshiro256;
@@ -398,7 +399,7 @@ void BM_CountJumpAdvance(benchmark::State& state) {
   Xoshiro256 gen(9);
   // Measure per-simulated-step cost: each iteration advances 1024 steps.
   for (auto _ : state) {
-    sim.advance_to(sim.time() + 1024, gen);
+    sim.advance_with(Engine::kJump, sim.time() + 1024, gen);
     benchmark::DoNotOptimize(sim.total_dark());
   }
   state.SetItemsProcessed(state.iterations() * 1024);
@@ -460,7 +461,7 @@ CountSimulation checkpointed_run(std::int64_t k, Xoshiro256& gen) {
   for (std::int64_t i = 0; i < k; ++i)
     w[static_cast<std::size_t>(i)] = 1.0 + static_cast<double>(i % 4);
   auto sim = CountSimulation::proportional_start(WeightMap(std::move(w)), 4096);
-  sim.run_auto(4096, gen);
+  sim.advance_with(Engine::kAuto, 4096, gen);
   return sim;
 }
 
@@ -492,7 +493,7 @@ BENCHMARK(BM_CheckpointV2Decode)->Arg(3)->Arg(16);
 
 // One 4096-interaction batch window at the sweep's shapes (weights
 // cycling 1..4, proportional start warmed up for 8n interactions), once
-// through run_batched — which walks agent labels or runs the collision
+// through Engine::kBatch — which walks agent labels or runs the collision
 // chain, as its cost rule picks — and once through the chain alone.  The
 // two rows per shape are the crossover data behind the rule's constants.
 constexpr std::int64_t kBatchWindow = 4096;
@@ -503,7 +504,7 @@ CountSimulation warm_sweep_state(std::int64_t n, std::int64_t k,
   for (std::int64_t i = 0; i < k; ++i)
     w[static_cast<std::size_t>(i)] = 1.0 + static_cast<double>(i % 4);
   auto sim = CountSimulation::proportional_start(WeightMap(std::move(w)), n);
-  sim.advance_to(8 * n, gen);
+  sim.advance_with(Engine::kJump, 8 * n, gen);
   return sim;
 }
 
@@ -511,7 +512,7 @@ void BM_RunBatchedWindow(benchmark::State& state) {
   Xoshiro256 gen(17);
   auto sim = warm_sweep_state(state.range(0), state.range(1), gen);
   for (auto _ : state) {
-    sim.run_batched(sim.time() + kBatchWindow, gen);
+    sim.advance_with(Engine::kBatch, sim.time() + kBatchWindow, gen);
     benchmark::DoNotOptimize(sim.total_dark());
   }
   state.SetItemsProcessed(state.iterations() * kBatchWindow);

@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
       const bool all_found =
           phase1_done && phi_time >= 0 && psi_time >= 0 && sigma_time >= 0;
       if (all_found) break;
-      sim.advance_to(sim.time() + probe, gen);
+      sim.advance_with(divpp::core::Engine::kJump, sim.time() + probe, gen);
     }
     const auto norm = [&](std::int64_t t) {
       return t < 0 ? std::string("—")

@@ -21,8 +21,7 @@
 //        --seed=99
 //        --pr4-json=FILE     write the machine-readable summary object
 //                            (BENCH_pr4.json in the repo root records the
-//                            committed perf trajectory; --pr3-json is
-//                            accepted as an alias for older harnesses)
+//                            committed perf trajectory)
 //        --smoke             CI guard: n = 10⁶ only, and exit non-zero
 //                            unless batch ≥ 2× step throughput AND auto
 //                            ≥ 0.9× max(jump, batch)
@@ -119,8 +118,7 @@ int main(int argc, char** argv) {
   const double w = args.get_double("w", 4.0);
   const std::int64_t window_flag = args.get_int("window", 0);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 99));
-  const std::string json_path =
-      args.get_string("pr4-json", args.get_string("pr3-json", ""));
+  const std::string json_path = args.get_string("pr4-json", "");
   args.reject_unknown();
   const WeightMap weights(
       std::vector<double>(static_cast<std::size_t>(k), w));

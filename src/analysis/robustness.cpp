@@ -14,7 +14,7 @@ RecoveryReport measure_recovery(core::CountSimulation sim,
   const auto settle = static_cast<std::int64_t>(
       config.settle_multiplier *
       core::convergence_time_scale(sim.n(), sim.weights().total()));
-  sim.advance_to(sim.time() + settle, gen);
+  sim.advance_with(core::Engine::kJump, sim.time() + settle, gen);
 
   adversary::apply_event(sim, event);
   RecoveryReport report;

@@ -223,32 +223,6 @@ std::int64_t CollisionBatcher::advance(std::span<std::int64_t> dark,
   return consumed;
 }
 
-std::int64_t CollisionBatcher::advance_excluding(
-    std::span<std::int64_t> dark, std::span<std::int64_t> light,
-    core::ColorId excluded_color, bool excluded_dark, std::int64_t budget,
-    rng::Xoshiro256& gen) {
-  const auto k = static_cast<std::size_t>(k_);
-  if (dark.size() != k || light.size() != k)
-    throw std::invalid_argument("CollisionBatcher: span size mismatch");
-  if (excluded_color < 0 || static_cast<std::size_t>(excluded_color) >= k)
-    throw std::out_of_range(
-        "CollisionBatcher::advance_excluding: colour out of range");
-  std::int64_t& cell = excluded_dark
-                           ? dark[static_cast<std::size_t>(excluded_color)]
-                           : light[static_cast<std::size_t>(excluded_color)];
-  if (cell < 1)
-    throw std::invalid_argument(
-        "CollisionBatcher::advance_excluding: excluded cell is empty");
-  // Conditioned on the excluded agent sitting a stretch out, the stretch
-  // is a plain collision batch of the remaining n − 1 agents: remove the
-  // agent, advance, put it back.
-  --cell;
-  const std::int64_t consumed = advance(dark, light, budget, gen);
-  (excluded_dark ? dark[static_cast<std::size_t>(excluded_color)]
-                 : light[static_cast<std::size_t>(excluded_color)]) += 1;
-  return consumed;
-}
-
 void CollisionBatcher::draw_tagged_involvement(
     rng::Xoshiro256& gen, std::int64_t n, std::int64_t window,
     std::vector<std::int64_t>& positions) {

@@ -57,13 +57,13 @@
 /// sweeps tractable (bench e20_batch, BENCH_pr4.json).  The fixed cost
 /// per batch also means that at small n, where a batch covers only
 /// ~10–80 interactions, the chain loses to walking the scheduler
-/// directly: CountSimulation::run_batched hands it only the windows its
+/// directly: CountSimulation's batch engine hands it only the windows its
 /// cost rule gives it (a pure function of n, k and the window length)
 /// and walks agent labels for the rest.
 ///
 /// Distributional contract: a run assembled from these batches has
 /// *exactly* the law of the single-step chain.  Tests drive advance()
-/// directly, so the pins hold whatever run_batched picks: per-window
+/// directly, so the pins hold whatever the batch engine picks: per-window
 /// count distributions against step() at n = 2000
 /// (tests/test_batch.cpp), the exact pmf of the dense lumped chain at
 /// n = 6 (tests/test_count_simulation.cpp), and a golden draw stream at
@@ -161,25 +161,6 @@ class CollisionBatcher {
   std::int64_t advance(std::span<std::int64_t> dark,
                        std::span<std::int64_t> light, std::int64_t budget,
                        rng::Xoshiro256& gen);
-
-  /// Exclude-one-agent entry of the draw chain: advances the
-  /// configuration as advance() does, but with one distinguished agent
-  /// (shade `excluded_dark`, colour `excluded_color`) held out of every
-  /// participant draw — the batch runs on the counts minus that agent, so
-  /// no interaction of the stretch can relocate it.  This is the
-  /// count-level conditional law behind the batched tagged engine
-  /// (core::TaggedCountSimulation): conditioned on the tagged agent not
-  /// taking part in a stretch, the stretch is a plain collision batch of
-  /// the remaining n − 1 agents — mirroring the step-mode rule that draws
-  /// the initiator from the counts minus the tagged agent.
-  /// The excluded cell is restored before returning, so the spans keep
-  /// the full population.  \pre the excluded cell's count >= 1; the
-  /// population minus the excluded agent still has >= 2 agents.
-  std::int64_t advance_excluding(std::span<std::int64_t> dark,
-                                 std::span<std::int64_t> light,
-                                 core::ColorId excluded_color,
-                                 bool excluded_dark, std::int64_t budget,
-                                 rng::Xoshiro256& gen);
 
   /// Tagged-involvement law (public test hook; PR 5).  Each interaction
   /// of the scheduler picks a fixed agent as initiator with probability

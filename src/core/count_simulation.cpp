@@ -221,18 +221,13 @@ double CountSimulation::active_probability() const noexcept {
 
 namespace {
 
-/// Below this size every tagged engine falls back to the step loop,
-/// bit-identically, and the auto engine picks the jump chain.  It serves
-/// those two only: run_batched picks the label walk or the collision
-/// chain per window (label_walk_wins).  Distributionally the cutoff is
-/// invisible.
-constexpr std::int64_t kBatchMinPopulation = 64;
-
 /// The tagged decomposition draws involvement positions one window chunk
-/// at a time so the position buffer stays bounded (expected 2·chunk/n
-/// entries, worst case at the smallest batched n).  Chunking is exact:
-/// involvement indicators are i.i.d. per interaction, so Binomial counts
-/// over disjoint chunks compose.
+/// at a time so the position buffer stays bounded: a chunk is 2²²
+/// interactions, and at most n·2¹⁶ of them, so it holds 2·chunk/n <= 2¹⁷
+/// positions in expectation at every n (the 2²² chunk alone would put
+/// them all into the buffer at n = 2).  Chunking is exact: involvement
+/// indicators are i.i.d. per interaction, so Binomial counts over
+/// disjoint chunks compose.
 constexpr std::int64_t kTaggedInvolvementChunk = 1 << 22;
 
 // ---- auto-engine cost model ------------------------------------------
@@ -248,7 +243,7 @@ constexpr std::int64_t kTaggedInvolvementChunk = 1 << 22;
 constexpr double kAutoJumpNsPerTransition = 70.0;
 constexpr double kAutoBatchNsBase = 1400.0;
 constexpr double kAutoBatchNsPerColor = 225.0;
-/// The label walk (run_batched's other path) pays a roughly flat cost
+/// The label walk (the batch engine's other path) pays a roughly flat cost
 /// per interaction — two uniform draws, two label loads, a fade coin for
 /// same-colour dark pairs — plus an O(n) labelling pass per window.
 /// e15's BM_RunBatchedWindow and BM_CollisionBatcherAdvance rows at the
@@ -294,7 +289,7 @@ double chain_ns_per_interaction(std::int64_t n, std::int64_t k,
          effective_stretch;
 }
 
-/// Whether run_batched walks a window of `window` interactions over agent
+/// Whether the batch engine walks a window of `window` interactions over agent
 /// labels instead of running the collision chain: a pure function of
 /// (n, k, window), so a window's draws never depend on a timing.
 bool label_walk_wins(std::int64_t n, std::int64_t k,
@@ -413,33 +408,6 @@ CountStepOutcome CountSimulation::step(rng::Xoshiro256& gen) {
   return outcome;
 }
 
-void CountSimulation::run_to(std::int64_t target_time, rng::Xoshiro256& gen) {
-  if (target_time < time_)
-    throw std::invalid_argument("run_to: target time is in the past");
-  drive(Engine::kStep, target_time, gen);
-}
-
-void CountSimulation::advance_to(std::int64_t target_time,
-                                 rng::Xoshiro256& gen) {
-  if (target_time < time_)
-    throw std::invalid_argument("advance_to: target time is in the past");
-  drive(Engine::kJump, target_time, gen);
-}
-
-void CountSimulation::run_batched(std::int64_t target_time,
-                                  rng::Xoshiro256& gen) {
-  if (target_time < time_)
-    throw std::invalid_argument("run_batched: target time is in the past");
-  drive(Engine::kBatch, target_time, gen);
-}
-
-void CountSimulation::run_auto(std::int64_t target_time,
-                               rng::Xoshiro256& gen) {
-  if (target_time < time_)
-    throw std::invalid_argument("run_auto: target time is in the past");
-  drive(Engine::kAuto, target_time, gen);
-}
-
 void CountSimulation::advance_with(Engine engine, std::int64_t target_time,
                                    rng::Xoshiro256& gen) {
   if (target_time < time_)
@@ -537,21 +505,21 @@ void CountSimulation::drive(Engine engine, std::int64_t target_time,
 void CountSimulation::advance_core(Engine engine, std::int64_t target_time,
                                    rng::Xoshiro256& gen) {
   switch (engine) {
-    case Engine::kStep: run_to_impl(target_time, gen); return;
-    case Engine::kJump: advance_to_impl(target_time, gen); return;
-    case Engine::kBatch: run_batched_impl(target_time, gen); return;
-    case Engine::kAuto: run_auto_impl(target_time, gen); return;
+    case Engine::kStep: step_to(target_time, gen); return;
+    case Engine::kJump: jump_to(target_time, gen); return;
+    case Engine::kBatch: batch_to(target_time, gen); return;
+    case Engine::kAuto: auto_to(target_time, gen); return;
   }
   throw std::logic_error("advance_core: unknown engine");
 }
 
-void CountSimulation::run_to_impl(std::int64_t target_time,
-                                  rng::Xoshiro256& gen) {
+void CountSimulation::step_to(std::int64_t target_time,
+                              rng::Xoshiro256& gen) {
   while (time_ < target_time) (void)step(gen);
 }
 
-void CountSimulation::advance_to_impl(std::int64_t target_time,
-                                      rng::Xoshiro256& gen) {
+void CountSimulation::jump_to(std::int64_t target_time,
+                              rng::Xoshiro256& gen) {
   const double denom = static_cast<double>(n_) * static_cast<double>(n_ - 1);
   // Uniformisation: candidate steps arrive at a cached rate p̄ >= p
   // (here as the candidate weight p̄·denom), each accepted with
@@ -625,8 +593,8 @@ void CountSimulation::advance_to_impl(std::int64_t target_time,
   }
 }
 
-void CountSimulation::run_batched_impl(std::int64_t target_time,
-                                       rng::Xoshiro256& gen) {
+void CountSimulation::batch_to(std::int64_t target_time,
+                               rng::Xoshiro256& gen) {
   if (label_walk_wins(n_, num_colors(), target_time - time_)) {
     run_label_walk(target_time, gen);
     return;
@@ -739,25 +707,21 @@ double CountSimulation::active_fraction_estimate() const noexcept {
 
 Engine CountSimulation::pick_auto_engine(
     std::int64_t window) const noexcept {
-  // Tiny populations: a batch there covers a handful of interactions,
-  // and the jump chain skips the no-ops.
-  if (n_ < kBatchMinPopulation) return Engine::kJump;
   const double jump_ns =
       kAutoJumpNsPerTransition * active_fraction_estimate();
   const double batch_ns = chain_ns_per_interaction(n_, num_colors(), window);
   return batch_ns < jump_ns ? Engine::kBatch : Engine::kJump;
 }
 
-void CountSimulation::run_auto_impl(std::int64_t target_time,
-                                    rng::Xoshiro256& gen) {
+void CountSimulation::auto_to(std::int64_t target_time,
+                              rng::Xoshiro256& gen) {
   const std::int64_t window = target_time - time_;
-  if (window <= 0) return;
   const Engine engine = pick_auto_engine(window);
   const std::int64_t before = active_transitions_;
   if (engine == Engine::kJump) {
-    advance_to_impl(target_time, gen);
+    jump_to(target_time, gen);
   } else {
-    run_batched_impl(target_time, gen);
+    batch_to(target_time, gen);
   }
   if (window < kAutoEwmaMinWindow) return;  // too noisy to learn from
   const double measured =
@@ -881,14 +845,7 @@ void TaggedCountSimulation::step(rng::Xoshiro256& gen) {
 void TaggedCountSimulation::advance_with(Engine engine,
                                          std::int64_t target_time,
                                          rng::Xoshiro256& gen) {
-  if (target_time < sim_.time_)
-    throw std::invalid_argument(
-        "TaggedCountSimulation::advance_with: target time is in the past");
-  if (engine == Engine::kStep || sim_.n_ < kBatchMinPopulation) {
-    run_steps(target_time, gen, nullptr);
-  } else {
-    run_decomposed(engine, target_time, gen, nullptr);
-  }
+  advance(engine, target_time, gen, nullptr);
 }
 
 void TaggedCountSimulation::run_changes(Engine engine,
@@ -898,13 +855,19 @@ void TaggedCountSimulation::run_changes(Engine engine,
   if (!on_change)
     throw std::invalid_argument(
         "TaggedCountSimulation::run_changes: empty observer");
+  advance(engine, target_time, gen, &on_change);
+}
+
+void TaggedCountSimulation::advance(Engine engine, std::int64_t target_time,
+                                    rng::Xoshiro256& gen,
+                                    const ChangeObserver* on_change) {
   if (target_time < sim_.time_)
     throw std::invalid_argument(
-        "TaggedCountSimulation::run_changes: target time is in the past");
-  if (engine == Engine::kStep || sim_.n_ < kBatchMinPopulation) {
-    run_steps(target_time, gen, &on_change);
+        "TaggedCountSimulation: target time is in the past");
+  if (engine == Engine::kStep) {
+    run_steps(target_time, gen, on_change);
   } else {
-    run_decomposed(engine, target_time, gen, &on_change);
+    run_decomposed(engine, target_time, gen, on_change);
   }
 }
 
@@ -929,9 +892,11 @@ void TaggedCountSimulation::run_decomposed(Engine engine,
   // interaction is a uniform ordered pair of the remaining n − 1 agents —
   // a standard lumped chain `engine` advances at full speed, which by
   // construction can never relocate the tagged agent (the run-scope form
-  // of batch::CollisionBatcher::advance_excluding's per-call conditioning
-  // and of step()'s counts-minus-tagged initiator draw).
+  // of step()'s counts-minus-tagged initiator draw).
   const std::int64_t n = sim_.n_;
+  // min(2²², n·2¹⁶), without overflow at any n.
+  const std::int64_t max_chunk =
+      std::min(n, kTaggedInvolvementChunk >> 16) << 16;
   // The tagged agent's own cell must still hold it (used-set ⊆ support):
   // anything else means the hold-out bookkeeping leaked.
   SIM_ASSERT((tagged_.is_dark() ? sim_.dark(tagged_.color)
@@ -949,7 +914,7 @@ void TaggedCountSimulation::run_decomposed(Engine engine,
   const Reseat reseat{*this};
   while (sim_.time_ < target_time) {
     const std::int64_t chunk =
-        std::min(target_time - sim_.time_, kTaggedInvolvementChunk);
+        std::min(target_time - sim_.time_, max_chunk);
     const std::int64_t chunk_start = sim_.time_;
     batch::CollisionBatcher::draw_tagged_involvement(gen, n, chunk,
                                                      involvement_);

@@ -11,23 +11,28 @@
 /// and O(k) memory — independent of n — which is what makes the paper's
 /// n-scaling experiments tractable.
 ///
-/// Two stepping modes are provided and are distributionally identical:
-///  * step()          — one time-step, including no-ops;
-///  * advance_to()    — "jump chain": skips the geometric runs of no-op
+/// step() takes one time-step, no-ops included.  Every longer run is
+/// advance_with(engine, target, gen), and its four engines are
+/// distributionally identical:
+///  * Engine::kStep  — step() until the target;
+///  * Engine::kJump  — the "jump chain": skips the geometric runs of no-op
 ///    steps between state changes and applies one active transition at
 ///    the end of each.  It is uniformised: candidate steps come at a
 ///    cached rate p̄ >= p (gaps ⌊E/λ̄⌋ with E from rng::exponential and
 ///    λ̄ = −log1p(−p̄) re-derived only when p leaves [p̄/s², p̄]), and one
 ///    uniform per candidate both thins it to rate p and picks the
 ///    transition.  Near equilibrium only a Θ(1/W) fraction of steps are
-///    active, so this is several times faster for long windows.
+///    active, so this is several times faster for long windows;
+///  * Engine::kBatch — collision batches (batch/collision_batch.h), or a
+///    walk of the scheduler over agent labels for small windows;
+///  * Engine::kAuto  — jump or batch per window, from a cost model.
 ///
-/// Both modes run on the sum-tree samplers of sampling/fenwick.h: class
-/// and flip-propensity draws cost O(log k) per transition, and the
-/// adopt/flip propensities are maintained by O(log k) point updates
-/// instead of an O(k) rebuild per active transition — the standard
-/// kinetic-Monte-Carlo organisation, which is what makes large-k sweeps
-/// (E17) tractable.
+/// The step and jump engines run on the sum-tree samplers of
+/// sampling/fenwick.h: class and flip-propensity draws cost O(log k) per
+/// transition, and the adopt/flip propensities are maintained by
+/// O(log k) point updates instead of an O(k) rebuild per active
+/// transition — the standard kinetic-Monte-Carlo organisation, which is
+/// what makes large-k sweeps (E17) tractable.
 ///
 /// TaggedCountSimulation additionally carries one distinguished agent
 /// through the lumped dynamics (exactly — see the class comment), which
@@ -62,15 +67,33 @@ struct CountStepOutcome {
   ColorId to = -1;    ///< adopt: colour gaining a dark agent; fade: == from
 };
 
-/// The distributionally identical stepping engines of the lumped chain:
-/// plain per-interaction stepping (run_to), the jump chain that skips
-/// no-op stretches (advance_to), the collision-batch engine that applies
-/// whole stretches of distinct-agent interactions in aggregate
-/// (run_batched), and the auto engine that picks jump or batch per
-/// window from a cost model (run_auto) — kAuto consumes the same RNG
-/// stream as whichever engine it delegates to, so it is as exact as
-/// they are.
-enum class Engine { kStep, kJump, kBatch, kAuto };
+/// The distributionally identical engines of the lumped chain, one per
+/// advance_with call.  Their RNG draw *sequences* differ (see the README
+/// reproducibility note).
+enum class Engine {
+  /// Plain per-interaction stepping: step() until the target.
+  kStep,
+  /// The jump chain (see the file comment): skips no-op stretches in O(1)
+  /// each.  The candidate rate p̄ is local to the call, so splitting a
+  /// window at the same boundaries replays the same draws.
+  kJump,
+  /// The collision-batch engine (batch/collision_batch.h): applies whole
+  /// collision-free stretches of interactions in aggregate — amortised
+  /// sub-constant work per interaction at large n.  Windows too small for
+  /// a batch to pay (a pure function of n, k and the window length)
+  /// instead walk the scheduler over one label per agent.
+  kBatch,
+  /// Auto-adaptive: treats the call as one window, predicts the
+  /// per-interaction cost of the jump chain (∝ its per-transition
+  /// constant × the EWMA active fraction) and of the collision chain
+  /// (∝ its per-batch constant over the expected collision-free stretch
+  /// clamped by the window), runs the cheaper engine, then folds the
+  /// measured active fraction into the EWMA.  Consumes exactly the RNG
+  /// stream of the engine it delegates to, so it is as exact as they
+  /// are.  Up to n = 1,300 the predicted chain cost exceeds any jump
+  /// cost, so small populations always take the jump chain.
+  kAuto,
+};
 
 /// Parses "step" / "jump" / "batch" / "auto" (bench --engine flags).
 /// \throws std::invalid_argument naming the valid set on anything else.
@@ -160,35 +183,9 @@ class CountSimulation {
   /// Executes exactly one time-step (possibly a no-op).
   CountStepOutcome step(rng::Xoshiro256& gen);
 
-  /// Runs plain steps until time() == target_time.  \pre target >= time().
-  void run_to(std::int64_t target_time, rng::Xoshiro256& gen);
-
-  /// Jump-chain run: advances until time() == target_time, skipping no-op
-  /// stretches in O(1) each (see the file comment).  Distributionally
-  /// identical to run_to.  The candidate rate p̄ is local to the call, so
-  /// splitting a window at the same boundaries replays the same draws.
-  void advance_to(std::int64_t target_time, rng::Xoshiro256& gen);
-
-  /// Collision-batch run (batch/collision_batch.h): advances until
-  /// time() == target_time applying whole collision-free stretches of
-  /// interactions in aggregate — amortised sub-constant work per
-  /// interaction at large n.  Windows too small for a batch to pay (a
-  /// pure function of n, k and the window length) instead walk the
-  /// scheduler over one label per agent.  Distributionally identical to
-  /// run_to / advance_to; the RNG draw *sequence* differs from both (see
-  /// the README reproducibility note).
-  void run_batched(std::int64_t target_time, rng::Xoshiro256& gen);
-
-  /// Auto-adaptive run: treats the call as one window, predicts the
-  /// per-interaction cost of the jump chain (∝ its per-transition
-  /// constant × the EWMA active fraction) and of the batch engine
-  /// (∝ its per-batch constant over the expected collision-free stretch
-  /// clamped by the window), runs the cheaper engine, then folds the
-  /// measured active fraction into the EWMA.  Consumes exactly the RNG
-  /// stream of the engine it delegates to.
-  void run_auto(std::int64_t target_time, rng::Xoshiro256& gen);
-
-  /// Dispatches to run_to / advance_to / run_batched / run_auto.
+  /// Advances until time() == target_time with `engine`, firing every
+  /// scheduled event on the way.
+  /// \throws std::invalid_argument when target_time < time().
   void advance_with(Engine engine, std::int64_t target_time,
                     rng::Xoshiro256& gen);
 
@@ -198,15 +195,14 @@ class CountSimulation {
   /// interaction index.
   using EventAction = std::function<void(CountSimulation&)>;
 
-  /// Schedules `action` to run when time() == `when`, from inside any of
-  /// the run functions (run_to / advance_to / run_batched / run_auto /
-  /// advance_with): the driving engine splits its window at the event
+  /// Schedules `action` to run when time() == `when`, from inside
+  /// advance_with: the driving engine splits its window at the event
   /// time automatically, so callers no longer hand-split batched windows
   /// around adversary events.  Events fire in time order (ties in
   /// registration order), exactly once, after `when` interactions have
   /// been applied and before interaction `when` + 1.  The action may
   /// mutate the simulation structurally (add_agents / add_color / ...)
-  /// but must not re-enter a run function.  Returns a handle for
+  /// but must not re-enter advance_with.  Returns a handle for
   /// cancel_scheduled_event.
   /// \pre when >= time().
   std::int64_t schedule_event(std::int64_t when, EventAction action);
@@ -311,15 +307,15 @@ class CountSimulation {
   /// Rebuilds every derived structure (trees, propensities, counters)
   /// from dark_/light_ in O(k) — constructor and structural mutators.
   void rebuild_derived();
-  /// Engine cores without event awareness; the public run functions wrap
-  /// them in drive(), which splits at pending event times.
-  void run_to_impl(std::int64_t target_time, rng::Xoshiro256& gen);
-  void advance_to_impl(std::int64_t target_time, rng::Xoshiro256& gen);
-  void run_batched_impl(std::int64_t target_time, rng::Xoshiro256& gen);
-  /// run_batched's small-population path: the uniform scheduler itself,
+  /// Engine cores without event awareness; advance_with wraps them in
+  /// drive(), which splits at pending event times.
+  void step_to(std::int64_t target_time, rng::Xoshiro256& gen);
+  void jump_to(std::int64_t target_time, rng::Xoshiro256& gen);
+  void batch_to(std::int64_t target_time, rng::Xoshiro256& gen);
+  /// The batch engine's small-window path: the uniform scheduler itself,
   /// walked over one label per agent (exact by construction).
   void run_label_walk(std::int64_t target_time, rng::Xoshiro256& gen);
-  void run_auto_impl(std::int64_t target_time, rng::Xoshiro256& gen);
+  void auto_to(std::int64_t target_time, rng::Xoshiro256& gen);
   /// Advances to target_time with `engine`, firing every scheduled event
   /// at exactly its interaction index (each split segment is its own
   /// window for the auto engine).
@@ -327,7 +323,7 @@ class CountSimulation {
   void advance_core(Engine engine, std::int64_t target_time,
                     rng::Xoshiro256& gen);
   /// The auto engine's cost-model decision for a window of `window`
-  /// interactions (exposed to tests through run_auto's behaviour).
+  /// interactions (exposed to tests through kAuto's behaviour).
   [[nodiscard]] Engine pick_auto_engine(std::int64_t window) const noexcept;
   void apply_adopt(ColorId from, ColorId to) noexcept;
   void apply_fade(ColorId i) noexcept;
@@ -376,7 +372,7 @@ class CountSimulation {
   };
   std::vector<PendingEvent> pending_events_;
   std::int64_t next_event_handle_ = 0;
-  /// Lazily built by run_batched and kept across calls so windowed
+  /// Lazily built by the batch engine and kept across calls so windowed
   /// drivers (advance_with per check_every chunk) reuse the batcher's
   /// O(√n) run-length table instead of rebuilding it per window.
   /// Invalidated when the palette grows (add_color).
@@ -397,11 +393,12 @@ class CountSimulation {
 ///
 /// This yields the tagged agent's exact (colour, shade) trajectory — the
 /// object Section 2.4 approximates with the Markov chain M — while the
-/// population is simulated at O(k) per step.
+/// population is simulated at O(k) per step.  Engine::kStep runs exactly
+/// that, one step() per interaction.
 ///
-/// Since PR 5 the joint chain also runs under the jump, batch and auto
-/// engines, at the same amortised speed as the untagged engines.  The
-/// decomposition is exact: each interaction picks the tagged agent as
+/// The jump, batch and auto engines run the joint chain at the same
+/// amortised speed as the untagged engines, at every n >= 2, through a
+/// decomposition that is exact: each interaction picks the tagged agent as
 /// initiator with probability 1/n and as responder with probability 1/n,
 /// i.i.d. across interactions and independently of every other draw, so
 /// over a window of ℓ interactions the tagged agent's interactions are a
@@ -413,8 +410,8 @@ class CountSimulation {
 /// speed — and at each tagged position the partner is one plain class
 /// pick from those counts, with the rule applied exactly (the tagged
 /// agent adopts from the current lumped counts and fades at its 1/w_i
-/// rate).  Populations below the batching cutoff fall back to step(),
-/// bit-identically.
+/// rate).  At n = 2 every interaction involves the tagged agent, and the
+/// held-out chain of one agent never moves.
 class TaggedCountSimulation {
  public:
   /// Tags one agent of colour `tagged_color` with shade `tagged_dark`.
@@ -436,32 +433,20 @@ class TaggedCountSimulation {
     }
   }
 
-  // ---- engine-generalised runs (PR 5) ---------------------------------
+  // ---- engine runs ---------------------------------------------------
 
   /// Advances the joint chain to target_time with the chosen engine.
   /// All four engines are distributionally identical on the joint
-  /// (tagged colour, tagged shade, counts) law
-  /// (tests/test_tagged_batch.cpp); the RNG draw *sequence* differs
-  /// between kStep and the decomposed engines (README reproducibility
-  /// note).  kAuto delegates each collision-free segment to jump or
-  /// batch through the underlying cost model.  Scheduled events on the
-  /// wrapped simulation are not fired (same contract as step()).
+  /// (tagged colour, tagged shade, counts) law: tests/test_tagged_batch.cpp
+  /// and, exactly at n = 6, tests/test_count_simulation.cpp.  The RNG
+  /// draw *sequence* differs between kStep and the decomposed engines
+  /// (README reproducibility note).  kAuto delegates each segment between
+  /// the tagged agent's interactions to jump or batch through the
+  /// underlying cost model.  Scheduled events on the wrapped simulation
+  /// are not fired (same contract as step()).
+  /// \throws std::invalid_argument when target_time < time().
   void advance_with(Engine engine, std::int64_t target_time,
                     rng::Xoshiro256& gen);
-
-  /// Engine shorthands mirroring CountSimulation's run functions.
-  void run_to(std::int64_t target_time, rng::Xoshiro256& gen) {
-    advance_with(Engine::kStep, target_time, gen);
-  }
-  void advance_to(std::int64_t target_time, rng::Xoshiro256& gen) {
-    advance_with(Engine::kJump, target_time, gen);
-  }
-  void run_batched(std::int64_t target_time, rng::Xoshiro256& gen) {
-    advance_with(Engine::kBatch, target_time, gen);
-  }
-  void run_auto(std::int64_t target_time, rng::Xoshiro256& gen) {
-    advance_with(Engine::kAuto, target_time, gen);
-  }
 
   /// Called at every tagged-agent state change with the time-step index
   /// at which `new_state` takes effect (the pre-step clock of the
@@ -485,8 +470,12 @@ class TaggedCountSimulation {
   void canonicalize() { sim_.canonicalize(); }
 
  private:
-  /// Step-mode run shared by the kStep engine and the small-population
-  /// fallback; bit-identical to a plain step() loop.
+  /// advance_with and run_changes: checks the target, then runs kStep
+  /// through run_steps and every other engine through run_decomposed.
+  void advance(Engine engine, std::int64_t target_time,
+               rng::Xoshiro256& gen, const ChangeObserver* on_change);
+  /// The kStep engine, a plain step() loop: the reference the tagged law
+  /// tests compare the decomposed engines against.
   void run_steps(std::int64_t target_time, rng::Xoshiro256& gen,
                  const ChangeObserver* on_change);
   /// The Binomial-involvement decomposition driving kJump/kBatch/kAuto.

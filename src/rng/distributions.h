@@ -95,7 +95,7 @@ inline constexpr std::int64_t kGeometricFailuresCeiling =
 /// sequences aligned across engines that special-case certain steps);
 /// when p is so small that inversion exceeds the int64 range the result
 /// is clamped to kGeometricFailuresCeiling (see its comment).
-/// CountSimulation::advance_to draws the same law as ⌊exponential() / λ⌋
+/// The jump chain, kJump, draws the same law as ⌊exponential() / λ⌋
 /// with λ = −log1p(−p) cached across draws: one transcendental call per
 /// change of p instead of two per draw.  The other callers keep this
 /// inversion, and e15's BM_GeometricFailures times it as the reference.

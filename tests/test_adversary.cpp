@@ -21,6 +21,7 @@ using divpp::adversary::PartialRecolor;
 using divpp::adversary::RemoveColor;
 using divpp::adversary::Schedule;
 using divpp::core::CountSimulation;
+using divpp::core::Engine;
 using divpp::core::WeightMap;
 using divpp::rng::Xoshiro256;
 
@@ -119,7 +120,7 @@ TEST(ScheduleTest, PlainSteppingModeWorksToo) {
 TEST(ScheduleTest, StaleEventThrows) {
   auto sim = fresh_sim(60);
   Xoshiro256 gen(4);
-  sim.run_to(500, gen);
+  sim.advance_with(Engine::kStep, 500, gen);
   Schedule schedule;
   schedule.at(100, AddAgents{0, 1, true});
   EXPECT_THROW(schedule.run(sim, 1000, gen), std::invalid_argument);
@@ -158,7 +159,7 @@ TEST(ScheduleTest, ThrowingEventActionLeavesNoQueuedEvents) {
                std::invalid_argument);
   EXPECT_EQ(sim.pending_event_count(), 0);
   // The simulation stays usable.
-  sim.advance_to(3'000, gen);
+  sim.advance_with(Engine::kJump, 3'000, gen);
   EXPECT_EQ(sim.time(), 3'000);
   EXPECT_EQ(sim.n(), 200);
 }
@@ -188,9 +189,9 @@ TEST(Robustness, RecoveryAfterColourInjection) {
   const WeightMap weights({1.0, 1.0});
   auto sim = CountSimulation::equal_start(weights, 400);
   Xoshiro256 gen(5);
-  sim.advance_to(200'000, gen);  // settle first
+  sim.advance_with(Engine::kJump, 200'000, gen);  // settle first
   divpp::adversary::apply_event(sim, AddColor{2.0, 1});
-  sim.advance_to(1'800'000, gen);
+  sim.advance_with(Engine::kJump, 1'800'000, gen);
   const double share = static_cast<double>(sim.support(2)) /
                        static_cast<double>(sim.n());
   EXPECT_NEAR(share, 0.5, 0.12);
@@ -202,11 +203,11 @@ TEST(Robustness, RecoveryAfterMassRecolor) {
   const WeightMap weights({1.0, 1.0, 1.0});
   auto sim = CountSimulation::equal_start(weights, 300);
   Xoshiro256 gen(6);
-  sim.advance_to(150'000, gen);
+  sim.advance_with(Engine::kJump, 150'000, gen);
   // 90% of colour 0's dark agents defect to colour 1 — but at least one
   // dark agent of colour 0 survives, so the protocol must restore it.
   divpp::adversary::apply_event(sim, PartialRecolor{0, 1, 0.9});
-  sim.advance_to(1'500'000, gen);
+  sim.advance_with(Engine::kJump, 1'500'000, gen);
   const double share0 = static_cast<double>(sim.support(0)) / 300.0;
   EXPECT_NEAR(share0, 1.0 / 3.0, 0.1);
 }

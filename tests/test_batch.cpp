@@ -1,9 +1,9 @@
 // Tests for the collision-batch engine (batch/): the birthday run-length
 // sampler pinned against the exact survival law and a naive
 // pair-drawing simulation, CollisionBatcher conservation and outcome
-// invariants, the CountSimulation::run_batched entry (absorption
+// invariants, the CountSimulation batch engine (absorption
 // short-circuit, conservation), and — the headline distributional
-// contract — fixed-seed two-sample chi-squares showing run_batched and
+// contract — fixed-seed two-sample chi-squares showing Engine::kBatch and
 // the collision chain each produce step's per-window count distributions
 // at n = 2000.
 
@@ -342,13 +342,14 @@ TEST(CollisionBatcher, BudgetTruncationConsumesExactly) {
     EXPECT_EQ(batcher.advance(dark, light, 5, gen), 5);
 }
 
-// ---- CountSimulation::run_batched -----------------------------------------
+// ---- CountSimulation under Engine::kBatch ---------------------------------
 
 TEST(RunBatched, RejectsPastTarget) {
   auto sim = CountSimulation::equal_start(WeightMap({1.0, 2.0}), 1'000);
   Xoshiro256 gen(10);
-  sim.run_batched(100, gen);
-  EXPECT_THROW(sim.run_batched(50, gen), std::invalid_argument);
+  sim.advance_with(Engine::kBatch, 100, gen);
+  EXPECT_THROW(sim.advance_with(Engine::kBatch, 50, gen),
+               std::invalid_argument);
 }
 
 TEST(RunBatched, AbsorbedConfigurationBurnsWindow) {
@@ -362,7 +363,7 @@ TEST(RunBatched, AbsorbedConfigurationBurnsWindow) {
       std::vector<std::int64_t>(static_cast<std::size_t>(k), 0));
   Xoshiro256 gen(11);
   const Xoshiro256 before = gen;
-  sim.run_batched(1'000'000, gen);
+  sim.advance_with(Engine::kBatch, 1'000'000, gen);
   EXPECT_EQ(sim.time(), 1'000'000);
   EXPECT_EQ(sim.min_dark(), 1);
   EXPECT_EQ(sim.total_light(), 0);
@@ -372,7 +373,7 @@ TEST(RunBatched, AbsorbedConfigurationBurnsWindow) {
   CountSimulation light_sim(
       weights, std::vector<std::int64_t>(static_cast<std::size_t>(k), 0),
       std::vector<std::int64_t>(static_cast<std::size_t>(k), 1));
-  light_sim.run_batched(1'000'000, gen);
+  light_sim.advance_with(Engine::kBatch, 1'000'000, gen);
   EXPECT_EQ(light_sim.time(), 1'000'000);
   EXPECT_EQ(light_sim.total_dark(), 0);
 }
@@ -381,7 +382,7 @@ TEST(RunBatched, ConservesPopulationAndDerivedState) {
   const WeightMap weights({1.0, 2.0, 3.0, 4.0});
   auto sim = CountSimulation::adversarial_start(weights, 100'000);
   Xoshiro256 gen(12);
-  sim.run_batched(300'000, gen);
+  sim.advance_with(Engine::kBatch, 300'000, gen);
   EXPECT_EQ(sim.time(), 300'000);
   std::int64_t total = 0, dark_total = 0, min_dark = sim.n();
   for (divpp::core::ColorId i = 0; i < 4; ++i) {
@@ -396,8 +397,8 @@ TEST(RunBatched, ConservesPopulationAndDerivedState) {
   EXPECT_EQ(sim.total_dark(), dark_total);
   EXPECT_EQ(sim.min_dark(), min_dark);
   // The engine can keep running on the resynced state with any engine.
-  sim.advance_to(301'000, gen);
-  sim.run_to(301'100, gen);
+  sim.advance_with(Engine::kJump, 301'000, gen);
+  sim.advance_with(Engine::kStep, 301'100, gen);
   EXPECT_EQ(sim.time(), 301'100);
 }
 
@@ -415,7 +416,7 @@ TEST(AdvanceWith, DispatchesToAllFourEngines) {
 // ---- the distributional contract: batch law == step law -------------------
 
 /// The per-window law contract at n = 2000: two independent replica
-/// ensembles (fixed seeds), one stepped with run_to and one advanced by
+/// ensembles (fixed seeds), one stepped with kStep and one advanced by
 /// `advance(sim, target, gen)`, compared by two-sample chi-square on
 /// pooled-quantile bins of two observables: the light total and the
 /// heaviest colour's dark count after a window of 2n interactions from
@@ -434,7 +435,7 @@ void expect_window_law_matches_step(const Advance& advance) {
   for (int r = 0; r < kReplicas; ++r) {
     auto step_sim = CountSimulation::adversarial_start(weights, kNAgents);
     Xoshiro256 step_gen(static_cast<std::uint64_t>(1'000 + r));
-    step_sim.run_to(kWindow, step_gen);
+    step_sim.advance_with(Engine::kStep, kWindow, step_gen);
     light_step.push_back(step_sim.total_light());
     dark0_step.push_back(step_sim.dark(0));
 
@@ -462,11 +463,11 @@ void expect_window_law_matches_step(const Advance& advance) {
 }
 
 TEST(BatchVsStepLaw, PerWindowCountDistributionsMatchAtN2000) {
-  // Through run_batched: at n = 2000, k = 3 its cost rule walks agent
+  // Through Engine::kBatch: at n = 2000, k = 3 its cost rule walks agent
   // labels, so this pins the label walk.
   expect_window_law_matches_step(
       [](CountSimulation& sim, std::int64_t target, Xoshiro256& gen) {
-        sim.run_batched(target, gen);
+        sim.advance_with(Engine::kBatch, target, gen);
       });
 }
 

@@ -256,7 +256,7 @@ struct GoldenCase {
 // (an exponential gap and one thinning uniform per candidate step); the
 // step entries predate that change, which pins the inlined xoshiro /
 // uniform01 / uniform_below draws to the old stream.  The three batch
-// entries were re-captured when run_batched began walking agent labels
+// entries were re-captured when Engine::kBatch began walking agent labels
 // for windows its cost rule gives the walk (k = 8 at n <= 20000 here);
 // kChainGolden below keeps the collision chain's own stream pinned.
 constexpr GoldenCase kUntaggedGolden[] = {
@@ -373,7 +373,7 @@ TEST(GoldenStream, TaggedEnginesReproducePreInstrumentationRuns) {
 TEST(GoldenStream, CollisionChainReproducesItsDrawStream) {
   // The collision chain driven directly, with no engine choice in
   // between: CollisionBatcher::advance looped to T = 4n at n = 20000,
-  // k = 8.  run_batched hands windows of this shape to the label walk, so
+  // k = 8.  Engine::kBatch hands windows of this shape to the label walk, so
   // this pin is what keeps the chain's own draw stream from moving.
   const WeightMap weights({4.0, 1.0, 1.0, 2.0, 1.0, 3.0, 1.0, 1.0});
   constexpr std::int64_t kN = 20'000;

@@ -147,7 +147,7 @@ TEST(SamplerContext, AddColorDetachesTheContext) {
   EXPECT_EQ(sim.sampler_context(), nullptr);
   // And the grown simulation still runs (private fallback).
   Xoshiro256 gen(3);
-  sim.run_batched(5000, gen);
+  sim.advance_with(Engine::kBatch, 5000, gen);
   EXPECT_EQ(sim.time(), 5000);
 }
 

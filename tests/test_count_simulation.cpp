@@ -1,8 +1,9 @@
 // Tests for the lumped count-chain simulator: exact transition semantics,
 // conservation laws, the sustainability invariant, jump-chain/plain-chain
 // distributional agreement, the engines' and the collision chain's time-t
-// laws against the exact pmf of the dense lumped chain at n = 6,
-// structural-change mutators, and the tagged-agent extension.
+// laws against the exact pmf of the dense lumped chain at n = 6, the
+// tagged engines' against the exact joint (counts, tagged cell) chain at
+// n = 6, structural-change mutators, and the tagged-agent extension.
 
 #include <gtest/gtest.h>
 
@@ -150,7 +151,7 @@ TEST(CountSimulation, ActiveProbabilityMatchesEmpiricalRate) {
   auto sim = CountSimulation::equal_start(weights, 64);
   Xoshiro256 gen(3);
   // Warm up to a generic configuration.
-  sim.run_to(2000, gen);
+  sim.advance_with(Engine::kStep, 2000, gen);
   const double p = sim.active_probability();
   // Estimate the one-step active probability by repeated trial from the
   // same state (copy the simulation each time).
@@ -163,17 +164,17 @@ TEST(CountSimulation, ActiveProbabilityMatchesEmpiricalRate) {
   EXPECT_NEAR(static_cast<double>(active) / kTrials, p, 0.01);
 }
 
-TEST(CountSimulation, RunToAndAdvanceToRespectTargets) {
+TEST(CountSimulation, StepAndJumpRespectTargets) {
   const WeightMap weights({1.0, 1.0});
   auto a = CountSimulation::equal_start(weights, 32);
   auto b = CountSimulation::equal_start(weights, 32);
   Xoshiro256 gen(4);
-  a.run_to(123, gen);
+  a.advance_with(Engine::kStep, 123, gen);
   EXPECT_EQ(a.time(), 123);
-  b.advance_to(123, gen);
+  b.advance_with(Engine::kJump, 123, gen);
   EXPECT_EQ(b.time(), 123);
-  EXPECT_THROW(a.run_to(50, gen), std::invalid_argument);
-  EXPECT_THROW(b.advance_to(50, gen), std::invalid_argument);
+  EXPECT_THROW(a.advance_with(Engine::kStep, 50, gen), std::invalid_argument);
+  EXPECT_THROW(b.advance_with(Engine::kJump, 50, gen), std::invalid_argument);
 }
 
 TEST(CountSimulation, JumpChainMatchesPlainChainDistribution) {
@@ -190,10 +191,10 @@ TEST(CountSimulation, JumpChainMatchesPlainChainDistribution) {
     Xoshiro256 gen_plain(1000 + static_cast<std::uint64_t>(r));
     Xoshiro256 gen_jump(9000 + static_cast<std::uint64_t>(r));
     auto a = CountSimulation::equal_start(weights, kN);
-    a.run_to(kT, gen_plain);
+    a.advance_with(Engine::kStep, kT, gen_plain);
     plain.add(static_cast<double>(a.support(0)));
     auto b = CountSimulation::equal_start(weights, kN);
-    b.advance_to(kT, gen_jump);
+    b.advance_with(Engine::kJump, kT, gen_jump);
     jump.add(static_cast<double>(b.support(0)));
   }
   // Means within 3 combined standard errors.
@@ -356,7 +357,7 @@ TEST(ExactLaw, EnginesMatchTheDenseChainOnKTwoNSix) {
 }
 
 TEST(ExactLaw, CollisionChainMatchesTheDenseChainOnKTwoNSix) {
-  // The collision chain itself at n = 6, where run_batched never runs
+  // The collision chain itself at n = 6, where Engine::kBatch never runs
   // it: CollisionBatcher::advance looped to the horizon, in the same two
   // windows.  Each batch covers at most three interactions here, so the
   // collision step and the budget truncation carry most of the law.
@@ -419,12 +420,160 @@ TEST(ExactLaw, SaturatedStartCapsTheCandidateRate) {
   }
 }
 
+/// The joint (counts, tagged colour, tagged shade) chain of
+/// TaggedCountSimulation on a tiny population, built from the rule alone.
+/// A state is the 2k-cell count vector of all n agents (the tagged one
+/// included) plus the tagged agent's cell: colour c dark is cell c, light
+/// is cell k + c.  Every ordered pair of distinct agents meets with
+/// probability 1/(n(n − 1)): the tagged agent as initiator, as responder,
+/// or not at all; a light initiator adopts a dark responder's colour, and
+/// an initiator fades at 1/w when both are dark of one colour.
+class ExactTaggedLaw {
+ public:
+  ExactTaggedLaw(const WeightMap& weights, std::int64_t n)
+      : k_(static_cast<std::size_t>(weights.num_colors())) {
+    std::vector<std::int64_t> counts(2 * k_, 0);
+    enumerate(counts, 0, n);
+    const auto size = states_.size();
+    std::vector<double> matrix(size * size, 0.0);
+    const double pairs = static_cast<double>(n) * static_cast<double>(n - 1);
+    const std::size_t tagged = 2 * k_;  // the tagged agent's participant id
+    for (std::size_t s = 0; s < size; ++s) {
+      const std::vector<std::int64_t>& from = states_[s];
+      const auto tagged_cell = static_cast<std::size_t>(from[tagged]);
+      std::vector<std::int64_t> others(from.begin(), from.end() - 1);
+      --others[tagged_cell];
+      // Participants 0..2k−1 are the other agents grouped by cell, 2k is
+      // the tagged agent.
+      const auto count = [&](std::size_t id) {
+        return id == tagged ? std::int64_t{1} : others[id];
+      };
+      double moved = 0.0;
+      for (std::size_t a = 0; a <= tagged; ++a) {
+        for (std::size_t b = 0; b <= tagged; ++b) {
+          const double p =
+              static_cast<double>(count(a)) *
+              static_cast<double>(count(b) - (a == b ? 1 : 0)) / pairs;
+          if (p == 0.0) continue;
+          const std::size_t initiator = a == tagged ? tagged_cell : a;
+          const std::size_t responder = b == tagged ? tagged_cell : b;
+          std::size_t after = initiator;
+          double rate = p;
+          if (initiator >= k_ && responder < k_) {
+            after = responder;
+          } else if (initiator < k_ && initiator == responder) {
+            after = initiator + k_;
+            rate = p / weights.weight(static_cast<ColorId>(initiator));
+          } else {
+            continue;
+          }
+          std::vector<std::int64_t> to = from;
+          --to[initiator];
+          ++to[after];
+          if (a == tagged) to[tagged] = static_cast<std::int64_t>(after);
+          matrix[s * size + index_.at(to)] += rate;
+          moved += rate;
+        }
+      }
+      matrix[s * size + s] += 1.0 - moved;
+    }
+    chain_.emplace(static_cast<std::int64_t>(size), std::move(matrix));
+  }
+
+  [[nodiscard]] std::size_t size() const { return states_.size(); }
+
+  [[nodiscard]] std::size_t index_of(const TaggedCountSimulation& sim) const {
+    const CountSimulation& counts = sim.counts();
+    std::vector<std::int64_t> state(counts.dark_counts().begin(),
+                                    counts.dark_counts().end());
+    state.insert(state.end(), counts.light_counts().begin(),
+                 counts.light_counts().end());
+    const divpp::core::AgentState tagged = sim.tagged_state();
+    state.push_back(tagged.color +
+                    (tagged.is_dark() ? 0 : static_cast<std::int64_t>(k_)));
+    return index_.at(state);
+  }
+
+  /// The pmf over joint states after `steps` steps from `start`.
+  [[nodiscard]] std::vector<double> pmf(const TaggedCountSimulation& start,
+                                        std::int64_t steps) const {
+    std::vector<double> dist(size(), 0.0);
+    dist[index_of(start)] = 1.0;
+    for (std::int64_t t = 0; t < steps; ++t) dist = chain_->evolve(dist);
+    return dist;
+  }
+
+ private:
+  /// Every count vector with Σ = n, each with every non-empty cell as the
+  /// tagged agent's.
+  void enumerate(std::vector<std::int64_t>& counts, std::size_t cell,
+                 std::int64_t left) {
+    if (cell + 1 < counts.size()) {
+      for (std::int64_t c = 0; c <= left; ++c) {
+        counts[cell] = c;
+        enumerate(counts, cell + 1, left - c);
+      }
+      return;
+    }
+    counts[cell] = left;
+    for (std::size_t t = 0; t < counts.size(); ++t) {
+      if (counts[t] == 0) continue;
+      std::vector<std::int64_t> state = counts;
+      state.push_back(static_cast<std::int64_t>(t));
+      index_.emplace(state, states_.size());
+      states_.push_back(std::move(state));
+    }
+  }
+
+  std::size_t k_;
+  std::vector<std::vector<std::int64_t>> states_;
+  std::map<std::vector<std::int64_t>, std::size_t> index_;
+  std::optional<divpp::markov::DenseChain> chain_;
+};
+
+TEST(ExactLaw, TaggedEnginesMatchTheJointChainOnKTwoNSix) {
+  // The joint chain at k = 2, n = 6 (C(9, 3) = 84 count states, each with
+  // every occupied cell as the tagged one).  Each engine runs in two
+  // windows, as in EnginesMatchTheDenseChainOnKTwoNSix.  jump, batch and
+  // auto hold the tagged agent out and re-seat it per window; the held-out
+  // five agents walk labels under batch and jump under auto.  Two tags:
+  // a dark agent of the light-weight colour, and a light agent, whose
+  // first change is an adopt.
+  const WeightMap weights({1.0, 3.0});
+  const ExactTaggedLaw law(weights, 6);
+  const CountSimulation counts(weights, {3, 1}, {1, 1});
+  constexpr std::int64_t kReplicas = 20'000;
+  for (const bool tagged_dark : {true, false}) {
+    const TaggedCountSimulation start(counts, tagged_dark ? 0 : 1,
+                                      tagged_dark);
+    for (const std::int64_t horizon : {4, 25}) {
+      const std::vector<double> pmf = law.pmf(start, horizon);
+      for (const Engine engine :
+           {Engine::kStep, Engine::kJump, Engine::kBatch, Engine::kAuto}) {
+        std::vector<std::int64_t> hits(law.size(), 0);
+        Xoshiro256 gen(0x7a6 + static_cast<std::uint64_t>(horizon) +
+                       (tagged_dark ? 0U : 0x100U));
+        for (std::int64_t r = 0; r < kReplicas; ++r) {
+          TaggedCountSimulation sim = start;
+          sim.advance_with(engine, horizon / 2, gen);
+          sim.advance_with(engine, horizon, gen);
+          ++hits[law.index_of(sim)];
+        }
+        expect_matches_pmf(hits, pmf, kReplicas,
+                           std::string(engine_name(engine)) + " t=" +
+                               std::to_string(horizon) +
+                               (tagged_dark ? " dark tag" : " light tag"));
+      }
+    }
+  }
+}
+
 TEST(CountSimulation, ConvergesToFairSharesFromAdversarialStart) {
   const WeightMap weights({1.0, 2.0, 5.0});
   auto sim = CountSimulation::adversarial_start(weights, 1000);
   Xoshiro256 gen(5);
   // W = 8; run well past W² n log n.
-  sim.advance_to(900'000, gen);
+  sim.advance_with(Engine::kJump, 900'000, gen);
   for (divpp::core::ColorId i = 0; i < 3; ++i) {
     const double share = static_cast<double>(sim.support(i)) / 1000.0;
     EXPECT_NEAR(share, weights.fair_share(i), 0.08) << "colour " << i;
@@ -442,7 +591,7 @@ TEST(CountSimulation, AbsorbedConfigurationJumpsToTarget) {
   CountSimulation sim(weights, {1, 1}, {0, 0});
   Xoshiro256 gen(6);
   EXPECT_EQ(sim.active_probability(), 0.0);
-  sim.advance_to(1'000'000'000, gen);
+  sim.advance_with(Engine::kJump, 1'000'000'000, gen);
   EXPECT_EQ(sim.time(), 1'000'000'000);
   EXPECT_EQ(sim.dark(0), 1);
   EXPECT_EQ(sim.dark(1), 1);
@@ -504,9 +653,9 @@ TEST(CountSimulation, NewColorSpreadsAfterInjection) {
   const WeightMap weights({1.0, 1.0});
   auto sim = CountSimulation::equal_start(weights, 300);
   Xoshiro256 gen(7);
-  sim.advance_to(50'000, gen);
+  sim.advance_with(Engine::kJump, 50'000, gen);
   sim.add_color(2.0, 1);  // one dark agent of a brand-new heavy colour
-  sim.advance_to(600'000, gen);
+  sim.advance_with(Engine::kJump, 600'000, gen);
   // New fair share = 2/4 = 1/2 of (n = 301).
   const double share = static_cast<double>(sim.support(2)) /
                        static_cast<double>(sim.n());
@@ -588,9 +737,10 @@ TEST(ParseEngine, RejectsUnknownTokensNamingTheValidSet) {
 // ---- auto engine -----------------------------------------------------------
 
 TEST(AutoEngine, TinyPopulationDelegatesToJumpBitIdentically) {
-  // Below the batch fallback size run_auto always picks the jump chain,
-  // so with equal seeds the trajectories and generator states must match
-  // draw for draw.
+  // At n = 50 the auto cost model always predicts the jump chain
+  // cheaper (the collision chain's per-batch cost over a ~4.4-interaction
+  // stretch exceeds any jump cost), so with equal seeds the trajectories
+  // and generator states must match draw for draw.
   const WeightMap weights({1.0, 2.0, 4.0});
   auto jump_sim = CountSimulation::adversarial_start(weights, 50);
   auto auto_sim = jump_sim;
@@ -598,8 +748,8 @@ TEST(AutoEngine, TinyPopulationDelegatesToJumpBitIdentically) {
   Xoshiro256 auto_gen(31);
   for (int window = 0; window < 5; ++window) {
     const std::int64_t target = (window + 1) * 3'000;
-    jump_sim.advance_to(target, jump_gen);
-    auto_sim.run_auto(target, auto_gen);
+    jump_sim.advance_with(Engine::kJump, target, jump_gen);
+    auto_sim.advance_with(Engine::kAuto, target, auto_gen);
     ASSERT_EQ(jump_gen, auto_gen) << "window " << window;
     for (divpp::core::ColorId c = 0; c < 3; ++c) {
       ASSERT_EQ(jump_sim.dark(c), auto_sim.dark(c));
@@ -616,7 +766,7 @@ TEST(AutoEngine, EwmaTracksMeasuredActiveFraction) {
   EXPECT_DOUBLE_EQ(sim.active_fraction_estimate(),
                    sim.active_probability());
   const std::int64_t t0 = sim.active_transitions();
-  sim.run_auto(100'000, gen);
+  sim.advance_with(Engine::kAuto, 100'000, gen);
   const double measured =
       static_cast<double>(sim.active_transitions() - t0) / 100'000.0;
   // One window: EWMA == measured fraction exactly (cold start).
@@ -626,7 +776,7 @@ TEST(AutoEngine, EwmaTracksMeasuredActiveFraction) {
   // A second window folds in with decay 1/2, so the estimate stays
   // between the old estimate and the new window's fraction.
   const std::int64_t t1 = sim.active_transitions();
-  sim.run_auto(200'000, gen);
+  sim.advance_with(Engine::kAuto, 200'000, gen);
   const double second =
       static_cast<double>(sim.active_transitions() - t1) / 100'000.0;
   const double blended = 0.5 * measured + 0.5 * second;
@@ -645,9 +795,9 @@ TEST(AutoEngine, ActiveTransitionCountsAgreeAcrossEngines) {
   Xoshiro256 step_gen(33);
   Xoshiro256 jump_gen(33);
   Xoshiro256 batch_gen(33);
-  step_sim.run_to(50'000, step_gen);
-  jump_sim.advance_to(50'000, jump_gen);
-  batch_sim.run_batched(50'000, batch_gen);
+  step_sim.advance_with(Engine::kStep, 50'000, step_gen);
+  jump_sim.advance_with(Engine::kJump, 50'000, jump_gen);
+  batch_sim.advance_with(Engine::kBatch, 50'000, batch_gen);
   const auto step_count = static_cast<double>(step_sim.active_transitions());
   EXPECT_GT(step_count, 0);
   EXPECT_NEAR(static_cast<double>(jump_sim.active_transitions()),
@@ -698,7 +848,7 @@ TEST(ScheduledEvents, MidWindowEventInLargeBatchedWindow) {
     fired_at = s.time();
     s.add_color(2.0, 5);
   });
-  sim.run_batched(150'000, gen);
+  sim.advance_with(Engine::kBatch, 150'000, gen);
   EXPECT_EQ(fired_at, kEventTime);
   EXPECT_EQ(sim.num_colors(), 5);
   EXPECT_EQ(sim.time(), 150'000);
@@ -714,7 +864,7 @@ TEST(ScheduledEvents, OrderAndPendingSemantics) {
   sim.schedule_event(2'000, [&](CountSimulation&) { order.push_back(3); });
   sim.schedule_event(90'000, [&](CountSimulation&) { order.push_back(9); });
   EXPECT_EQ(sim.pending_event_count(), 4);
-  sim.advance_to(5'000, gen);
+  sim.advance_with(Engine::kJump, 5'000, gen);
   // Time order, ties in registration order; the far event stays queued.
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(sim.pending_event_count(), 1);
@@ -732,7 +882,7 @@ TEST(ScheduledEvents, OrderAndPendingSemantics) {
   EXPECT_TRUE(sim.cancel_scheduled_event(handle));
   EXPECT_FALSE(sim.cancel_scheduled_event(handle));
   EXPECT_EQ(sim.pending_event_count(), 1);
-  sim.advance_to(95'000, gen);
+  sim.advance_with(Engine::kJump, 95'000, gen);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 9}));
 }
 
@@ -740,10 +890,10 @@ TEST(ScheduledEvents, EventAtCurrentTimeFiresBeforeStepping) {
   const WeightMap weights({1.0, 2.0});
   auto sim = CountSimulation::equal_start(weights, 300);
   Xoshiro256 gen(37);
-  sim.run_to(500, gen);
+  sim.advance_with(Engine::kStep, 500, gen);
   std::int64_t fired_at = -1;
   sim.schedule_event(500, [&](CountSimulation& s) { fired_at = s.time(); });
-  sim.run_to(600, gen);
+  sim.advance_with(Engine::kStep, 600, gen);
   EXPECT_EQ(fired_at, 500);
 }
 

@@ -25,6 +25,7 @@ namespace {
 
 using divpp::core::AgentState;
 using divpp::core::CountSimulation;
+using divpp::core::Engine;
 using divpp::core::kDark;
 using divpp::core::kLight;
 using divpp::core::WeightMap;
@@ -61,7 +62,7 @@ TEST(EdgeCases, ExtremeWeightRatioStillSustains) {
   auto sim = CountSimulation::proportional_start(weights, 500);
   Xoshiro256 gen(2);
   for (int burst = 0; burst < 100; ++burst) {
-    sim.advance_to(sim.time() + 5000, gen);
+    sim.advance_with(Engine::kJump, sim.time() + 5000, gen);
     ASSERT_GE(sim.dark(0), 1);
     ASSERT_GE(sim.dark(1), 1);
   }
@@ -77,7 +78,7 @@ TEST(EdgeCases, ManyColoursSmokeTest) {
                                               1.0));
   auto sim = CountSimulation::equal_start(weights, 2048);
   Xoshiro256 gen(3);
-  sim.advance_to(200'000, gen);
+  sim.advance_with(Engine::kJump, 200'000, gen);
   EXPECT_GE(sim.min_dark(), 1);
   std::int64_t total = 0;
   for (divpp::core::ColorId i = 0; i < k; ++i) total += sim.support(i);
@@ -91,8 +92,8 @@ TEST(EdgeCases, AdvanceToCurrentTimeIsNoOp) {
   const auto dark_before =
       std::vector<std::int64_t>(sim.dark_counts().begin(),
                                 sim.dark_counts().end());
-  sim.advance_to(sim.time(), gen);
-  sim.run_to(sim.time(), gen);
+  sim.advance_with(Engine::kJump, sim.time(), gen);
+  sim.advance_with(Engine::kStep, sim.time(), gen);
   EXPECT_EQ(sim.time(), 0);
   EXPECT_EQ(std::vector<std::int64_t>(sim.dark_counts().begin(),
                                       sim.dark_counts().end()),
@@ -121,7 +122,7 @@ TEST(EdgeCases, AllLightPopulationIsAbsorbing) {
     (void)sim.step(gen);
     ASSERT_EQ(sim.total_light(), 10);
   }
-  sim.advance_to(1'000'000, gen);
+  sim.advance_with(Engine::kJump, 1'000'000, gen);
   EXPECT_EQ(sim.time(), 1'000'000);
 }
 
@@ -177,10 +178,10 @@ TEST(EdgeCases, RecolorVictimThenProtocolCannotResurrect) {
   const WeightMap weights({1.0, 1.0});
   auto sim = CountSimulation::equal_start(weights, 100);
   Xoshiro256 gen(10);
-  sim.advance_to(20'000, gen);
+  sim.advance_with(Engine::kJump, 20'000, gen);
   sim.recolor_all(0, 1);
   ASSERT_EQ(sim.support(0), 0);
-  sim.advance_to(200'000, gen);
+  sim.advance_with(Engine::kJump, 200'000, gen);
   EXPECT_EQ(sim.support(0), 0);
 }
 

@@ -28,6 +28,7 @@ namespace {
 
 using divpp::core::AgentState;
 using divpp::core::CountSimulation;
+using divpp::core::Engine;
 using divpp::core::DerandomisedRule;
 using divpp::core::DiversificationRule;
 using divpp::core::WeightMap;
@@ -98,7 +99,7 @@ TEST(EndToEnd, CountAndAgentEnginesAgreeOnMoments) {
 
     Xoshiro256 gen_c(80'000 + static_cast<std::uint64_t>(r));
     CountSimulation sim(weights, {30, 30}, {0, 0});
-    sim.run_to(kT, gen_c);
+    sim.advance_with(Engine::kStep, kT, gen_c);
     count_based.add(static_cast<double>(sim.support(0)));
   }
   const double se = std::sqrt(agent_based.variance() / kReplicas +
@@ -133,7 +134,7 @@ TEST(EndToEnd, UniformWeightsGiveUniformPartition) {
   const WeightMap weights = WeightMap::uniform(4);
   auto sim = CountSimulation::adversarial_start(weights, 800);
   Xoshiro256 gen(4);
-  sim.advance_to(1'200'000, gen);
+  sim.advance_with(Engine::kJump, 1'200'000, gen);
   for (divpp::core::ColorId i = 0; i < 4; ++i) {
     EXPECT_NEAR(static_cast<double>(sim.support(i)) / 800.0, 0.25, 0.07)
         << "colour " << i;
@@ -150,7 +151,7 @@ TEST(EndToEnd, MeanFieldPredictsStochasticTrajectory) {
   auto fluid = divpp::core::MeanFieldOde::from_counts(
       {kN / 2, kN / 2}, {0, 0});
   ode.integrate(fluid, 3.0, 1e-3);
-  sim.run_to(3 * kN, gen);
+  sim.advance_with(Engine::kStep, 3 * kN, gen);
   for (divpp::core::ColorId i = 0; i < 2; ++i) {
     const double stochastic =
         static_cast<double>(sim.dark(i)) / static_cast<double>(kN);
@@ -180,7 +181,7 @@ TEST_P(DiversificationSweep, InvariantsAndConvergence) {
       6.0 * divpp::core::convergence_time_scale(param.n, total_weight));
   divpp::analysis::SustainabilityMonitor monitor(weights.num_colors());
   while (sim.time() < horizon) {
-    sim.advance_to(sim.time() + 2000, gen);
+    sim.advance_with(Engine::kJump, sim.time() + 2000, gen);
     // Invariant: population size conserved.
     std::int64_t total = 0;
     for (divpp::core::ColorId i = 0; i < sim.num_colors(); ++i)

@@ -24,6 +24,7 @@
 namespace {
 
 using divpp::core::CountSimulation;
+using divpp::core::Engine;
 using divpp::test::scaled;
 using divpp::core::WeightMap;
 using divpp::rng::Xoshiro256;
@@ -49,7 +50,7 @@ TEST_P(ExchangeabilitySweep, EqualWeightColoursAreStatisticallyIdentical) {
     auto sim = CountSimulation::equal_start(weights, kN);
     Xoshiro256 gen(2000 + static_cast<std::uint64_t>(r) * 7 +
                    static_cast<std::uint64_t>(k));
-    sim.advance_to(20'000, gen);
+    sim.advance_with(Engine::kJump, 20'000, gen);
     for (divpp::core::ColorId i = 0; i < k; ++i)
       acc[static_cast<std::size_t>(i)].add(
           static_cast<double>(sim.support(i)));
@@ -79,11 +80,11 @@ TEST_P(MonotonicitySweep, SupportRatioTracksWeightRatio) {
   Xoshiro256 gen(static_cast<std::uint64_t>(heavy * 1000.0) + 17);
   const auto settle = static_cast<std::int64_t>(
       4.0 * divpp::core::convergence_time_scale(kN, weights.total()));
-  sim.advance_to(settle, gen);
+  sim.advance_with(Engine::kJump, settle, gen);
   // Time-average the ratio to suppress fluctuations.
   divpp::stats::OnlineStats ratio;
   for (int probe = 0; probe < 60; ++probe) {
-    sim.advance_to(sim.time() + 2 * kN, gen);
+    sim.advance_with(Engine::kJump, sim.time() + 2 * kN, gen);
     ratio.add(static_cast<double>(sim.support(1)) /
               static_cast<double>(std::max<std::int64_t>(sim.support(0), 1)));
   }
@@ -110,10 +111,10 @@ TEST_P(DarkLightSplitSweep, TotalsMatchEquationSeven) {
   Xoshiro256 gen(71);
   const auto settle = static_cast<std::int64_t>(
       4.0 * divpp::core::convergence_time_scale(param.n, weights.total()));
-  sim.advance_to(settle, gen);
+  sim.advance_with(Engine::kJump, settle, gen);
   divpp::stats::OnlineStats dark_share;
   for (int probe = 0; probe < 50; ++probe) {
-    sim.advance_to(sim.time() + 2 * param.n, gen);
+    sim.advance_with(Engine::kJump, sim.time() + 2 * param.n, gen);
     dark_share.add(static_cast<double>(sim.total_dark()) /
                    static_cast<double>(param.n));
   }
@@ -156,13 +157,14 @@ TEST_P(MixedStartSweep, NonCanonicalStartsStillReachFairShares) {
   CountSimulation sim(weights, param.dark, param.light);
   const std::int64_t n = sim.n();
   Xoshiro256 gen(123);
-  sim.advance_to(
+  sim.advance_with(
+      Engine::kJump,
       static_cast<std::int64_t>(
           6.0 * divpp::core::convergence_time_scale(n, weights.total())),
       gen);
   divpp::stats::OnlineStats share1;
   for (int probe = 0; probe < 40; ++probe) {
-    sim.advance_to(sim.time() + 2 * n, gen);
+    sim.advance_with(Engine::kJump, sim.time() + 2 * n, gen);
     share1.add(static_cast<double>(sim.support(1)) /
                static_cast<double>(n));
   }
@@ -200,7 +202,7 @@ TEST_P(FluidSweep, MeanFieldTracksLumpedChainAtLargeN) {
   Xoshiro256 gen(99);
   const auto steps = static_cast<std::int64_t>(
       param.tau * static_cast<double>(kN));
-  sim.run_to(steps, gen);
+  sim.advance_with(Engine::kStep, steps, gen);
 
   divpp::core::MeanFieldOde ode(weights);
   const std::int64_t k = weights.num_colors();
@@ -240,13 +242,14 @@ TEST_P(SeedStability, DiversityErrorScaleIsSeedIndependent) {
   constexpr std::int64_t kN = 4096;
   auto sim = CountSimulation::adversarial_start(weights, kN);
   Xoshiro256 gen(GetParam());
-  sim.advance_to(
+  sim.advance_with(
+      Engine::kJump,
       static_cast<std::int64_t>(
           3.0 * divpp::core::convergence_time_scale(kN, weights.total())),
       gen);
   divpp::stats::OnlineStats err;
   for (int probe = 0; probe < 30; ++probe) {
-    sim.advance_to(sim.time() + 2 * kN, gen);
+    sim.advance_with(Engine::kJump, sim.time() + 2 * kN, gen);
     const auto supports = sim.supports();
     err.add(divpp::stats::diversity_error(supports, weights.weights()));
   }

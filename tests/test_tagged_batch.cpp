@@ -1,9 +1,10 @@
-// Tests for the batched tagged engine (PR 5): the tagged-involvement
-// law pinned against Binomial(ℓ, 2/n) and uniform order statistics
-// through the public CollisionBatcher hook, the exclude-one-agent
-// advance entry, bit-identity of the small-population fallback, exact
-// segment accounting of run_changes against per-step attribution, the
-// held-out agent surviving a throwing change observer, the
+// Tests for the batched tagged engine: the tagged-involvement law
+// pinned against Binomial(ℓ, 2/n) and uniform order statistics through
+// the public CollisionBatcher hook, conservation under every engine down
+// to n = 2 (the exact small-n law is pinned against the joint chain in
+// tests/test_count_simulation.cpp), exact segment accounting of
+// run_changes against per-step attribution, the held-out agent
+// surviving a throwing change observer, the
 // headline two-sample law tests of the joint (tagged colour, tagged
 // shade, counts) distribution at fixed window boundaries — tagged
 // engines vs tagged-step at n = 2000, k ∈ {2, 8}, equal and skewed
@@ -182,46 +183,7 @@ TEST(TaggedInvolvementChiSquare, PositionsAreUniformOrderStatistics) {
   EXPECT_LT(chi_square(min_hits, min_pmf, pairs), chi2_crit(kWindow - 2));
 }
 
-// ---- advance_excluding ----------------------------------------------------
-
-TEST(AdvanceExcluding, BitIdenticalToManualHoldOut) {
-  const WeightMap weights({1.0, 2.0, 4.0});
-  CollisionBatcher a(weights);
-  CollisionBatcher b(weights);
-  Xoshiro256 gen_a(5);
-  Xoshiro256 gen_b(5);
-  std::vector<std::int64_t> dark_a = {400, 300, 300};
-  std::vector<std::int64_t> light_a = {50, 0, 0};
-  std::vector<std::int64_t> dark_b = dark_a;
-  std::vector<std::int64_t> light_b = light_a;
-  for (int round = 0; round < 200; ++round) {
-    const std::int64_t ca =
-        a.advance_excluding(dark_a, light_a, 1, /*excluded_dark=*/true, 500,
-                            gen_a);
-    --dark_b[1];
-    const std::int64_t cb = b.advance(dark_b, light_b, 500, gen_b);
-    ++dark_b[1];
-    ASSERT_EQ(ca, cb);
-    ASSERT_EQ(dark_a, dark_b);
-    ASSERT_EQ(light_a, light_b);
-    ASSERT_EQ(gen_a, gen_b);
-    ASSERT_GE(dark_a[1], 1);  // the held-out agent is never relocated
-  }
-}
-
-TEST(AdvanceExcluding, ValidatesArguments) {
-  const WeightMap weights({1.0, 2.0});
-  CollisionBatcher batcher(weights);
-  Xoshiro256 gen(6);
-  std::vector<std::int64_t> dark = {50, 50};
-  std::vector<std::int64_t> light = {0, 0};
-  EXPECT_THROW((void)batcher.advance_excluding(dark, light, 2, true, 10, gen),
-               std::out_of_range);
-  EXPECT_THROW((void)batcher.advance_excluding(dark, light, 0, false, 10, gen),
-               std::invalid_argument);  // light cell is empty
-}
-
-// ---- tagged engines: dispatch, conservation, fallback ---------------------
+// ---- tagged engines: dispatch, conservation, tiny populations -------------
 
 TEST(TaggedEngines, AllEnginesAdvanceAndConserve) {
   const WeightMap weights({1.0, 2.0, 3.0});
@@ -250,31 +212,36 @@ TEST(TaggedEngines, RejectsPastTarget) {
   auto base = CountSimulation::equal_start(WeightMap({1.0, 2.0}), 1'000);
   TaggedCountSimulation sim(base, 0, true);
   Xoshiro256 gen(8);
-  sim.run_batched(100, gen);
-  EXPECT_THROW(sim.run_batched(50, gen), std::invalid_argument);
+  sim.advance_with(Engine::kBatch, 100, gen);
+  EXPECT_THROW(sim.advance_with(Engine::kBatch, 50, gen),
+               std::invalid_argument);
   EXPECT_THROW(sim.advance_with(Engine::kJump, 50, gen),
                std::invalid_argument);
 }
 
-TEST(TaggedEngines, SmallPopulationFallbackIsBitIdenticalToStep) {
-  // Below the batching cutoff every engine collapses to the step loop —
-  // same draws, same states, same generator afterwards.
-  const WeightMap weights({1.0, 2.0, 4.0});
-  for (const Engine e : {Engine::kJump, Engine::kBatch, Engine::kAuto}) {
-    auto base = CountSimulation::equal_start(weights, 50);
-    TaggedCountSimulation a(base, 0, true);
-    TaggedCountSimulation b(base, 0, true);
-    Xoshiro256 gen_a(9);
-    Xoshiro256 gen_b(9);
-    a.advance_with(e, 5'000, gen_a);
-    for (std::int64_t t = 0; t < 5'000; ++t) b.step(gen_b);
-    EXPECT_EQ(gen_a, gen_b) << divpp::core::engine_name(e);
-    EXPECT_EQ(a.time(), b.time());
-    EXPECT_TRUE(a.tagged_state() == b.tagged_state())
-        << divpp::core::engine_name(e);
-    for (divpp::core::ColorId i = 0; i < 3; ++i) {
-      EXPECT_EQ(a.counts().dark(i), b.counts().dark(i));
-      EXPECT_EQ(a.counts().light(i), b.counts().light(i));
+TEST(TaggedEngines, TwoAndThreeAgentsConserveAndKeepTheTagSeated) {
+  // At n = 2 every interaction involves the tagged agent and the held-out
+  // chain is one agent; at n = 3 it is two.  The second window is longer
+  // than the n = 2 involvement chunk (2^17 interactions), so the chunk
+  // loop turns over.
+  const WeightMap weights({1.0, 2.0});
+  constexpr std::int64_t kTarget = (std::int64_t{1} << 17) + 1'000;
+  for (const std::int64_t n : {2, 3}) {
+    for (const Engine e :
+         {Engine::kStep, Engine::kJump, Engine::kBatch, Engine::kAuto}) {
+      const CountSimulation base(weights, {n - 1, 0}, {0, 1});
+      TaggedCountSimulation sim(base, 0, /*tagged_dark=*/true);
+      Xoshiro256 gen(13 + static_cast<std::uint64_t>(n));
+      sim.advance_with(e, 10, gen);
+      sim.advance_with(e, kTarget, gen);
+      EXPECT_EQ(sim.time(), kTarget) << "n " << n << " " << engine_name(e);
+      EXPECT_EQ(sim.counts().n(), n);
+      EXPECT_EQ(sim.counts().total_dark() + sim.counts().total_light(), n);
+      const AgentState tagged = sim.tagged_state();
+      EXPECT_GE(tagged.is_dark() ? sim.counts().dark(tagged.color)
+                                 : sim.counts().light(tagged.color),
+                1)
+          << "n " << n << " " << engine_name(e);
     }
   }
 }
