@@ -31,6 +31,7 @@
 // so the printed statistics do not depend on the thread count.  The
 // final line is a machine-readable JSON summary.
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cmath>
@@ -104,18 +105,22 @@ std::int64_t capped_window(std::int64_t window, Engine engine) {
 /// The tagged engine throughput sweep behind --pr5-json / --smoke.
 int run_sweep(const divpp::io::Args& args, bool smoke,
               const std::string& json_path) {
+  // --k first: equal_start needs n >= max(2, k), so the --ns range
+  // check below depends on it.
+  const std::int64_t k = args.get_int("k", 8);
   const auto ns =
       smoke ? std::vector<std::int64_t>{1'000'000}
             : args.get_int_list("ns",
                                 {100'000, 1'000'000, 10'000'000, 100'000'000});
   for (const std::int64_t n : ns) {
-    if (n < 2 || n > kMaxPopulation) {
-      std::cerr << "e05_fairness: --ns entries must be in [2, 1e9] (got "
-                << n << "); the cap is a wall-clock budget guard\n";
+    if (n < std::max<std::int64_t>(2, k) || n > kMaxPopulation) {
+      std::cerr << "e05_fairness: --ns entries must be in [max(2, k), 1e9] "
+                   "(got "
+                << n << " at k = " << k
+                << "); the cap is a wall-clock budget guard\n";
       return 1;
     }
   }
-  const std::int64_t k = args.get_int("k", 8);
   const double w = args.get_double("w", 4.0);
   const std::int64_t window_flag = args.get_int("window", 0);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 99));

@@ -1,6 +1,8 @@
 // E15 — google-benchmark micro-suite for the hot paths: RNG primitives
 // (both jump-chain gap samplers among them), the collision chain's
-// binomial and colour-split draws, samplers (alias, Fenwick,
+// binomial and colour-split draws, its candidate-pair draw against the
+// slot-occupancy chain with that chain's own hypergeometric and
+// full_pairs draws, a light-ledger flush, samplers (alias, Fenwick,
 // linear-scan references), rule application, engine steps (agent-based
 // and count-chain, plain and jump), neighbour sampling on generated
 // topologies, the BatchRunner pool running tagged replicas at one
@@ -242,6 +244,87 @@ BENCHMARK(BM_MultivariateHypergeometric)
     ->Args({8, 100'000'000, 182})
     ->Args({8, 100'000'000, 2940})
     ->Args({16, 16'384, 200});
+
+// The candidate pairs of a batch at converge's equilibrium (k = 8,
+// pool ≈ 9.7·10⁷ dark agents, 1,475 pairs): one paired draw, against
+// the member split plus slot-occupancy chain it replaces there (the
+// path multivariate_hypergeometric_pairs still takes below its size
+// rule), spelled out with the public samplers.
+const std::vector<std::int64_t> kConvergeDark(8, 12'100'000);
+constexpr std::int64_t kConvergePairs = 1'475;
+
+void BM_CandidatePairsPaired(benchmark::State& state) {
+  Xoshiro256 gen(8);
+  std::vector<std::int64_t> members(8), mono(8);
+  for (auto _ : state) {
+    divpp::rng::multivariate_hypergeometric_pairs(gen, kConvergeDark,
+                                                  kConvergePairs, members,
+                                                  mono);
+    benchmark::DoNotOptimize(mono.data());
+  }
+}
+BENCHMARK(BM_CandidatePairsPaired);
+
+void BM_CandidatePairsSlotChain(benchmark::State& state) {
+  Xoshiro256 gen(8);
+  std::vector<std::int64_t> members(8), mono(8);
+  for (auto _ : state) {
+    divpp::rng::multivariate_hypergeometric(gen, kConvergeDark,
+                                            2 * kConvergePairs, members);
+    std::int64_t open = kConvergePairs;
+    std::int64_t singles = 0;
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      const std::int64_t in_pairs = divpp::rng::hypergeometric(
+          gen, 2 * open + singles, 2 * open, members[i]);
+      mono[i] = divpp::rng::full_pairs(gen, open, in_pairs);
+      const std::int64_t half = in_pairs - 2 * mono[i];
+      open -= mono[i] + half;
+      singles += half - (members[i] - in_pairs);
+    }
+    benchmark::DoNotOptimize(mono.data());
+  }
+}
+BENCHMARK(BM_CandidatePairsSlotChain);
+
+// The slot chain's own draws at its in-table shapes (variance 10–100,
+// all arguments inside the log-factorial table, so both take the
+// chop-down walk).  Hypergeometric args are (total, marked, draws):
+// variance 48 and 56.  full_pairs args are (pairs, items): variance 18
+// and 25.
+void BM_Hypergeometric(benchmark::State& state) {
+  Xoshiro256 gen(9);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(divpp::rng::hypergeometric(
+        gen, state.range(0), state.range(1), state.range(2)));
+}
+BENCHMARK(BM_Hypergeometric)->Args({2000, 1600, 370})->Args({1000, 600, 370});
+
+void BM_FullPairs(benchmark::State& state) {
+  Xoshiro256 gen(10);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        divpp::rng::full_pairs(gen, state.range(0), state.range(1)));
+}
+BENCHMARK(BM_FullPairs)->Args({1475, 370})->Args({800, 370});
+
+// One light-ledger flush at converge's equilibrium: 3·10⁶ light agents
+// over 8 colours, 1.9·10⁵ pending uniform removals (one sixteenth of the
+// light agents, the flush rule's trigger) and as many fresh agents.  The
+// row includes the O(k) open and add that set the ledger up.
+void BM_LightLedgerFlush(benchmark::State& state) {
+  Xoshiro256 gen(11);
+  const std::vector<std::int64_t> light(8, 375'000);
+  const std::vector<std::int64_t> fresh(8, 23'750);
+  divpp::batch::LightLedger ledger;
+  for (auto _ : state) {
+    ledger.open(light);
+    ledger.remove_uniform(gen, 190'000);  // no fresh agents: no draw
+    ledger.add(fresh);
+    ledger.flush(gen);
+    benchmark::DoNotOptimize(ledger.total());
+  }
+}
+BENCHMARK(BM_LightLedgerFlush);
 
 void BM_AliasTableSample(benchmark::State& state) {
   Xoshiro256 gen(3);

@@ -34,6 +34,7 @@
 // not trajectories (the engines deliberately consume different draw
 // sequences; see README).
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <fstream>
@@ -103,18 +104,22 @@ std::int64_t capped_window(std::int64_t window, Engine engine) {
 int main(int argc, char** argv) {
   const divpp::io::Args args(argc, argv);
   const bool smoke = args.get_bool("smoke", false);
+  // --k first: equal_start needs n >= max(2, k), so the --ns range
+  // check below depends on it.
+  const std::int64_t k = args.get_int("k", 8);
   const auto ns = smoke ? std::vector<std::int64_t>{1'000'000}
                         : args.get_int_list(
                               "ns", {10'000, 100'000, 1'000'000, 10'000'000});
   for (const std::int64_t n : ns) {
-    if (n < 2 || n > kMaxPopulation) {
-      std::cerr << "e20_batch: --ns entries must be in [2, 1e9] (got " << n
+    if (n < std::max<std::int64_t>(2, k) || n > kMaxPopulation) {
+      std::cerr << "e20_batch: --ns entries must be in [max(2, k), 1e9] "
+                   "(got "
+                << n << " at k = " << k
                 << "); the engines are O(k) memory, the cap is purely a "
                    "wall-clock budget guard\n";
       return 1;
     }
   }
-  const std::int64_t k = args.get_int("k", 8);
   const double w = args.get_double("w", 4.0);
   const std::int64_t window_flag = args.get_int("window", 0);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 99));

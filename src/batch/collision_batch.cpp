@@ -120,6 +120,72 @@ std::int64_t RunLengthTable::sample(rng::Xoshiro256& gen) const {
   return table_->sample(gen) + 1;  // slot j-1 holds P(ℓ = j)
 }
 
+void LightLedger::open(std::span<const std::int64_t> light) {
+  old_.assign(light.begin(), light.end());
+  fresh_.assign(light.size(), 0);
+  scratch_.resize(light.size());
+  old_total_ = std::accumulate(light.begin(), light.end(), std::int64_t{0});
+  pending_ = 0;
+  fresh_total_ = 0;
+  SIM_IF_CHECKED(check());
+}
+
+void LightLedger::remove_uniform(rng::Xoshiro256& gen, std::int64_t count) {
+  SIM_DCHECK_LE(count, total());
+  std::int64_t from_fresh = 0;
+  if (fresh_total_ > 0 && count > 0) {
+    from_fresh = rng::hypergeometric(gen, total(), fresh_total_, count);
+    rng::multivariate_hypergeometric(gen, fresh_, from_fresh, scratch_);
+    for (std::size_t i = 0; i < fresh_.size(); ++i) fresh_[i] -= scratch_[i];
+    fresh_total_ -= from_fresh;
+  }
+  pending_ += count - from_fresh;
+  SIM_IF_CHECKED(check());
+}
+
+void LightLedger::add(std::span<const std::int64_t> added) {
+  for (std::size_t i = 0; i < fresh_.size(); ++i) {
+    fresh_[i] += added[i];
+    fresh_total_ += added[i];
+  }
+  SIM_IF_CHECKED(check());
+}
+
+void LightLedger::flush(rng::Xoshiro256& gen) {
+  if (pending_ > 0) {
+    rng::multivariate_hypergeometric(gen, old_, pending_, scratch_);
+    for (std::size_t i = 0; i < old_.size(); ++i) old_[i] -= scratch_[i];
+  }
+  for (std::size_t i = 0; i < old_.size(); ++i) {
+    old_[i] += fresh_[i];
+    fresh_[i] = 0;
+  }
+  old_total_ += fresh_total_ - pending_;
+  pending_ = 0;
+  fresh_total_ = 0;
+  SIM_IF_CHECKED(check());
+}
+
+void LightLedger::close(rng::Xoshiro256& gen, std::span<std::int64_t> light) {
+  flush(gen);
+  std::copy(old_.begin(), old_.end(), light.begin());
+}
+
+void LightLedger::check() const {
+  std::int64_t old_sum = 0;
+  std::int64_t fresh_sum = 0;
+  for (std::size_t i = 0; i < old_.size(); ++i) {
+    SIM_DCHECK_GE(old_[i], 0);
+    SIM_DCHECK_GE(fresh_[i], 0);
+    old_sum += old_[i];
+    fresh_sum += fresh_[i];
+  }
+  SIM_DCHECK_EQ(old_sum, old_total_);
+  SIM_DCHECK_EQ(fresh_sum, fresh_total_);
+  SIM_DCHECK_GE(pending_, 0);
+  SIM_DCHECK_LE(pending_, old_total_);
+}
+
 CollisionBatcher::CollisionBatcher(const core::WeightMap& weights)
     // A private layout-only context: the same layout arithmetic as every
     // shared context (context/sampler_context.cpp), with run-length
@@ -135,44 +201,111 @@ CollisionBatcher::CollisionBatcher(
     throw std::invalid_argument("CollisionBatcher: null sampler context");
   k_ = context_->num_colors();
   const auto k = static_cast<std::size_t>(k_);
-  for (auto* v : {&adopt_in_, &adopt_out_, &pair_members_, &diag_,
-                  &known_dark_, &known_light_, &rest_dark_pool_,
-                  &rest_light_pool_})
+  for (auto* v : {&adopt_in_, &pair_members_, &mono_, &faded_, &known_dark_,
+                  &known_light_, &rest_dark_pool_})
     v->assign(k, 0);
+}
+
+std::int64_t CollisionBatcher::validate(std::span<const std::int64_t> dark,
+                                        std::span<const std::int64_t> light,
+                                        std::int64_t budget) const {
+  const auto k = static_cast<std::size_t>(k_);
+  if (dark.size() != k || light.size() != k)
+    throw std::invalid_argument("CollisionBatcher: span size mismatch");
+  if (budget < 1)
+    throw std::invalid_argument("CollisionBatcher: budget must be >= 1");
+  return std::accumulate(dark.begin(), dark.end(), std::int64_t{0}) +
+         std::accumulate(light.begin(), light.end(), std::int64_t{0});
+}
+
+const RunLengthTable& CollisionBatcher::run_length_table(std::int64_t n) {
+  // Eager shared table when the context has one for this population,
+  // else the private on-demand table — identical contents either way
+  // (RunLengthTable is a pure function of n), so the draw sequence does
+  // not depend on which path served the lookup.
+  if (const RunLengthTable* table = context_->run_length_table(n))
+    return *table;
+  if (!run_table_.has_value() || run_table_->population() != n)
+    run_table_.emplace(n);
+  return *run_table_;
+}
+
+void CollisionBatcher::close_window(
+    [[maybe_unused]] std::span<const std::int64_t> dark,
+    std::span<std::int64_t> light, [[maybe_unused]] std::int64_t n,
+    rng::Xoshiro256& gen) {
+  ledger_.close(gen, light);
+  SIM_IF_CHECKED({
+    // The light vector is exact again: non-negative, and with the dark
+    // counts it holds every agent.
+    std::int64_t total = 0;
+    for (std::size_t i = 0; i < light.size(); ++i) {
+      SIM_DCHECK_GE(light[i], 0);
+      total += dark[i] + light[i];
+    }
+    SIM_DCHECK_EQ(total, n);
+  });
+}
+
+std::int64_t CollisionBatcher::run_window(std::span<std::int64_t> dark,
+                                          std::span<std::int64_t> light,
+                                          std::int64_t budget,
+                                          rng::Xoshiro256& gen) {
+  const std::int64_t n = validate(dark, light, budget);
+  outcome_ = Outcome{};
+  ledger_.open(light);
+  const RunLengthTable* table = nullptr;  // built on the first batch
+  std::int64_t consumed = 0;
+  while (consumed < budget) {
+    // Absorption is decided on exact integers before every batch: an
+    // adopt needs a light and a dark agent, a fade two same-colour dark
+    // agents.  An absorbed configuration (every one with n < 2 among
+    // them) burns the rest of the window without a draw.
+    std::int64_t total_dark = 0;
+    bool fade_possible = false;
+    for (const std::int64_t d : dark) {
+      total_dark += d;
+      fade_possible = fade_possible || d >= 2;
+    }
+    if (!fade_possible && (total_dark == n || total_dark == 0)) {
+      consumed = budget;
+      break;
+    }
+    if (table == nullptr) table = &run_length_table(n);
+    consumed += batch(dark, n, budget - consumed, *table, gen);
+    if (ledger_.wants_flush()) ledger_.flush(gen);
+  }
+  close_window(dark, light, n, gen);
+  outcome_.interactions = consumed;
+  return consumed;
 }
 
 std::int64_t CollisionBatcher::advance(std::span<std::int64_t> dark,
                                        std::span<std::int64_t> light,
                                        std::int64_t budget,
                                        rng::Xoshiro256& gen) {
-  const auto k = static_cast<std::size_t>(k_);
-  if (dark.size() != k || light.size() != k)
-    throw std::invalid_argument("CollisionBatcher: span size mismatch");
-  if (budget < 1)
-    throw std::invalid_argument("CollisionBatcher: budget must be >= 1");
-  const std::int64_t n =
-      std::accumulate(dark.begin(), dark.end(), std::int64_t{0}) +
-      std::accumulate(light.begin(), light.end(), std::int64_t{0});
+  const std::int64_t n = validate(dark, light, budget);
   if (n < 2)
     throw std::invalid_argument("CollisionBatcher: need n >= 2 agents");
-
   outcome_ = Outcome{};
+  const RunLengthTable& table = run_length_table(n);
+  ledger_.open(light);
+  const std::int64_t consumed = batch(dark, n, budget, table, gen);
+  close_window(dark, light, n, gen);
+  outcome_.interactions = consumed;
+  return consumed;
+}
+
+std::int64_t CollisionBatcher::batch(std::span<std::int64_t> dark,
+                                     std::int64_t n, std::int64_t budget,
+                                     const RunLengthTable& table,
+                                     rng::Xoshiro256& gen) {
 #ifdef SIM_CHECKED
-  // Draw audit: replay-count the stream this advance consumes.  Checked
+  // Draw audit: replay-count the stream this batch consumes.  Checked
   // builds only — draws_between re-runs the stream.
   const rng::Xoshiro256 entry_gen = gen;
 #endif
-  // Eager shared table when the context has one for this population,
-  // else the private on-demand table — identical contents either way
-  // (RunLengthTable is a pure function of n), so the draw sequence does
-  // not depend on which path served the lookup.
-  const RunLengthTable* table = context_->run_length_table(n);
-  if (table == nullptr) {
-    if (!run_table_.has_value() || run_table_->population() != n)
-      run_table_.emplace(n);
-    table = &*run_table_;
-  }
-  const std::int64_t len = table->sample(gen);
+  const std::int64_t len = table.sample(gen);
   // Run-length support: 1 <= ℓ <= floor(n/2) (2ℓ distinct agents).
   SIM_ASSERT(len >= 1);
   SIM_DCHECK_LE(len, n / 2);
@@ -181,43 +314,41 @@ std::int64_t CollisionBatcher::advance(std::span<std::int64_t> dark,
     // The window edge arrives before the collision: the first `budget`
     // interactions of a collision-free run are themselves a uniform
     // ordered sample without replacement, so truncation is exact.
-    apply_batch(dark, light, n, budget, gen);
-    outcome_.interactions = budget;
+    apply_batch(dark, n, budget, gen);
     consumed = budget;
   } else {
-    apply_batch(dark, light, n, len, gen);
-    collision_step(dark, light, n, 2 * len, gen);
-    outcome_.interactions = len + 1;
+    apply_batch(dark, n, len, gen);
+    collision_step(dark, n, 2 * len, gen);
     consumed = len + 1;
   }
+  // The batch's faded agents join the ledger only now: the collision
+  // step picks them as known-colour used agents, not from the ledger.
+  ledger_.add(faded_);
   SIM_IF_CHECKED({
     // Post-batch conservation: aggregate adopts and fades move agents
-    // between shades, never in or out of the population.
-    std::int64_t after = 0;
+    // between shades, never in or out of the population, so the ledger
+    // holds exactly the agents that are not dark.
+    const auto k = static_cast<std::size_t>(k_);
+    std::int64_t total_dark = 0;
     for (std::size_t i = 0; i < k; ++i) {
       SIM_DCHECK_GE(dark[i], 0);
-      SIM_DCHECK_GE(light[i], 0);
-      after += dark[i] + light[i];
+      total_dark += dark[i];
     }
-    SIM_DCHECK_EQ(after, n);
+    SIM_DCHECK_EQ(ledger_.total(), n - total_dark);
     // Lazy-materialisation pool consistency: collision_step must leave
-    // the shared rest pools non-negative with matching totals.
+    // the dark rest pool non-negative with a matching total.
     std::int64_t dark_pool = 0;
-    std::int64_t light_pool = 0;
     for (std::size_t i = 0; i < k; ++i) {
       SIM_DCHECK_GE(rest_dark_pool_[i], 0);
-      SIM_DCHECK_GE(rest_light_pool_[i], 0);
       dark_pool += rest_dark_pool_[i];
-      light_pool += rest_light_pool_[i];
     }
     SIM_DCHECK_EQ(dark_pool, rest_dark_total_);
-    SIM_DCHECK_EQ(light_pool, rest_light_total_);
   });
 #ifdef SIM_CHECKED
   const std::int64_t draws = check::draws_between(
       entry_gen, gen, check::CountingBitGenerator::kDefaultReplayCap);
   // One batch draws O(k) variates; losing the stream inside a single
-  // advance means the generator was touched behind the audit's back.
+  // batch means the generator was touched behind the audit's back.
   SIM_DCHECK_GE(draws, 0);
 #endif
   return consumed;
@@ -252,14 +383,12 @@ void CollisionBatcher::draw_tagged_involvement(
 }
 
 void CollisionBatcher::apply_batch(std::span<std::int64_t> dark,
-                                   std::span<std::int64_t> light,
                                    std::int64_t n, std::int64_t len,
                                    rng::Xoshiro256& gen) {
   const auto k = static_cast<std::size_t>(k_);
   const double max_inv_weight = context_->max_inv_weight();
   const std::span<const double> fade_ratio = context_->fade_ratio();
-  const std::int64_t total_light =
-      std::accumulate(light.begin(), light.end(), std::int64_t{0});
+  const std::int64_t total_light = ledger_.total();
 
   // (1) Shade and slot scalars.  The 2·len participants are a uniform
   // ordered sample without replacement, so their shade total is one
@@ -277,15 +406,15 @@ void CollisionBatcher::apply_batch(std::span<std::int64_t> dark,
   const std::int64_t adopts =
       rng::hypergeometric(gen, len, dark_resp, light_init);
 
-  // (2) Adopt colours, straight off the population counts.  The
-  // adopters are a uniform subset of the light participants, themselves
-  // a uniform subset of the light population — so the adopting colours
-  // are one multivariate-hypergeometric split of the light counts, and
-  // the adopted (responder) colours one split of the dark counts.  The
-  // full participant compositions are integrated out; the collision
-  // step re-materialises what it touches from the rest pools below.
-  rng::multivariate_hypergeometric(gen, light, adopts, adopt_out_);
+  // (2) Adopt colours.  The adopted responders are a uniform subset of
+  // the dark participants, themselves a uniform subset of the dark
+  // population — so their colours are one multivariate-hypergeometric
+  // split straight off the dark counts.  The adopters are likewise a
+  // uniform subset of the light population, and no transition reads a
+  // light agent's colour: they leave the ledger as uniform removals,
+  // their colours drawn in aggregate at its next flush.
   rng::multivariate_hypergeometric(gen, dark, adopts, adopt_in_);
+  ledger_.remove_uniform(gen, adopts);
 
   // (3) Dark–dark same-colour pairs, pre-thinned.  Every non-adopted
   // dark responder is paired with a dark initiator.  A dd pair fades
@@ -295,17 +424,14 @@ void CollisionBatcher::apply_batch(std::span<std::int64_t> dark,
   // colour-blind, so the *fade candidates* are one Binomial(dd, p_max)
   // draw, and only candidate pairs ever need their colours resolved —
   // non-candidate pair members keep shade and colour and stay in the
-  // lazy rest pools with everyone else.  The candidate pairs are a
+  // lazy rest pool with everyone else.  The candidate pairs are a
   // uniform subset of the dd pairs, so their 2·cand members are a
   // uniform sample of the dark population minus the adopted responders
   // (uniform subset of a uniform subset), and their pairing is a uniform
-  // perfect matching: the same-colour candidate-pair counts come from
-  // the O(k) slot-occupancy chain — colour i first splits its members
-  // between double-open pairs and half-filled ones (hypergeometric),
-  // then the fully-monochromatic pair count among the double-open pairs
-  // is one rng::full_pairs draw.  With k equal weights the second-stage
-  // thinning probability is exactly 1, so every monochromatic candidate
-  // fades without a further draw.
+  // perfect matching: members and monochromatic pairs per colour are one
+  // paired draw.  With k equal weights the second-stage thinning
+  // probability is exactly 1, so every monochromatic candidate fades
+  // without a further draw.
   const std::int64_t dd = dark_resp - adopts;
   // Scalar-chain support: every derived count is a sub-sample of its
   // parent, so all of them are non-negative by construction — a negative
@@ -317,25 +443,8 @@ void CollisionBatcher::apply_batch(std::span<std::int64_t> dark,
   for (std::size_t i = 0; i < k; ++i)
     rest_dark_pool_[i] = dark[i] - adopt_in_[i];
   const std::int64_t cand = rng::binomial(gen, dd, max_inv_weight);
-  rng::multivariate_hypergeometric(gen, rest_dark_pool_, 2 * cand,
-                                   pair_members_);
-  std::int64_t open_pairs = cand;  // pairs with both slots still free
-  std::int64_t singles = 0;        // pairs with one slot already taken
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::int64_t members = pair_members_[i];
-    const std::int64_t in_pairs = rng::hypergeometric(
-        gen, 2 * open_pairs + singles, 2 * open_pairs, members);
-    const std::int64_t mono = rng::full_pairs(gen, open_pairs, in_pairs);
-    diag_[i] = mono;
-    const std::int64_t half = in_pairs - 2 * mono;
-    open_pairs -= mono + half;
-    singles += half - (members - in_pairs);
-    SIM_ASSERT(open_pairs >= 0 && singles >= 0);
-  }
-  // All 2·cand candidate-pair slots must be exactly filled once every
-  // colour's members are placed.
-  SIM_DCHECK_EQ(open_pairs, 0);
-  SIM_DCHECK_EQ(singles, 0);
+  rng::multivariate_hypergeometric_pairs(gen, rest_dark_pool_, cand,
+                                         pair_members_, mono_);
 
   // (4) Fades (second-stage thinning of the monochromatic candidates),
   // aggregate deltas, and the collision bookkeeping.  Used agents whose
@@ -345,45 +454,39 @@ void CollisionBatcher::apply_batch(std::span<std::int64_t> dark,
   // dark colours are the adopt_in multiset again), the candidate pair
   // members (dark, minus the faded initiators) and the faded agents
   // (light).  Everyone else keeps both shade and colour, and their
-  // colours were never drawn: the rest pools (population minus
-  // known-colour agents) cover them, used and untouched alike.
+  // colours were never drawn: the dark rest pool and the ledger cover
+  // them, used and untouched alike.
   rest_dark_total_ = 0;
-  rest_light_total_ = 0;
   for (std::size_t i = 0; i < k; ++i) {
-    const std::int64_t fades_i =
-        rng::binomial(gen, diag_[i], fade_ratio[i]);
+    const std::int64_t fades_i = rng::binomial(gen, mono_[i], fade_ratio[i]);
     rest_dark_pool_[i] -= pair_members_[i];
-    rest_light_pool_[i] = light[i] - adopt_out_[i];
     rest_dark_total_ += rest_dark_pool_[i];
-    rest_light_total_ += rest_light_pool_[i];
     known_dark_[i] = 2 * adopt_in_[i] + pair_members_[i] - fades_i;
     known_light_[i] = fades_i;
+    faded_[i] = fades_i;
     dark[i] += adopt_in_[i] - fades_i;
-    light[i] += fades_i - adopt_out_[i];
     outcome_.fades += fades_i;
   }
   outcome_.adopts += adopts;
-  // Scalar used/untouched split of the rest pools: dark participants not
-  // adopted and not in candidate pairs, light participants that did not
-  // adopt.
+  // Scalar used/untouched split of the lazy agents: dark participants
+  // not adopted and not in candidate pairs, light participants that did
+  // not adopt.
   rest_dark_used_ = (participants - lights) - adopts - 2 * cand;
   rest_light_used_ = lights - adopts;
   SIM_IF_CHECKED({
     SIM_DCHECK_GE(rest_dark_used_, 0);
     SIM_DCHECK_GE(rest_light_used_, 0);
+    SIM_DCHECK_LE(rest_light_used_, ledger_.total());
     for (std::size_t i = 0; i < k; ++i) {
       SIM_DCHECK_GE(known_dark_[i], 0);
       SIM_DCHECK_GE(known_light_[i], 0);
       SIM_DCHECK_GE(rest_dark_pool_[i], 0);
-      SIM_DCHECK_GE(rest_light_pool_[i], 0);
       SIM_DCHECK_GE(dark[i], 0);
-      SIM_DCHECK_GE(light[i], 0);
     }
   });
 }
 
 void CollisionBatcher::collision_step(std::span<std::int64_t> dark,
-                                      std::span<std::int64_t> light,
                                       std::int64_t n, std::int64_t used,
                                       rng::Xoshiro256& gen) {
   const auto k = static_cast<std::size_t>(k_);
@@ -398,37 +501,26 @@ void CollisionBatcher::collision_step(std::span<std::int64_t> dark,
   const bool init_used = r < both + cross;
   const bool resp_used = r < both || r >= both + cross;
 
-  // Untouched split of the rest pools (the used split was recorded by
-  // apply_batch); every count below is mutated as agents materialise, so
-  // the second pick automatically excludes the first — the exact
-  // sequential law of sampling without replacement.
+  // Untouched split of the lazy agents (the used split was recorded by
+  // apply_batch).  The ledger holds every light agent whose colour the
+  // batch left undrawn — the batch's own fades join it only after this
+  // step — so its total covers the used and the untouched lazy lights.
   std::int64_t rest_dark_untouched = rest_dark_total_ - rest_dark_used_;
-  std::int64_t rest_light_untouched = rest_light_total_ - rest_light_used_;
+  std::int64_t rest_light_untouched = ledger_.total() - rest_light_used_;
 
   // Uniform class draw from the used or untouched set, dark block first
   // (the same flattening as CountSimulation::pick_class).  A used pick
   // scans the known-colour groups (adopt pairs + dd-pair members on the
   // dark side, faded agents on the light side) and then the lazy rest
-  // blocks; an untouched pick is entirely lazy.  A lazy hit draws the
-  // agent's colour from the shared rest pool — the marginal of one
-  // member of the integrated-out split — and removes it from the pool.
+  // blocks; an untouched pick is entirely lazy.  A lazy pick fixes only
+  // the agent's shade; its colour is drawn below, and only if the
+  // transition reads it.  Every count is mutated as agents are picked,
+  // so the second pick excludes the first — the exact sequential law of
+  // sampling without replacement.
+  constexpr std::size_t kLazy = static_cast<std::size_t>(-1);
   struct Pick {
     bool is_dark = false;
-    std::size_t color = 0;
-  };
-  const auto draw_from_pool = [&](std::vector<std::int64_t>& pool,
-                                  std::int64_t& pool_total) -> std::size_t {
-    std::int64_t target = rng::uniform_below(gen, pool_total);
-    for (std::size_t i = 0; i < k; ++i) {
-      if (target < pool[i]) {
-        --pool[i];
-        --pool_total;
-        return i;
-      }
-      target -= pool[i];
-    }
-    throw std::logic_error(
-        "CollisionBatcher::collision_step: inconsistent rest pool");
+    std::size_t color = kLazy;
   };
   const auto pick = [&](bool from_used, std::int64_t pool_total) -> Pick {
     std::int64_t target = rng::uniform_below(gen, pool_total);
@@ -442,7 +534,7 @@ void CollisionBatcher::collision_step(std::span<std::int64_t> dark,
       }
       if (target < rest_dark_used_) {
         --rest_dark_used_;
-        return {true, draw_from_pool(rest_dark_pool_, rest_dark_total_)};
+        return {true, kLazy};
       }
       target -= rest_dark_used_;
       for (std::size_t i = 0; i < k; ++i) {
@@ -454,38 +546,61 @@ void CollisionBatcher::collision_step(std::span<std::int64_t> dark,
       }
       if (target < rest_light_used_) {
         --rest_light_used_;
-        return {false, draw_from_pool(rest_light_pool_, rest_light_total_)};
+        return {false, kLazy};
       }
       throw std::logic_error(
           "CollisionBatcher::collision_step: inconsistent used totals");
     }
     if (target < rest_dark_untouched) {
       --rest_dark_untouched;
-      return {true, draw_from_pool(rest_dark_pool_, rest_dark_total_)};
+      return {true, kLazy};
     }
     target -= rest_dark_untouched;
     if (target < rest_light_untouched) {
       --rest_light_untouched;
-      return {false, draw_from_pool(rest_light_pool_, rest_light_total_)};
+      return {false, kLazy};
     }
     throw std::logic_error(
         "CollisionBatcher::collision_step: inconsistent untouched totals");
   };
+  // A lazy dark agent's colour: one draw from the dark rest pool — the
+  // marginal of one member of the integrated-out split — removed from it.
+  const auto dark_color = [&](Pick& p) {
+    if (p.color != kLazy) return p.color;
+    std::int64_t target = rng::uniform_below(gen, rest_dark_total_);
+    for (std::size_t i = 0; i < k; ++i) {
+      if (target < rest_dark_pool_[i]) {
+        --rest_dark_pool_[i];
+        --rest_dark_total_;
+        return p.color = i;
+      }
+      target -= rest_dark_pool_[i];
+    }
+    throw std::logic_error(
+        "CollisionBatcher::collision_step: inconsistent rest pool");
+  };
 
-  const Pick initiator = pick(init_used, init_used ? used : untouched);
-  const Pick responder =
-      pick(resp_used, (resp_used ? used : untouched) -
-                          ((init_used == resp_used) ? 1 : 0));
+  Pick initiator = pick(init_used, init_used ? used : untouched);
+  Pick responder = pick(resp_used, (resp_used ? used : untouched) -
+                                       ((init_used == resp_used) ? 1 : 0));
 
   if (!initiator.is_dark && responder.is_dark) {
-    --light[initiator.color];
-    ++dark[responder.color];
+    // The adopter leaves the light agents: a known one is a fade of this
+    // batch, not yet in the ledger; a lazy one is a uniform removal from
+    // it (no transition reads its colour).
+    if (initiator.color == kLazy) {
+      ledger_.remove_uniform(gen, 1);
+    } else {
+      --faded_[initiator.color];
+    }
+    ++dark[dark_color(responder)];
     ++outcome_.adopts;
-  } else if (initiator.is_dark && responder.is_dark &&
-             initiator.color == responder.color) {
-    if (rng::bernoulli(gen, inv_weight[initiator.color])) {
-      --dark[initiator.color];
-      ++light[initiator.color];
+  } else if (initiator.is_dark && responder.is_dark) {
+    const std::size_t color = dark_color(initiator);
+    if (color == dark_color(responder) &&
+        rng::bernoulli(gen, inv_weight[color])) {
+      --dark[color];
+      ++faded_[color];
       ++outcome_.fades;
     }
   }

@@ -463,7 +463,7 @@ void CountSimulation::set_sampler_context(
         "simulation's");
   sampler_context_ = std::move(context);
   // Rebuilt lazily on the next batched window, from the context when one
-  // is attached.  The batcher holds no trajectory state (per-advance
+  // is attached.  The batcher holds no trajectory state (per-window
   // scratch plus a deterministic table), so dropping it changes nothing
   // observable.
   batcher_.reset();
@@ -607,31 +607,14 @@ void CountSimulation::batch_to(std::int64_t target_time,
       batcher_.emplace(weights_);
     }
   }
-  batch::CollisionBatcher& batcher = *batcher_;
-  while (time_ < target_time) {
-    // The batcher mutates raw counts; keep the exact-integer absorption
-    // counters current so an absorbed configuration short-circuits the
-    // remaining window (every further interaction is a no-op).
-    total_dark_ = std::accumulate(dark_.begin(), dark_.end(),
-                                  std::int64_t{0});
-    dark_ge2_ = 0;
-    for (const std::int64_t d : dark_)
-      if (d >= 2) ++dark_ge2_;
-    if (is_absorbed()) {
-      time_ = target_time;
-      break;
-    }
-    const std::int64_t budget = target_time - time_;
-    const std::int64_t consumed = batcher.advance(dark_, light_, budget, gen);
-    // A batch may never overrun its window: the run length is truncated
-    // at the budget and the collision interaction only counts when it
-    // fits (event alignment in drive() depends on this).
-    SIM_ASSERT(consumed >= 1);
-    SIM_DCHECK_LE(consumed, budget);
-    time_ += consumed;
-    const batch::CollisionBatcher::Outcome& out = batcher.last_outcome();
-    active_transitions_ += out.adopts + out.fades;
-  }
+  // One window of collision batches; the batcher decides absorption on
+  // exact integers before every batch and never overruns the window
+  // (event alignment in drive() depends on this).
+  batcher_->run_window(dark_, light_, target_time - time_, gen);
+  const batch::CollisionBatcher::Outcome& out = batcher_->last_outcome();
+  SIM_DCHECK_EQ(out.interactions, target_time - time_);
+  time_ = target_time;
+  active_transitions_ += out.adopts + out.fades;
   rebuild_derived();
 }
 

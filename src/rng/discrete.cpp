@@ -613,36 +613,48 @@ std::int64_t mvh_validate(std::span<const std::int64_t> counts,
   return pool;
 }
 
-/// Sampling without replacement as a corrected multinomial.  The
-/// proposal c ~ Multinomial(draws; counts/pool) is accepted with
-/// probability A(c) = Π_i Π_{j<c_i} (1 − j/counts_i), which is exact:
-/// Multinomial(c)·A(c) ∝ Π_i counts_i^{c_i}/c_i! · counts_i!/
-/// ((counts_i − c_i)!·counts_i^{c_i}) = Π_i C(counts_i, c_i).  A(c) is
-/// 0 once some c_i exceeds counts_i (the factor j = counts_i vanishes).
-/// With D = Σ_i c_i(c_i − 1)/(2·counts_i), 1 − D <= A(c) <= e^{−D}, so
-/// the product is only formed when the uniform falls between the two.
+/// The without-replacement correction of a with-replacement tally: one
+/// uniform accepts the per-category tally c of a sample drawn with
+/// replacement from `counts` with probability
+/// A(c) = Π_i Π_{j<c_i} (1 − j/counts_i) = Π_i counts_i^(c_i)/counts_i^{c_i}
+/// (falling over plain powers).  Any ordered with-replacement sequence
+/// s has probability Π_i (counts_i/pool)^{c_i}, and the same sequence
+/// drawn without replacement Π_i counts_i^(c_i)/pool^(|s|): the ratio
+/// is A(c(s)) up to a constant, so every accepted sequence — and any
+/// function of it — has the without-replacement law.  A(c) is 0 once
+/// some c_i exceeds counts_i (the factor j = counts_i vanishes).  With
+/// D = Σ_i c_i(c_i − 1)/(2·counts_i), 1 − D <= A(c) <= e^{−D}, so the
+/// product is only formed when the uniform falls between the two.
+bool accept_without_replacement(Xoshiro256& gen,
+                                std::span<const std::int64_t> counts,
+                                std::span<const std::int64_t> tally) {
+  double d = 0.0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const auto c = static_cast<double>(tally[i]);
+    if (tally[i] >= 2)
+      d += c * (c - 1.0) / (2.0 * static_cast<double>(counts[i]));
+  }
+  const double u = uniform01(gen);
+  if (u < 1.0 - d) return true;
+  if (u >= std::exp(-d)) return false;
+  double a = 1.0;
+  for (std::size_t i = 0; i < counts.size() && a > u; ++i) {
+    const auto ci = static_cast<double>(counts[i]);
+    for (std::int64_t j = 1; j < tally[i] && a > u; ++j)
+      a *= 1.0 - static_cast<double>(j) / ci;
+  }
+  return u < a;
+}
+
+/// Sampling without replacement as a corrected multinomial: the
+/// proposal c ~ Multinomial(draws; counts/pool) from the binomial chain,
+/// kept by accept_without_replacement().
 void mvh_multinomial(Xoshiro256& gen, std::span<const std::int64_t> counts,
                      std::int64_t pool, std::int64_t draws,
                      std::span<std::int64_t> out) {
-  while (true) {
+  do {
     binomial_chain(gen, draws, counts, pool, out);
-    double d = 0.0;
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      const auto c = static_cast<double>(out[i]);
-      if (out[i] >= 2)
-        d += c * (c - 1.0) / (2.0 * static_cast<double>(counts[i]));
-    }
-    const double u = uniform01(gen);
-    if (u < 1.0 - d) return;
-    if (u >= std::exp(-d)) continue;
-    double a = 1.0;
-    for (std::size_t i = 0; i < counts.size() && a > u; ++i) {
-      const auto ci = static_cast<double>(counts[i]);
-      for (std::int64_t j = 1; j < out[i] && a > u; ++j)
-        a *= 1.0 - static_cast<double>(j) / ci;
-    }
-    if (u < a) return;
-  }
+  } while (!accept_without_replacement(gen, counts, out));
 }
 
 }  // namespace
@@ -720,6 +732,124 @@ std::vector<std::int64_t> multivariate_hypergeometric(
   std::vector<std::int64_t> out(counts.size());
   multivariate_hypergeometric(gen, counts, draws, out);
   return out;
+}
+
+namespace {
+
+/// Validates a paired draw and returns the pool.
+std::int64_t pairs_validate(std::span<const std::int64_t> counts,
+                            std::int64_t pairs,
+                            std::span<std::int64_t> members,
+                            std::span<std::int64_t> mono) {
+  if (mono.size() != counts.size())
+    throw std::invalid_argument(
+        "multivariate_hypergeometric_pairs: mono size mismatch");
+  if (pairs < 0)
+    throw std::invalid_argument(
+        "multivariate_hypergeometric_pairs: negative pair count");
+  const std::int64_t pool = mvh_validate(counts, 0, members);
+  if (pairs > pool / 2)
+    throw std::invalid_argument(
+        "multivariate_hypergeometric_pairs: 2 * pairs exceeds the pool");
+  return pool;
+}
+
+/// The paired path: the 2·pairs members drawn *with* replacement are
+/// i.i.d. colours, two per pair, so one walk over the colours yields
+/// both tallies.  Given that a slot holds none of colours < i, it holds
+/// colour i with probability q = counts_i / (counts_i + … + counts_k);
+/// a pair with both slots open is then monochromatic with probability
+/// q², half-filled with 2q(1 − q), and a pair with one slot open is
+/// completed with q.  The with-replacement slot sequence differs from
+/// the without-replacement one only through the colour totals c, so
+/// accept_without_replacement() on c makes (c, mono) exact.  At the last
+/// non-empty colour q = 1 fills every remaining slot.
+void pairs_multinomial(Xoshiro256& gen, std::span<const std::int64_t> counts,
+                       std::int64_t pool, std::int64_t pairs,
+                       std::span<std::int64_t> members,
+                       std::span<std::int64_t> mono) {
+  do {
+    std::int64_t open = pairs;  // pairs with both slots still free
+    std::int64_t singles = 0;   // pairs with one slot already taken
+    std::int64_t remaining = pool;
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      if (open == 0 && singles == 0) {
+        members[i] = 0;
+        mono[i] = 0;
+        continue;
+      }
+      const double q = static_cast<double>(counts[i]) /
+                       static_cast<double>(remaining);
+      const std::int64_t both = binomial(gen, open, q * q);
+      const std::int64_t half =
+          binomial(gen, open - both, 2.0 * q / (1.0 + q));
+      const std::int64_t fill = binomial(gen, singles, q);
+      members[i] = 2 * both + half + fill;
+      mono[i] = both;
+      open -= both + half;
+      singles += half - fill;
+      remaining -= counts[i];
+    }
+    // Every slot is filled by the last non-empty colour (q == 1).
+    SIM_DCHECK_EQ(open, 0);
+    SIM_DCHECK_EQ(singles, 0);
+  } while (!accept_without_replacement(gen, counts, members));
+}
+
+}  // namespace
+
+void multivariate_hypergeometric_pairs_multinomial(
+    Xoshiro256& gen, std::span<const std::int64_t> counts, std::int64_t pairs,
+    std::span<std::int64_t> members, std::span<std::int64_t> mono) {
+  const std::int64_t pool = pairs_validate(counts, pairs, members, mono);
+  pairs_multinomial(gen, counts, pool, pairs, members, mono);
+}
+
+void multivariate_hypergeometric_pairs(Xoshiro256& gen,
+                                       std::span<const std::int64_t> counts,
+                                       std::int64_t pairs,
+                                       std::span<std::int64_t> members,
+                                       std::span<std::int64_t> mono) {
+  const std::int64_t pool = pairs_validate(counts, pairs, members, mono);
+  if (mvh_uses_multinomial(pool, 2 * pairs)) {
+    pairs_multinomial(gen, counts, pool, pairs, members, mono);
+  } else {
+    // The member split, then the slot-occupancy chain over a uniform
+    // perfect matching of the members: colour i first splits its members
+    // between double-open pairs and half-filled ones (hypergeometric),
+    // then the monochromatic pair count among the double-open pairs is
+    // one full_pairs draw.
+    multivariate_hypergeometric(gen, counts, 2 * pairs, members);
+    std::int64_t open = pairs;
+    std::int64_t singles = 0;
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      const std::int64_t in_pairs = hypergeometric_impl(
+          gen, 2 * open + singles, 2 * open, members[i]);
+      // The support check of hypergeometric(): an escape would place more
+      // members than colour i has, or more than the open slots hold.
+      SIM_ASSERT(in_pairs >= std::max<std::int64_t>(0, members[i] - singles));
+      SIM_ASSERT(in_pairs <= std::min(members[i], 2 * open));
+      const std::int64_t both = full_pairs(gen, open, in_pairs);
+      mono[i] = both;
+      const std::int64_t half = in_pairs - 2 * both;
+      open -= both + half;
+      singles += half - (members[i] - in_pairs);
+      SIM_ASSERT(open >= 0 && singles >= 0);
+    }
+    // All 2·pairs slots must be exactly filled once every colour's
+    // members are placed.
+    SIM_DCHECK_EQ(open, 0);
+    SIM_DCHECK_EQ(singles, 0);
+  }
+  SIM_IF_CHECKED({
+    std::int64_t sum = 0;
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      SIM_ASSERT(members[i] >= 0 && members[i] <= counts[i]);
+      SIM_ASSERT(mono[i] >= 0 && 2 * mono[i] <= members[i]);
+      sum += members[i];
+    }
+    SIM_DCHECK_EQ(sum, 2 * pairs);
+  });
 }
 
 namespace {

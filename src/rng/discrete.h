@@ -27,7 +27,13 @@
 ///    per-class counts: an urn walk for small samples, the binomial
 ///    chain's multinomial with an exact acceptance correction when the
 ///    sample is small against the pool, and the conditional
-///    hypergeometric chain otherwise.
+///    hypergeometric chain otherwise;
+///  * multivariate_hypergeometric_pairs() — disjoint pairs without
+///    replacement, tallied as members and monochromatic pairs per class:
+///    where the multinomial path above would apply, one walk of three
+///    binomials per class under the same acceptance correction;
+///    otherwise the member split followed by a slot-occupancy chain of
+///    hypergeometric() and full_pairs() draws.
 ///
 /// The rejection kernels are what make the collision-batch engine's
 /// per-batch constant independent of n: every draw the batcher issues
@@ -150,6 +156,37 @@ void multivariate_hypergeometric_multinomial(
 [[nodiscard]] std::vector<std::int64_t> multivariate_hypergeometric(
     Xoshiro256& gen, std::span<const std::int64_t> counts,
     std::int64_t draws);
+
+/// Draws `pairs` disjoint pairs without replacement from items held in
+/// `counts` per class (a uniform 2·`pairs`-subset of the pooled items,
+/// matched into pairs uniformly at random) and writes, per class, the
+/// number of members drawn to `members` and the number of pairs with
+/// both members in that class to `mono`.  Two exact paths, chosen by
+/// multivariate_hypergeometric_uses_multinomial(pool, 2·pairs):
+/// multivariate_hypergeometric_pairs_multinomial below, in O(k)
+/// binomial() calls; otherwise multivariate_hypergeometric() for the
+/// members, then per class one hypergeometric() for the members that
+/// land in still-empty pairs and one full_pairs() for the monochromatic
+/// pairs among them.
+/// \pre 0 <= 2·pairs <= sum(counts); members, mono sized like counts.
+void multivariate_hypergeometric_pairs(Xoshiro256& gen,
+                                       std::span<const std::int64_t> counts,
+                                       std::int64_t pairs,
+                                       std::span<std::int64_t> members,
+                                       std::span<std::int64_t> mono);
+
+/// The paired path of multivariate_hypergeometric_pairs(), exact for
+/// every parameter set: one walk over the classes draws the
+/// with-replacement pairs' tallies (per class, monochromatic pairs
+/// Binomial(open, q²), half-filled ones Binomial(open − mono, 2q/(1+q))
+/// and completed singles Binomial(singles, q), q = counts_i over the
+/// items of classes >= i), and the proposal is accepted with the
+/// multinomial path's factor Π_i Π_{j<c_i} (1 − j/counts_i) on the
+/// member counts c.  Exposed so tests can pin its joint law at a small
+/// shape the dispatcher would not send here.
+void multivariate_hypergeometric_pairs_multinomial(
+    Xoshiro256& gen, std::span<const std::int64_t> counts, std::int64_t pairs,
+    std::span<std::int64_t> members, std::span<std::int64_t> mono);
 
 /// Number of *completely filled* slot-pairs when `items` items occupy a
 /// uniformly random `items`-subset of the 2·`pairs` slots of `pairs`

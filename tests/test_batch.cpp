@@ -1,11 +1,13 @@
 // Tests for the collision-batch engine (batch/): the birthday run-length
 // sampler pinned against the exact survival law and a naive
 // pair-drawing simulation, CollisionBatcher conservation and outcome
-// invariants, the CountSimulation batch engine (absorption
-// short-circuit, conservation), and — the headline distributional
-// contract — fixed-seed two-sample chi-squares showing Engine::kBatch and
-// the collision chain each produce step's per-window count distributions
-// at n = 2000.
+// invariants (one batch and whole windows), the light ledger's uniform
+// removals against their exact law, the CountSimulation batch engine
+// (absorption short-circuit, conservation), and — the headline
+// distributional contract — fixed-seed two-sample chi-squares showing
+// Engine::kBatch and the collision chain each produce step's per-window
+// count distributions at n = 2000, and the chain's many-batch windows
+// the jump chain's per-colour counts at n = 20000.
 
 #include <gtest/gtest.h>
 
@@ -342,6 +344,67 @@ TEST(CollisionBatcher, BudgetTruncationConsumesExactly) {
     EXPECT_EQ(batcher.advance(dark, light, 5, gen), 5);
 }
 
+TEST(CollisionBatcher, RunWindowConsumesTheBudgetAndConserves) {
+  const WeightMap weights({1.0, 2.0, 4.0});
+  CollisionBatcher batcher(weights);
+  Xoshiro256 gen(9);
+  std::vector<std::int64_t> dark = {40'000, 30'000, 20'000};
+  std::vector<std::int64_t> light = {5'000, 3'000, 2'000};
+  for (int round = 0; round < 20; ++round) {
+    const std::int64_t dark_before =
+        std::accumulate(dark.begin(), dark.end(), std::int64_t{0});
+    EXPECT_EQ(batcher.run_window(dark, light, 50'000, gen), 50'000);
+    const auto& out = batcher.last_outcome();
+    EXPECT_EQ(out.interactions, 50'000);
+    const std::int64_t dark_after =
+        std::accumulate(dark.begin(), dark.end(), std::int64_t{0});
+    EXPECT_EQ(dark_after - dark_before, out.adopts - out.fades);
+    EXPECT_EQ(dark_after +
+                  std::accumulate(light.begin(), light.end(), std::int64_t{0}),
+              100'000);
+    for (std::size_t i = 0; i < dark.size(); ++i) {
+      EXPECT_GE(dark[i], 1);  // a colour's last dark agent never fades
+      EXPECT_GE(light[i], 0);
+    }
+  }
+  // An absorbed configuration burns the window without a draw.
+  std::vector<std::int64_t> one_each = {1, 1, 1};
+  std::vector<std::int64_t> none = {0, 0, 0};
+  const Xoshiro256 before = gen;
+  EXPECT_EQ(batcher.run_window(one_each, none, 1'000, gen), 1'000);
+  EXPECT_EQ(gen, before);
+  EXPECT_EQ(batcher.last_outcome().adopts + batcher.last_outcome().fades, 0);
+}
+
+TEST(LightLedger, UniformRemovalsFollowTheExactLaw) {
+  // Old vector {3, 5} plus a fresh colour-0 pair: ten light agents, five
+  // of colour 0.  Two collision-step removals and a batch of two remove
+  // four uniform agents, so after the close light[0] = 5 − X with
+  // X ~ Hypergeometric(10, 5, 4), whichever part each removal hit.
+  const std::int64_t kDraws = scaled(60'000);
+  Xoshiro256 gen(14);
+  divpp::batch::LightLedger ledger;
+  std::vector<std::int64_t> hits(5, 0);
+  std::vector<std::int64_t> light(2);
+  const std::vector<std::int64_t> fresh = {2, 0};
+  for (std::int64_t d = 0; d < kDraws; ++d) {
+    ledger.open(std::vector<std::int64_t>{3, 5});
+    ledger.add(fresh);
+    ASSERT_EQ(ledger.total(), 10);
+    ledger.remove_uniform(gen, 1);
+    ledger.remove_uniform(gen, 1);
+    ledger.remove_uniform(gen, 2);
+    ASSERT_EQ(ledger.total(), 6);
+    ledger.close(gen, light);
+    ASSERT_EQ(light[0] + light[1], 6);
+    ++hits[static_cast<std::size_t>(5 - light[0])];
+  }
+  // C(5, x)·C(5, 4 − x) / C(10, 4) for x = 0..4.
+  const std::vector<double> pmf = {5.0 / 210, 50.0 / 210, 100.0 / 210,
+                                   50.0 / 210, 5.0 / 210};
+  EXPECT_LT(chi_square(hits, pmf, kDraws), chi2_crit(4));
+}
+
 // ---- CountSimulation under Engine::kBatch ---------------------------------
 
 TEST(RunBatched, RejectsPastTarget) {
@@ -485,6 +548,49 @@ TEST(BatchVsStepLaw, CollisionChainMatchesStepAtN2000) {
           t += batcher.advance(dark, light, target - t, gen);
         sim = CountSimulation(sim.weights(), dark, light);
       });
+}
+
+TEST(BatchVsJumpLaw, CollisionWindowsMatchJumpPerColourAtN20000) {
+  // Many-batch windows of the collision chain, driven through
+  // CollisionBatcher::run_window, against the jump chain at n = 20000,
+  // k = 4, w = 4: a window of n interactions is ~230 batches, so the
+  // light colours live in the ledger across flushes, and the candidate
+  // pairs (2·cand ≈ 40 members from ~1.9·10⁴ dark agents) straddle the
+  // paired draw's size rule.  Every colour's dark and light count after
+  // the window is compared by two-sample chi-square.
+  constexpr std::int64_t kNAgents = 20'000;
+  const int kReplicas = static_cast<int>(scaled(2'000));
+  const WeightMap weights({4.0, 4.0, 4.0, 4.0});
+  const std::vector<std::int64_t> dark0 = {9'000, 4'500, 3'000, 1'500};
+  const std::vector<std::int64_t> light0 = {500, 500, 500, 500};
+  constexpr std::size_t kK = 4;
+  std::vector<std::vector<std::int64_t>> jump(2 * kK), chain(2 * kK);
+  CollisionBatcher batcher(weights);
+  for (int r = 0; r < kReplicas; ++r) {
+    CountSimulation sim(weights, dark0, light0);
+    Xoshiro256 jump_gen(static_cast<std::uint64_t>(5'000 + r));
+    sim.advance_with(Engine::kJump, kNAgents, jump_gen);
+    std::vector<std::int64_t> dark = dark0;
+    std::vector<std::int64_t> light = light0;
+    Xoshiro256 chain_gen(static_cast<std::uint64_t>(700'000 + r));
+    batcher.run_window(dark, light, kNAgents, chain_gen);
+    for (std::size_t i = 0; i < kK; ++i) {
+      jump[i].push_back(sim.dark(static_cast<divpp::core::ColorId>(i)));
+      jump[kK + i].push_back(sim.light(static_cast<divpp::core::ColorId>(i)));
+      chain[i].push_back(dark[i]);
+      chain[kK + i].push_back(light[i]);
+    }
+  }
+  for (std::size_t obs = 0; obs < 2 * kK; ++obs) {
+    std::vector<std::int64_t> pooled = jump[obs];
+    pooled.insert(pooled.end(), chain[obs].begin(), chain[obs].end());
+    const std::vector<std::int64_t> edges = quantile_edges(pooled, 12);
+    ASSERT_GE(edges.size(), 3u) << "observable " << obs;
+    EXPECT_LT(chi_square_two_sample(bin_by_edges(jump[obs], edges),
+                                    bin_by_edges(chain[obs], edges)),
+              chi2_crit(edges.size()))
+        << (obs < kK ? "dark " : "light ") << obs % kK;
+  }
 }
 
 TEST(BatchEngineRuntime, BitIdenticalStatsAtAnyThreadCount) {

@@ -318,12 +318,17 @@ constexpr GoldenCase kTaggedGolden[] = {
 // when binomial() moved from BTPE to BTRD and BINV's range shrank to
 // n·p < 10 (this run's colour-0 fade thinnings reach BTRD), and when
 // multivariate_hypergeometric() gained its multinomial path (43 of this
-// run's colour splits take it).
+// run's colour splits took it), and again when the light colours moved
+// into the per-window ledger (each advance() now removes its adopters
+// uniformly and draws their colours at the close, and the collision step
+// draws a colour only when its transition reads it) and the candidate
+// pairs became one multivariate_hypergeometric_pairs draw (44 of this
+// run's 883 candidate draws take its paired path).
 constexpr GoldenCase kChainGolden = {
-    "chain_n20000", {16019, 1, 3, 4, 1, 1, 1, 3}, {3967, 0, 0, 0, 0, 0, 0, 0},
+    "chain_n20000", {16100, 3, 1, 2, 1, 2, 1, 2}, {3888, 0, 0, 0, 0, 0, 0, 0},
     80000,
-    {0xa023e47cfbbaac37ULL, 0xbf052209c0fae965ULL, 0xdcc16877c18402e0ULL,
-     0x195f3f6682bacb61ULL}};
+    {0xdc1f32d88451e185ULL, 0x80d42fc4d6f3335fULL, 0x27352da3d8b4d0d0ULL,
+     0xe14f6d330a04b1a7ULL}};
 
 void expect_golden(const GoldenCase& golden, const CountSimulation& sim,
                    const Xoshiro256& gen) {

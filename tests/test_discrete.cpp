@@ -1,9 +1,9 @@
 // Tests for the exact counting-distribution samplers (rng/discrete.h):
 // chi-square pins of binomial (the Bernoulli, inversion and BTRD regimes),
-// hypergeometric, multinomial and multivariate-hypergeometric draws
-// against the lgamma-evaluated exact pmfs AND against the naive loop
-// references (n Bernoulli trials; urn draws one ball at a time), plus
-// edge cases and argument validation.  The seeds are fixed, so every
+// hypergeometric, multinomial, multivariate-hypergeometric and paired
+// draws against the lgamma-evaluated (or enumerated) exact pmfs AND
+// against the naive loop references (n Bernoulli trials; urn draws one
+// ball at a time), plus edge cases and argument validation.  The seeds are fixed, so every
 // test is deterministic: a failure means a real bias, not an unlucky run.
 
 #include <gtest/gtest.h>
@@ -770,6 +770,217 @@ TEST(MultivariateHypergeometricMultinomial, DispatcherBitIdenticalToKernel) {
         ASSERT_TRUE(counts[j] > 0 || out[j] == 0) << "category " << j;
     }
   }
+}
+
+// ---- multivariate_hypergeometric_pairs (members + monochromatic pairs) ----
+
+/// The paired-draw pin shape: 3 pairs from counts {3, 2, 4}.  Outcomes
+/// are keyed by the member and monochromatic-pair counts per class.
+const std::vector<std::int64_t> kPairCounts = {3, 2, 4};
+constexpr std::int64_t kPairPairs = 3;
+
+std::int64_t pair_key(std::span<const std::int64_t> members,
+                      std::span<const std::int64_t> mono) {
+  std::int64_t key = 0;
+  for (std::size_t i = 0; i < members.size(); ++i)
+    key = key * 100 + members[i] * 10 + mono[i];
+  return key;
+}
+
+/// Tallies an ordered slot sequence (slot 2j and 2j + 1 form pair j).
+std::int64_t sequence_key(std::span<const std::int64_t> slots,
+                          std::size_t classes) {
+  std::vector<std::int64_t> members(classes, 0);
+  std::vector<std::int64_t> mono(classes, 0);
+  for (std::size_t j = 0; j < slots.size(); ++j)
+    ++members[static_cast<std::size_t>(slots[j])];
+  for (std::size_t j = 0; j + 1 < slots.size(); j += 2)
+    if (slots[j] == slots[j + 1]) ++mono[static_cast<std::size_t>(slots[j])];
+  return pair_key(members, mono);
+}
+
+/// The exact joint law of (members, mono), enumerated: every ordered
+/// sequence of 2·pairs classes has probability Π_i counts_i^(c_i) over
+/// pool^(2·pairs) (falling factorials) when drawn without replacement.
+std::map<std::int64_t, double> pair_pmf() {
+  const std::size_t k = kPairCounts.size();
+  const std::int64_t pool =
+      std::accumulate(kPairCounts.begin(), kPairCounts.end(), std::int64_t{0});
+  const std::size_t slots = 2 * static_cast<std::size_t>(kPairPairs);
+  std::map<std::int64_t, double> pmf;
+  std::vector<std::int64_t> seq(slots, 0);
+  std::size_t sequences = 1;
+  for (std::size_t j = 0; j < slots; ++j) sequences *= k;
+  for (std::size_t code = 0; code < sequences; ++code) {
+    std::size_t rest = code;
+    std::vector<std::int64_t> left = kPairCounts;
+    double p = 1.0;
+    for (std::size_t j = 0; j < slots; ++j) {
+      seq[j] = static_cast<std::int64_t>(rest % k);
+      rest /= k;
+      const auto c = static_cast<std::size_t>(seq[j]);
+      p *= static_cast<double>(std::max<std::int64_t>(left[c], 0)) /
+           static_cast<double>(pool - static_cast<std::int64_t>(j));
+      --left[c];
+    }
+    if (p > 0.0) pmf[sequence_key(seq, k)] += p;
+  }
+  return pmf;
+}
+
+double pair_chi_square(const std::map<std::int64_t, std::int64_t>& hits,
+                       std::int64_t draws) {
+  const std::map<std::int64_t, double> pmf = pair_pmf();
+  for (const auto& [key, h] : hits)
+    EXPECT_TRUE(pmf.contains(key)) << "outcome " << key << " drawn " << h
+                                   << " times outside the support";
+  std::vector<double> pmf_vec;
+  std::vector<std::int64_t> hit_vec;
+  for (const auto& [key, p] : pmf) {
+    pmf_vec.push_back(p);
+    const auto it = hits.find(key);
+    hit_vec.push_back(it == hits.end() ? 0 : it->second);
+  }
+  return chi_square(hit_vec, pmf_vec, draws);
+}
+
+TEST(MultivariateHypergeometricPairsChiSquare, PairedPathJointPinnedToExactLaw) {
+  // The paired kernel driven directly at a shape far outside its
+  // dispatch range (8·6² > 9): with replacement, 3 pairs from
+  // {3, 2, 4} put ~20% of their mass on member counts beyond some class
+  // and misweight the rest, so only the acceptance step passes.  A naive
+  // reference (6 of 9 labelled balls drawn one at a time, paired in draw
+  // order) is pinned to the same enumerated law.
+  const std::int64_t kDraws = scaled(120'000);
+  Xoshiro256 gen(48);
+  Xoshiro256 ref_gen(49);
+  std::vector<std::int64_t> members(kPairCounts.size());
+  std::vector<std::int64_t> mono(kPairCounts.size());
+  std::map<std::int64_t, std::int64_t> hits, naive_hits;
+  for (std::int64_t d = 0; d < kDraws; ++d) {
+    divpp::rng::multivariate_hypergeometric_pairs_multinomial(
+        gen, kPairCounts, kPairPairs, members, mono);
+    ++hits[pair_key(members, mono)];
+    std::vector<std::int64_t> pool;
+    for (std::size_t i = 0; i < kPairCounts.size(); ++i)
+      pool.insert(pool.end(), static_cast<std::size_t>(kPairCounts[i]),
+                  static_cast<std::int64_t>(i));
+    std::vector<std::int64_t> seq;
+    for (std::int64_t t = 0; t < 2 * kPairPairs; ++t) {
+      const auto pick = static_cast<std::size_t>(divpp::rng::uniform_below(
+          ref_gen, static_cast<std::int64_t>(pool.size())));
+      seq.push_back(pool[pick]);
+      pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(pick));
+    }
+    ++naive_hits[sequence_key(seq, kPairCounts.size())];
+  }
+  const double crit = chi2_crit(pair_pmf().size() - 1);
+  EXPECT_LT(pair_chi_square(hits, kDraws), crit);
+  EXPECT_LT(pair_chi_square(naive_hits, kDraws), crit);
+}
+
+/// The fallback of multivariate_hypergeometric_pairs, spelled out with
+/// the public samplers: the member split, then per class one
+/// hypergeometric for the members landing in still-empty pairs and one
+/// full_pairs for the monochromatic pairs among them.
+void pairs_by_slot_chain(Xoshiro256& gen, std::span<const std::int64_t> counts,
+                         std::int64_t pairs, std::span<std::int64_t> members,
+                         std::span<std::int64_t> mono) {
+  divpp::rng::multivariate_hypergeometric(gen, counts, 2 * pairs, members);
+  std::int64_t open = pairs;
+  std::int64_t singles = 0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const std::int64_t in_pairs = divpp::rng::hypergeometric(
+        gen, 2 * open + singles, 2 * open, members[i]);
+    mono[i] = divpp::rng::full_pairs(gen, open, in_pairs);
+    const std::int64_t half = in_pairs - 2 * mono[i];
+    open -= mono[i] + half;
+    singles += half - (members[i] - in_pairs);
+  }
+}
+
+TEST(MultivariateHypergeometricPairs, DispatchFollowsTheMultinomialPredicate) {
+  // multivariate_hypergeometric_uses_multinomial(pool, 2·pairs) decides:
+  // where it holds the dispatcher is the paired kernel draw for draw,
+  // elsewhere it is the member split plus the slot chain.  The shapes
+  // straddle the predicate's edge (8·34² = 9248) and include converge's
+  // equilibrium (k = 8, pool ≈ 9.7·10⁷, ~1,500 pairs).
+  using divpp::rng::multivariate_hypergeometric_uses_multinomial;
+  const std::vector<std::int64_t> converge(8, 12'100'000);
+  const std::vector<std::int64_t> edge = {3000, 2000, 4248};
+  const std::vector<std::int64_t> below = {3000, 2000, 4247};
+  const std::vector<std::int64_t> uneven = {0, 40'000'000, 0, 60'000'000};
+  const std::vector<std::int64_t> small = {40, 30, 50};
+  struct Shape {
+    std::vector<std::int64_t> counts;
+    std::int64_t pairs;
+    bool paired;
+  };
+  for (const Shape& shape : {Shape{converge, 1'475, true},
+                             Shape{uneven, 250, true},
+                             Shape{edge, 17, true},
+                             Shape{below, 17, false},
+                             Shape{small, 10, false},
+                             Shape{small, 30, false}}) {
+    const std::int64_t pool = std::accumulate(
+        shape.counts.begin(), shape.counts.end(), std::int64_t{0});
+    ASSERT_EQ(multivariate_hypergeometric_uses_multinomial(pool,
+                                                           2 * shape.pairs),
+              shape.paired)
+        << "pool " << pool << ", pairs " << shape.pairs;
+    Xoshiro256 gen_a(50);
+    Xoshiro256 gen_b(50);
+    const std::size_t k = shape.counts.size();
+    std::vector<std::int64_t> members_a(k), mono_a(k), members_b(k),
+        mono_b(k);
+    for (int i = 0; i < 200; ++i) {
+      divpp::rng::multivariate_hypergeometric_pairs(
+          gen_a, shape.counts, shape.pairs, members_a, mono_a);
+      if (shape.paired) {
+        divpp::rng::multivariate_hypergeometric_pairs_multinomial(
+            gen_b, shape.counts, shape.pairs, members_b, mono_b);
+      } else {
+        pairs_by_slot_chain(gen_b, shape.counts, shape.pairs, members_b,
+                            mono_b);
+      }
+      ASSERT_EQ(members_a, members_b) << "pool " << pool;
+      ASSERT_EQ(mono_a, mono_b) << "pool " << pool;
+      ASSERT_EQ(gen_a, gen_b) << "pool " << pool;
+      ASSERT_EQ(std::accumulate(members_a.begin(), members_a.end(),
+                                std::int64_t{0}),
+                2 * shape.pairs);
+      for (std::size_t j = 0; j < k; ++j) {
+        ASSERT_LE(members_a[j], shape.counts[j]);
+        ASSERT_LE(2 * mono_a[j], members_a[j]);
+      }
+    }
+  }
+}
+
+TEST(MultivariateHypergeometricPairs, Validates) {
+  Xoshiro256 gen(51);
+  const std::vector<std::int64_t> counts = {3, 4};
+  std::vector<std::int64_t> members(2), mono(2), short_out(1);
+  EXPECT_THROW(divpp::rng::multivariate_hypergeometric_pairs(
+                   gen, counts, 4, members, mono),
+               std::invalid_argument);  // 8 members from 7 items
+  EXPECT_THROW(divpp::rng::multivariate_hypergeometric_pairs(
+                   gen, counts, -1, members, mono),
+               std::invalid_argument);
+  EXPECT_THROW(divpp::rng::multivariate_hypergeometric_pairs(
+                   gen, counts, 1, members, short_out),
+               std::invalid_argument);
+  EXPECT_THROW(divpp::rng::multivariate_hypergeometric_pairs_multinomial(
+                   gen, counts, 1, short_out, mono),
+               std::invalid_argument);
+  divpp::rng::multivariate_hypergeometric_pairs_multinomial(gen, counts, 0,
+                                                            members, mono);
+  EXPECT_EQ(members, (std::vector<std::int64_t>{0, 0}));
+  EXPECT_EQ(mono, (std::vector<std::int64_t>{0, 0}));
+  // Three pairs from {3, 4}: every member is drawn but one.
+  divpp::rng::multivariate_hypergeometric_pairs(gen, counts, 3, members,
+                                                mono);
+  EXPECT_EQ(members[0] + members[1], 6);
 }
 
 // ---- the HRUA rejection regime (PR 4) --------------------------------------
