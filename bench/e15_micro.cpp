@@ -7,9 +7,11 @@
 // and count-chain, plain and jump), neighbour sampling on generated
 // topologies, the BatchRunner pool running tagged replicas at one
 // thread and at one per hardware thread, the v2 checkpoint
-// encode/decode the sweep pays at every window boundary, and one batch
-// window at the sweep's shapes through Engine::kBatch and through the
-// collision chain alone.
+// encode/decode the sweep pays at every window boundary, tagged
+// involvement draws, and one window at the sweep's shapes, on a
+// balanced, a skewed and an all-dark state, through the jump chain,
+// through Engine::kBatch and through the collision chain alone (the
+// window cost model's data).
 //
 // The Fenwick count chain and the devirtualised agent step each have a
 // retained baseline row at the same k and n: BM_CountStep vs
@@ -20,11 +22,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "batch/collision_batch.h"
+#include "context/sampler_context.h"
 #include "core/checkpoint.h"
 #include "core/count_simulation.h"
 #include "core/diversification.h"
@@ -574,52 +578,122 @@ void BM_CheckpointV2Decode(benchmark::State& state) {
 }
 BENCHMARK(BM_CheckpointV2Decode)->Arg(3)->Arg(16);
 
-// One 4096-interaction batch window at the sweep's shapes (weights
-// cycling 1..4, proportional start warmed up for 8n interactions), once
-// through Engine::kBatch — which walks agent labels or runs the collision
-// chain, as its cost rule picks — and once through the chain alone.  The
-// two rows per shape are the crossover data behind the rule's constants.
+// One 4096-interaction window at the sweep's shapes (weights cycling
+// 1..4) on three states: balanced (proportional start warmed 8n
+// interactions, state argument 0), skewed (adversarial start warmed n
+// interactions, argument 1) and the adversarial start itself, all dark
+// (argument 2), where the adopt and same-colour-dark pair probabilities
+// part ways.  Every iteration restarts from the warmed state, so a skewed
+// row stays skewed; the copy (and, for a chain window, a batcher built
+// from the shared context), ~0.3 µs, is inside the timed region, under
+// 1.5% of a window.  BM_JumpWindow times the jump chain,
+// BM_CollisionBatcherAdvance the collision chain alone, and
+// BM_RunBatchedWindow Engine::kBatch, which walks agent labels or runs the
+// chain as the window cost model picks (its `walk` counter says which).
+// The counters are the model's state features: the active fraction, the
+// adopt and same-colour-dark pair probabilities and the effective number
+// of dark colours A²/ΣA_i².  These rows are the data the model's
+// constants in core/count_simulation.cpp are fitted to.
 constexpr std::int64_t kBatchWindow = 4096;
 
-CountSimulation warm_sweep_state(std::int64_t n, std::int64_t k,
+CountSimulation warm_sweep_state(const benchmark::State& state,
                                  Xoshiro256& gen) {
+  const std::int64_t n = state.range(0);
+  const std::int64_t k = state.range(1);
   std::vector<double> w(static_cast<std::size_t>(k));
   for (std::int64_t i = 0; i < k; ++i)
     w[static_cast<std::size_t>(i)] = 1.0 + static_cast<double>(i % 4);
-  auto sim = CountSimulation::proportional_start(WeightMap(std::move(w)), n);
-  sim.advance_with(Engine::kJump, 8 * n, gen);
+  WeightMap weights(std::move(w));
+  if (state.range(2) == 0) {
+    auto sim = CountSimulation::proportional_start(std::move(weights), n);
+    sim.advance_with(Engine::kJump, 8 * n, gen);
+    return sim;
+  }
+  auto sim = CountSimulation::adversarial_start(std::move(weights), n);
+  if (state.range(2) == 1) sim.advance_with(Engine::kJump, n, gen);
   return sim;
 }
 
+void set_state_counters(benchmark::State& state, const CountSimulation& sim) {
+  const auto n = static_cast<double>(sim.n());
+  const auto a = static_cast<double>(sim.total_dark());
+  double square_sum = 0.0;
+  for (const std::int64_t d : sim.dark_counts())
+    square_sum += static_cast<double>(d) * static_cast<double>(d);
+  state.counters["active"] = sim.active_probability();
+  state.counters["adopt"] = (n - a) * a / (n * (n - 1.0));
+  state.counters["same_dark"] = (square_sum - a) / (n * (n - 1.0));
+  state.counters["dark_colors"] = a * a / square_sum;
+  state.SetItemsProcessed(state.iterations() * kBatchWindow);
+}
+
+void BM_JumpWindow(benchmark::State& state) {
+  Xoshiro256 gen(17);
+  const auto warm = warm_sweep_state(state, gen);
+  for (auto _ : state) {
+    auto sim = warm;
+    sim.advance_with(Engine::kJump, sim.time() + kBatchWindow, gen);
+    benchmark::DoNotOptimize(sim.total_dark());
+  }
+  set_state_counters(state, warm);
+}
+BENCHMARK(BM_JumpWindow)->ArgsProduct({{256, 4096, 16384}, {3, 16}, {0, 1, 2}});
+
 void BM_RunBatchedWindow(benchmark::State& state) {
   Xoshiro256 gen(17);
-  auto sim = warm_sweep_state(state.range(0), state.range(1), gen);
+  auto warm = warm_sweep_state(state, gen);
+  // A shared context with the eager run-length table, as in a sweep: a
+  // copy's first chain window then builds its batcher from it cheaply.
+  warm.set_sampler_context(
+      std::make_shared<const divpp::context::SamplerContext>(warm.n(),
+                                                             warm.weights()));
   for (auto _ : state) {
+    auto sim = warm;
     sim.advance_with(Engine::kBatch, sim.time() + kBatchWindow, gen);
     benchmark::DoNotOptimize(sim.total_dark());
   }
-  state.SetItemsProcessed(state.iterations() * kBatchWindow);
+  set_state_counters(state, warm);
+  state.counters["walk"] =
+      warm.window_path(Engine::kBatch, kBatchWindow) ==
+              divpp::core::WindowPath::kLabelWalk
+          ? 1.0
+          : 0.0;
 }
-BENCHMARK(BM_RunBatchedWindow)->ArgsProduct({{256, 4096, 16384}, {3, 16}});
+BENCHMARK(BM_RunBatchedWindow)
+    ->ArgsProduct({{256, 4096, 16384}, {3, 16}, {0, 1, 2}});
 
 void BM_CollisionBatcherAdvance(benchmark::State& state) {
   Xoshiro256 gen(17);
-  const auto sim = warm_sweep_state(state.range(0), state.range(1), gen);
-  std::vector<std::int64_t> dark(sim.dark_counts().begin(),
-                                 sim.dark_counts().end());
-  std::vector<std::int64_t> light(sim.light_counts().begin(),
-                                  sim.light_counts().end());
-  divpp::batch::CollisionBatcher batcher(sim.weights());
+  const auto warm = warm_sweep_state(state, gen);
+  divpp::batch::CollisionBatcher batcher(warm.weights());
+  std::vector<std::int64_t> dark;
+  std::vector<std::int64_t> light;
   for (auto _ : state) {
-    for (std::int64_t done = 0; done < kBatchWindow;)
-      done += batcher.advance(dark, light, kBatchWindow - done, gen);
+    dark.assign(warm.dark_counts().begin(), warm.dark_counts().end());
+    light.assign(warm.light_counts().begin(), warm.light_counts().end());
+    batcher.run_window(dark, light, kBatchWindow, gen);
     benchmark::DoNotOptimize(dark.data());
     benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * kBatchWindow);
+  set_state_counters(state, warm);
 }
 BENCHMARK(BM_CollisionBatcherAdvance)
-    ->ArgsProduct({{256, 4096, 16384}, {3, 16}});
+    ->ArgsProduct({{256, 4096, 16384}, {3, 16}, {0, 1, 2}});
+
+// Tagged involvement positions over one window: Floyd's subset draw and
+// the sort, at fairness's shape (n = window = 5000, ~2 positions) and at
+// a dense one (n = 8, window 2^19, a quarter of all interactions).
+void BM_TaggedInvolvement(benchmark::State& state) {
+  Xoshiro256 gen(21);
+  std::vector<std::int64_t> positions;
+  for (auto _ : state) {
+    divpp::batch::CollisionBatcher::draw_tagged_involvement(
+        gen, state.range(0), state.range(1), positions);
+    benchmark::DoNotOptimize(positions.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(1));
+}
+BENCHMARK(BM_TaggedInvolvement)->Args({5000, 5000})->Args({8, 1 << 19});
 
 void BM_NeighborSampleRegular(benchmark::State& state) {
   Xoshiro256 topo_gen(10);

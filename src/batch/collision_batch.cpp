@@ -1,10 +1,10 @@
 #include "batch/collision_batch.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_set>
 #include <utility>
 
 #include "check/counting_generator.h"
@@ -22,6 +22,11 @@ namespace {
 /// everywhere the survival is representable, and a binary search costs
 /// O(log n).  Tune freely — both paths are exact.
 constexpr std::int64_t kRunLengthWalkCutoff = 65536;
+
+/// draw_tagged_involvement's set of picks: an open-addressing table of
+/// window positions (−1 marks an empty slot).  Scratch, one per thread,
+/// kept across calls so a warm call allocates nothing.
+thread_local std::vector<std::int64_t> t_picked;
 
 /// log P(no collision in the first j interactions) for n agents:
 ///   log S(j) = lgamma(n+1) - lgamma(n-2j+1) - j·log(n(n-1)),
@@ -367,18 +372,35 @@ void CollisionBatcher::draw_tagged_involvement(
   const std::int64_t m =
       rng::binomial(gen, window, 2.0 / static_cast<double>(n));
   if (m == 0) return;
-  positions.reserve(static_cast<std::size_t>(m));
   // Floyd's algorithm: a uniform m-subset of {0, ..., window-1} in O(m)
   // expected draws regardless of the m/window ratio (rejection resampling
-  // would thrash when the window is much longer than n).
-  std::unordered_set<std::int64_t> chosen;
-  chosen.reserve(static_cast<std::size_t>(2 * m));
+  // would thrash when the window is much longer than n).  Step j draws t
+  // below j + 1 and picks t, or j when t is already picked; j itself is
+  // never picked before step j, so each step adds exactly one position.
+  // The set is a linear-probing table at most half full (capacity >= 2),
+  // indexed by Fibonacci hashing.
+  const auto capacity = std::bit_ceil(static_cast<std::uint64_t>(2 * m));
+  const int shift = 64 - std::countr_zero(capacity);
+  std::vector<std::int64_t>& slots = t_picked;
+  slots.assign(capacity, -1);
+  const auto insert = [&](std::int64_t value) {
+    std::uint64_t slot =
+        (static_cast<std::uint64_t>(value) * 0x9e3779b97f4a7c15ULL) >> shift;
+    while (slots[slot] != -1) {
+      if (slots[slot] == value) return false;
+      slot = (slot + 1) & (capacity - 1);
+    }
+    slots[slot] = value;
+    return true;
+  };
+  positions.resize(static_cast<std::size_t>(m));
+  std::size_t picked = 0;
   for (std::int64_t j = window - m; j < window; ++j) {
     const std::int64_t t = rng::uniform_below(gen, j + 1);
-    const std::int64_t pick = chosen.insert(t).second ? t : j;
-    if (pick != t) chosen.insert(pick);
+    const std::int64_t pick = insert(t) ? t : j;
+    if (pick != t) insert(pick);
+    positions[picked++] = pick;
   }
-  positions.assign(chosen.begin(), chosen.end());
   std::sort(positions.begin(), positions.end());
 }
 

@@ -249,7 +249,9 @@ class CollisionBatcher {
   /// and given the count the touched interaction indices are a uniform
   /// random subset (uniform order statistics).  Fills `positions` with
   /// the touched indices, strictly increasing, each in [0, window).
-  /// O(m log m) for m drawn positions (Floyd's subset sampling + sort).
+  /// O(m log m) for m drawn positions (Floyd's subset sampling into a
+  /// reused per-thread table, then a sort); a warm call allocates nothing
+  /// beyond `positions`.
   /// \pre n >= 2, window >= 0.
   static void draw_tagged_involvement(rng::Xoshiro256& gen, std::int64_t n,
                                       std::int64_t window,

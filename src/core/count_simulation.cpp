@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -230,30 +231,56 @@ namespace {
 /// disjoint chunks compose.
 constexpr std::int64_t kTaggedInvolvementChunk = 1 << 22;
 
-// ---- auto-engine cost model ------------------------------------------
-// The jump chain pays a roughly constant cost per *active transition*
-// (geometric skip + propensity pick + two tree updates); the batch
-// engine pays a roughly constant cost per *batch*, amortised over the
-// expected collision-free stretch E[ℓ] = √(πn/8) (clamped by the window
-// when the window is shorter).  The constants below are coarse
-// calibrations from bench/e20_batch on the reference host — only the
-// *ordering* of the two predictions matters, and near the crossover the
-// engines are within ~10% of each other anyway, so the model tolerates
-// large calibration error.
-constexpr double kAutoJumpNsPerTransition = 70.0;
-constexpr double kAutoBatchNsBase = 1400.0;
-constexpr double kAutoBatchNsPerColor = 225.0;
-/// The label walk (the batch engine's other path) pays a roughly flat cost
-/// per interaction — two uniform draws, two label loads, a fade coin for
-/// same-colour dark pairs — plus an O(n) labelling pass per window.
-/// e15's BM_RunBatchedWindow and BM_CollisionBatcherAdvance rows at the
-/// sweep's shapes (4-vCPU Xeon, g++ 12, Release) read the walk at 16–21
-/// ns/int at k = 3 and 8.5–13 at k = 16, flat in n, with labelling at
-/// 0.15–0.3 ns/agent; the chain read 15–21 ns/int at n = 16384, k = 3.
-/// The constants are rounded up so a toss-up such as that one, and every
-/// window at k <= 3 and n >= 20000, stays on the chain.
-constexpr double kLabelWalkNsPerInteraction = 24.0;
-constexpr double kLabelWalkNsPerAgent = 0.5;
+// ---- window cost model -----------------------------------------------
+// One pure function prices the three exact paths of a window in ns per
+// interaction; Engine::kBatch runs the cheaper of the walk and the chain,
+// Engine::kAuto the cheapest of all three.  Its inputs are n, k, the
+// window, the dark counts and the auto engine's active-fraction estimate,
+// all of which a v2 checkpoint restores, so a window's draws never depend
+// on a timing and a resumed run makes the same choices.
+//
+// The constants are least-squares fits (relative error) to e15's
+// BM_JumpWindow, BM_RunBatchedWindow (its label-walk rows) and
+// BM_CollisionBatcherAdvance rows: 4096-interaction windows at
+// n ∈ {256, 4096, 16384}, k ∈ {3, 16} on a balanced, a skewed and an
+// all-dark adversarial state, run with random interleaving on a 4-vCPU
+// Xeon (g++ 12, Release).  Only the ordering of the predictions matters.
+// The jump and chain fits use n >= 4096: at n = 256 a 4096-interaction
+// window is 16n, so the state it starts from says little about the
+// window, and the chain never competes there.
+//
+// The jump chain pays a roughly constant cost per active transition
+// (exponential gap, thinning uniform, class picks, three tree updates of
+// depth log2 k), so it is priced at that cost times the active fraction.
+constexpr double kJumpNsPerTransition = 40.0;
+constexpr double kJumpNsPerTreeLevel = 5.5;
+/// The label walk pays per interaction one word for its pair and two label
+/// loads; an adopt (probability L·A / n(n−1)) adds the stores and a
+/// mispredicted branch, and a same-colour dark pair (probability
+/// Σ A_i(A_i − 1) / n(n−1)) adds the fade test and its coin; the
+/// labelling pass costs a little per agent per window.
+constexpr double kWalkNsPerInteraction = 6.2;
+constexpr double kWalkNsPerAdopt = 26.0;
+constexpr double kWalkNsPerSameDarkPair = 8.0;
+constexpr double kWalkNsPerAgent = 0.5;
+/// The collision chain pays a per-batch cost over the expected
+/// collision-free stretch E[ℓ] = √(πn/8), clamped by the window.  A batch
+/// walks the dark colours for its candidate pairs and its adopters' new
+/// colours, in index order until the draws run out, so its cost grows
+/// with the effective number of dark colours D = A² / Σ A_i² (13.3 on the
+/// balanced k = 16 state, about 1 when one colour holds most dark
+/// agents), plus a little per colour for the O(k) passes.
+constexpr double kChainNsPerBatch = 380.0;
+constexpr double kChainNsPerColor = 27.0;
+constexpr double kChainNsPerDarkColor = 250.0;
+/// Before auto has measured a window, its active fraction is the
+/// single-step probability, which can sit far from the window's own
+/// fraction: 1.7× above it on the sweep's adversarial starts at n <= 1024
+/// (one window of up to 4n interactions), and 1.2× below it on an
+/// all-dark start whose dominant colour has weight 4.  So an unmeasured
+/// auto window leaves the jump chain only for a path priced below this
+/// fraction of the jump chain's cost.
+constexpr double kUnmeasuredSwitchRatio = 0.5;
 /// The walk's label array holds one uint16 per agent (colour << 1 | light),
 /// so it serves at most 2^15 colours, and it is capped at 2^20 agents
 /// (2 MiB of scratch) — far above any n where it beats the chain.
@@ -277,29 +304,46 @@ constexpr double kPiOver8 = 0.39269908169872414;
 /// n = 5000 fairness run 11% were, with ~1.04 derivations per call.
 constexpr double kRateSlack = 9.0 / 8.0;
 
-/// The collision chain's predicted cost per interaction: its per-batch
-/// constant over the expected collision-free stretch E[ℓ] = √(πn/8),
-/// clamped by the window when the window is shorter.
-double chain_ns_per_interaction(std::int64_t n, std::int64_t k,
-                                std::int64_t window) noexcept {
-  const double expected_stretch = std::sqrt(kPiOver8 * static_cast<double>(n));
-  const double effective_stretch =
-      std::min(expected_stretch, static_cast<double>(window));
-  return (kAutoBatchNsBase + kAutoBatchNsPerColor * static_cast<double>(k)) /
-         effective_stretch;
-}
+/// Predicted ns per interaction of each exact path over one window.
+struct PathCosts {
+  double jump = 0.0;
+  double walk = 0.0;  ///< +inf above the walk's population or palette cap
+  double chain = 0.0;
+};
 
-/// Whether the batch engine walks a window of `window` interactions over agent
-/// labels instead of running the collision chain: a pure function of
-/// (n, k, window), so a window's draws never depend on a timing.
-bool label_walk_wins(std::int64_t n, std::int64_t k,
-                     std::int64_t window) noexcept {
-  if (n > kLabelWalkMaxPopulation || k > kLabelWalkMaxColors) return false;
-  const double walk_ns =
-      kLabelWalkNsPerInteraction + kLabelWalkNsPerAgent *
-                                       static_cast<double>(n) /
-                                       static_cast<double>(window);
-  return walk_ns < chain_ns_per_interaction(n, k, window);
+/// The window cost model (see the constants above): a pure function of
+/// the population, the dark counts, the window length and the active
+/// fraction that prices the jump chain.
+PathCosts predict_path_costs(std::int64_t n, std::span<const std::int64_t> dark,
+                             std::int64_t total_dark, std::int64_t window,
+                             double active_fraction) noexcept {
+  const auto k = static_cast<double>(dark.size());
+  const double pairs = static_cast<double>(n) * static_cast<double>(n - 1);
+  const auto a = static_cast<double>(total_dark);
+  double square_sum = 0.0;  // Σ A_i²
+  for (const std::int64_t d : dark)
+    square_sum += static_cast<double>(d) * static_cast<double>(d);
+  PathCosts cost;
+  cost.jump = (kJumpNsPerTransition + kJumpNsPerTreeLevel * std::log2(k)) *
+              active_fraction;
+  cost.walk = std::numeric_limits<double>::infinity();
+  if (n <= kLabelWalkMaxPopulation &&
+      static_cast<std::int64_t>(dark.size()) <= kLabelWalkMaxColors) {
+    const double adopt = (static_cast<double>(n) - a) * a / pairs;
+    const double same_dark = (square_sum - a) / pairs;
+    cost.walk = kWalkNsPerInteraction + kWalkNsPerAdopt * adopt +
+                kWalkNsPerSameDarkPair * same_dark +
+                kWalkNsPerAgent * static_cast<double>(n) /
+                    static_cast<double>(window);
+  }
+  const double dark_colors = square_sum > 0.0 ? a * a / square_sum : 0.0;
+  const double stretch =
+      std::min(std::sqrt(kPiOver8 * static_cast<double>(n)),
+               static_cast<double>(window));
+  cost.chain = (kChainNsPerBatch + kChainNsPerColor * k +
+                kChainNsPerDarkColor * dark_colors) /
+               stretch;
+  return cost;
 }
 
 /// The label walk's agent array: scratch, rebuilt from the counts at the
@@ -507,10 +551,24 @@ void CountSimulation::advance_core(Engine engine, std::int64_t target_time,
   switch (engine) {
     case Engine::kStep: step_to(target_time, gen); return;
     case Engine::kJump: jump_to(target_time, gen); return;
-    case Engine::kBatch: batch_to(target_time, gen); return;
+    case Engine::kBatch:
+      run_path(window_path(engine, target_time - time_), target_time, gen);
+      return;
     case Engine::kAuto: auto_to(target_time, gen); return;
   }
   throw std::logic_error("advance_core: unknown engine");
+}
+
+void CountSimulation::run_path(WindowPath path, std::int64_t target_time,
+                               rng::Xoshiro256& gen) {
+  switch (path) {
+    case WindowPath::kJump: jump_to(target_time, gen); return;
+    case WindowPath::kLabelWalk: run_label_walk(target_time, gen); return;
+    case WindowPath::kCollisionChain:
+      run_collision_chain(target_time, gen);
+      return;
+  }
+  throw std::logic_error("run_path: unknown path");
 }
 
 void CountSimulation::step_to(std::int64_t target_time,
@@ -593,12 +651,8 @@ void CountSimulation::jump_to(std::int64_t target_time,
   }
 }
 
-void CountSimulation::batch_to(std::int64_t target_time,
-                               rng::Xoshiro256& gen) {
-  if (label_walk_wins(n_, num_colors(), target_time - time_)) {
-    run_label_walk(target_time, gen);
-    return;
-  }
+void CountSimulation::run_collision_chain(std::int64_t target_time,
+                                          rng::Xoshiro256& gen) {
   if (!batcher_.has_value() || batcher_->num_colors() != num_colors()) {
     if (sampler_context_ != nullptr &&
         sampler_context_->weights() == weights_) {
@@ -645,10 +699,8 @@ void CountSimulation::run_label_walk(std::int64_t target_time,
   const std::int64_t n = n_;
   std::int64_t active = 0;
   for (std::int64_t t = time_; t < target_time; ++t) {
-    // A uniform ordered pair of distinct agents.
-    const std::int64_t a = rng::uniform_below(gen, n);
-    std::int64_t b = rng::uniform_below(gen, n - 1);
-    b += b >= a ? 1 : 0;
+    // A uniform ordered pair of distinct agents, from one word.
+    const auto [a, b] = rng::two_distinct_32(gen, n);
     const unsigned initiator = agent[a];
     const unsigned responder = agent[b];
     if ((initiator & 1U) > (responder & 1U)) {
@@ -688,24 +740,31 @@ double CountSimulation::active_fraction_estimate() const noexcept {
   return active_ewma_ >= 0.0 ? active_ewma_ : active_probability();
 }
 
-Engine CountSimulation::pick_auto_engine(
-    std::int64_t window) const noexcept {
-  const double jump_ns =
-      kAutoJumpNsPerTransition * active_fraction_estimate();
-  const double batch_ns = chain_ns_per_interaction(n_, num_colors(), window);
-  return batch_ns < jump_ns ? Engine::kBatch : Engine::kJump;
+WindowPath CountSimulation::window_path(Engine engine,
+                                        std::int64_t window) const {
+  switch (engine) {
+    case Engine::kStep:
+      throw std::invalid_argument(
+          "window_path: Engine::kStep steps; it has no window paths");
+    case Engine::kJump: return WindowPath::kJump;
+    case Engine::kBatch:
+    case Engine::kAuto: break;
+  }
+  const PathCosts cost = predict_path_costs(
+      n_, dark_, total_dark_, window, active_fraction_estimate());
+  const double switch_ratio = active_ewma_ < 0.0 ? kUnmeasuredSwitchRatio : 1.0;
+  if (engine == Engine::kAuto &&
+      switch_ratio * cost.jump <= std::min(cost.walk, cost.chain))
+    return WindowPath::kJump;
+  return cost.walk < cost.chain ? WindowPath::kLabelWalk
+                                : WindowPath::kCollisionChain;
 }
 
 void CountSimulation::auto_to(std::int64_t target_time,
                               rng::Xoshiro256& gen) {
   const std::int64_t window = target_time - time_;
-  const Engine engine = pick_auto_engine(window);
   const std::int64_t before = active_transitions_;
-  if (engine == Engine::kJump) {
-    jump_to(target_time, gen);
-  } else {
-    batch_to(target_time, gen);
-  }
+  run_path(window_path(Engine::kAuto, window), target_time, gen);
   if (window < kAutoEwmaMinWindow) return;  // too noisy to learn from
   const double measured =
       static_cast<double>(active_transitions_ - before) /

@@ -23,9 +23,12 @@
 ///    uniform per candidate both thins it to rate p and picks the
 ///    transition.  Near equilibrium only a Θ(1/W) fraction of steps are
 ///    active, so this is several times faster for long windows;
-///  * Engine::kBatch — collision batches (batch/collision_batch.h), or a
-///    walk of the scheduler over agent labels for small windows;
-///  * Engine::kAuto  — jump or batch per window, from a cost model.
+///  * Engine::kBatch — per window, the cheaper of two exact paths: a walk
+///    of the scheduler over agent labels, or collision batches
+///    (batch/collision_batch.h);
+///  * Engine::kAuto  — per window, the cheapest of the jump chain, the
+///    label walk and the collision chain.
+/// One cost model prices the three paths (CountSimulation::window_path).
 ///
 /// The step and jump engines run on the sum-tree samplers of
 /// sampling/fenwick.h: class and flip-propensity draws cost O(log k) per
@@ -77,22 +80,31 @@ enum class Engine {
   /// each.  The candidate rate p̄ is local to the call, so splitting a
   /// window at the same boundaries replays the same draws.
   kJump,
-  /// The collision-batch engine (batch/collision_batch.h): applies whole
-  /// collision-free stretches of interactions in aggregate — amortised
-  /// sub-constant work per interaction at large n.  Windows too small for
-  /// a batch to pay (a pure function of n, k and the window length)
-  /// instead walk the scheduler over one label per agent.
+  /// The batch engine: each window runs whichever of two exact paths the
+  /// window cost model (CountSimulation::window_path) prices lower — the
+  /// collision chain (batch/collision_batch.h), which applies whole
+  /// collision-free stretches of interactions in aggregate at amortised
+  /// sub-constant work per interaction for large n, or the label walk,
+  /// which walks the scheduler over one label per agent (n <= 2^20,
+  /// k <= 2^15) at one 64-bit word per interaction for its ordered pair
+  /// plus a coin for a same-colour dark pair of weight above 1.
   kBatch,
-  /// Auto-adaptive: treats the call as one window, predicts the
-  /// per-interaction cost of the jump chain (∝ its per-transition
-  /// constant × the EWMA active fraction) and of the collision chain
-  /// (∝ its per-batch constant over the expected collision-free stretch
-  /// clamped by the window), runs the cheaper engine, then folds the
-  /// measured active fraction into the EWMA.  Consumes exactly the RNG
-  /// stream of the engine it delegates to, so it is as exact as they
-  /// are.  Up to n = 1,300 the predicted chain cost exceeds any jump
-  /// cost, so small populations always take the jump chain.
+  /// Auto-adaptive: treats the call as one window and runs the cheapest
+  /// of the jump chain, the label walk and the collision chain under the
+  /// same cost model, then folds the window's measured active fraction
+  /// into the EWMA that prices the jump chain.  It consumes exactly the
+  /// RNG stream of the path it runs, so it is as exact as they are.
   kAuto,
+};
+
+/// The exact paths a window of Engine::kBatch or Engine::kAuto can take.
+enum class WindowPath {
+  /// The jump chain, Engine::kJump's own path.
+  kJump,
+  /// The uniform scheduler walked over one label per agent.
+  kLabelWalk,
+  /// Collision batches (batch/collision_batch.h).
+  kCollisionChain,
 };
 
 /// Parses "step" / "jump" / "batch" / "auto" (bench --engine flags).
@@ -179,6 +191,21 @@ class CountSimulation {
   [[nodiscard]] double active_fraction_estimate() const noexcept;
 
   // ---- dynamics --------------------------------------------------------
+
+  /// The path advance_with(engine, time() + window) takes when no event
+  /// falls inside the window: kJump for Engine::kJump, the cheaper of the
+  /// label walk and the collision chain for Engine::kBatch, and the
+  /// cheapest of all three for Engine::kAuto.  A pure function of n, k,
+  /// the window, the counts and the auto engine's active-fraction
+  /// estimate — all of which a v2 checkpoint restores — so a resumed run
+  /// makes the same choices.  Before its first measured window, auto
+  /// leaves the jump chain only for a path priced below half the jump
+  /// chain's cost (the single-step probability it prices it at until
+  /// then can be far from the window's own active fraction).
+  /// \pre window >= 1.
+  /// \throws std::invalid_argument for Engine::kStep, which has no paths.
+  [[nodiscard]] WindowPath window_path(Engine engine,
+                                       std::int64_t window) const;
 
   /// Executes exactly one time-step (possibly a no-op).
   CountStepOutcome step(rng::Xoshiro256& gen);
@@ -311,10 +338,15 @@ class CountSimulation {
   /// drive(), which splits at pending event times.
   void step_to(std::int64_t target_time, rng::Xoshiro256& gen);
   void jump_to(std::int64_t target_time, rng::Xoshiro256& gen);
-  void batch_to(std::int64_t target_time, rng::Xoshiro256& gen);
-  /// The batch engine's small-window path: the uniform scheduler itself,
-  /// walked over one label per agent (exact by construction).
+  /// The collision chain over one window.
+  void run_collision_chain(std::int64_t target_time, rng::Xoshiro256& gen);
+  /// The uniform scheduler itself, walked over one label per agent (exact
+  /// by construction).
   void run_label_walk(std::int64_t target_time, rng::Xoshiro256& gen);
+  /// Runs one window on `path`.
+  void run_path(WindowPath path, std::int64_t target_time,
+                rng::Xoshiro256& gen);
+  /// Engine::kAuto: run_path on window_path's pick, then the EWMA update.
   void auto_to(std::int64_t target_time, rng::Xoshiro256& gen);
   /// Advances to target_time with `engine`, firing every scheduled event
   /// at exactly its interaction index (each split segment is its own
@@ -322,9 +354,6 @@ class CountSimulation {
   void drive(Engine engine, std::int64_t target_time, rng::Xoshiro256& gen);
   void advance_core(Engine engine, std::int64_t target_time,
                     rng::Xoshiro256& gen);
-  /// The auto engine's cost-model decision for a window of `window`
-  /// interactions (exposed to tests through kAuto's behaviour).
-  [[nodiscard]] Engine pick_auto_engine(std::int64_t window) const noexcept;
   void apply_adopt(ColorId from, ColorId to) noexcept;
   void apply_fade(ColorId i) noexcept;
   /// Updates the dark-count derived state after dark_[i] changed by ±1.

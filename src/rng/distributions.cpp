@@ -19,6 +19,14 @@ std::int64_t uniform_below_slow(Xoshiro256& gen, std::int64_t bound,
   return static_cast<std::int64_t>(product >> 64);
 }
 
+std::int64_t uniform_below_32_slow(Xoshiro256& gen, std::uint64_t bound,
+                                   std::uint64_t product) {
+  const std::uint64_t threshold = (std::uint64_t{1} << 32) % bound;
+  while (static_cast<std::uint32_t>(product) < threshold)
+    product = std::uint64_t{static_cast<std::uint32_t>(gen())} * bound;
+  return static_cast<std::int64_t>(product >> 32);
+}
+
 namespace {
 
 /// Marsaglia & Tsang's 256-layer constants for Exp(1): the base layer's
@@ -59,12 +67,6 @@ double exponential_slow(Xoshiro256& gen, std::size_t layer, double x) {
 std::int64_t uniform_int(Xoshiro256& gen, std::int64_t lo, std::int64_t hi) {
   if (lo > hi) throw std::invalid_argument("uniform_int: lo must be <= hi");
   return lo + uniform_below(gen, hi - lo + 1);
-}
-
-bool bernoulli(Xoshiro256& gen, double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform01(gen) < p;
 }
 
 std::int64_t geometric_failures(Xoshiro256& gen, double p) {

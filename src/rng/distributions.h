@@ -9,8 +9,9 @@
 /// Counts and indices are signed 64-bit throughout the library (per the
 /// C++ Core Guidelines' advice to avoid unsigned arithmetic), so these
 /// helpers take and return std::int64_t.  The draws on engine hot paths
-/// (uniform_below's accepting case, uniform01, exponential's fast path)
-/// are inline; their rare branches live in distributions.cpp.
+/// (uniform_below's accepting case, uniform01, bernoulli, two_distinct_32,
+/// exponential's fast path) are inline; their rare branches live in
+/// distributions.cpp.
 
 #include <array>
 #include <cstddef>
@@ -49,6 +50,27 @@ extern const ExpZiggurat kExpZiggurat;
 [[nodiscard]] double exponential_slow(Xoshiro256& gen, std::size_t layer,
                                       double x);
 
+/// Out-of-line tail of uniform_below_32: finishes 32-bit Lemire rejection
+/// on the low halves of fresh words once the first product's low word fell
+/// below the bound.
+[[nodiscard]] std::int64_t uniform_below_32_slow(Xoshiro256& gen,
+                                                 std::uint64_t bound,
+                                                 std::uint64_t product);
+
+/// Uniform draw from {0, ..., bound-1} by 32-bit Lemire multiply-shift on
+/// the 32 random bits `half`, with rejection: exact for every bound in
+/// [1, 2^32].  A rejected draw continues on the low halves of fresh words
+/// (uniform_below_32_slow), which happens with probability below
+/// bound / 2^32.
+[[nodiscard]] inline std::int64_t uniform_below_32(Xoshiro256& gen,
+                                                   std::uint32_t half,
+                                                   std::uint64_t bound) {
+  const std::uint64_t product = std::uint64_t{half} * bound;
+  if (static_cast<std::uint32_t>(product) < bound)
+    return uniform_below_32_slow(gen, bound, product);
+  return static_cast<std::int64_t>(product >> 32);
+}
+
 }  // namespace detail
 
 /// Uniform draw from {0, 1, ..., bound-1}.  \pre bound >= 1
@@ -75,7 +97,13 @@ extern const ExpZiggurat kExpZiggurat;
 }
 
 /// Bernoulli trial; returns true with probability p (clamped to [0,1]).
-[[nodiscard]] bool bernoulli(Xoshiro256& gen, double p);
+/// Draws nothing when p <= 0 or p >= 1.  Inline: the label walk, step()
+/// and the collision step call it once per same-colour dark pair.
+[[nodiscard]] inline bool bernoulli(Xoshiro256& gen, double p) {
+  if (p <= 0.0) return false;
+  if (p >= 1.0) return true;
+  return uniform01(gen) < p;
+}
 
 /// Ceiling returned by geometric_failures() when inversion overflows.
 /// For p ≈ 0 the inversion value floor(log U / log(1-p)) can exceed the
@@ -120,6 +148,34 @@ inline constexpr std::int64_t kGeometricFailuresCeiling =
 /// \pre n >= 2.
 [[nodiscard]] std::pair<std::int64_t, std::int64_t> two_distinct(
     Xoshiro256& gen, std::int64_t n);
+
+/// Uniformly random ordered pair of distinct indices from {0, ..., n-1},
+/// drawn from the two 32-bit halves of `word`: the first index is an exact
+/// 32-bit Lemire draw below n on the low half, the second one below n − 1
+/// on the high half, shifted past the first.  The halves are independent,
+/// so the pair is exactly uniform; a rejected half continues on fresh
+/// words from `gen` (the first index's before the second's).  Taking the
+/// word as an argument lets a test drive the rejection path.
+/// \pre 2 <= n <= 2^32.
+[[nodiscard]] inline std::pair<std::int64_t, std::int64_t>
+two_distinct_32_from_word(Xoshiro256& gen, std::uint64_t word,
+                          std::int64_t n) {
+  const auto range = static_cast<std::uint64_t>(n);
+  const std::int64_t first =
+      detail::uniform_below_32(gen, static_cast<std::uint32_t>(word), range);
+  std::int64_t second = detail::uniform_below_32(
+      gen, static_cast<std::uint32_t>(word >> 32), range - 1);
+  second += second >= first ? 1 : 0;
+  return {first, second};
+}
+
+/// two_distinct_32_from_word on one fresh word: a uniform ordered pair of
+/// distinct indices for one draw where two_distinct spends two.  The label
+/// walk's scheduler.  \pre 2 <= n <= 2^32.
+[[nodiscard]] inline std::pair<std::int64_t, std::int64_t> two_distinct_32(
+    Xoshiro256& gen, std::int64_t n) {
+  return two_distinct_32_from_word(gen, gen(), n);
+}
 
 /// Samples an index i with probability weights[i] / sum(weights) by linear
 /// scan.  Retained as the O(k) *reference* sampler: the engines' hot paths

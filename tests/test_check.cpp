@@ -257,8 +257,16 @@ struct GoldenCase {
 // step entries predate that change, which pins the inlined xoshiro /
 // uniform01 / uniform_below draws to the old stream.  The three batch
 // entries were re-captured when Engine::kBatch began walking agent labels
-// for windows its cost rule gives the walk (k = 8 at n <= 20000 here);
-// kChainGolden below keeps the collision chain's own stream pinned.
+// for windows its cost rule gave the walk, and re-captured again when the
+// walk began drawing each ordered pair from one word and one cost model
+// started pricing every window's paths on its state: the n = 50 batch run
+// walks (new pair draws), while the n = 20000 batch run, all ten
+// segments of the tagged batch run and the tagged auto run's segments
+// after its first take the collision chain on these skewed states.  The
+// untagged auto runs still match jump: before its first measured window
+// auto leaves the jump chain only for a path priced below half its
+// cost.  kChainGolden below keeps the collision chain's own stream
+// pinned.
 constexpr GoldenCase kUntaggedGolden[] = {
     {"untagged_step_n20000", {16063, 3, 2, 1, 2, 1, 1, 5},
      {3922, 0, 0, 0, 0, 0, 0, 0}, 80000,
@@ -268,10 +276,10 @@ constexpr GoldenCase kUntaggedGolden[] = {
      {3978, 0, 0, 0, 0, 0, 0, 0}, 80000,
      {0xfa860ee5fdaab41ULL, 0xda3efc9f951f01b8ULL, 0x9c01f7b0927230baULL,
       0x72054970c0c2acd6ULL}},
-    {"untagged_batch_n20000", {15976, 1, 1, 1, 1, 1, 1, 1},
-     {4017, 0, 0, 0, 0, 0, 0, 0}, 80000,
-     {0x2808d61ebd48155bULL, 0x2692faef8097a720ULL, 0x12a09687869a770dULL,
-      0x95c9cdffa397d38dULL}},
+    {"untagged_batch_n20000", {16048, 3, 1, 3, 2, 2, 1, 2},
+     {3938, 0, 0, 0, 0, 0, 0, 0}, 80000,
+     {0x347af27dd821d5e9ULL, 0x2dab22e84cbdf304ULL, 0xc6769746ba1c380cULL,
+      0xb1d05d75a17e8fc9ULL}},
     {"untagged_auto_n20000", {16011, 2, 1, 1, 2, 1, 1, 3},
      {3978, 0, 0, 0, 0, 0, 0, 0}, 80000,
      {0xfa860ee5fdaab41ULL, 0xda3efc9f951f01b8ULL, 0x9c01f7b0927230baULL,
@@ -284,10 +292,10 @@ constexpr GoldenCase kUntaggedGolden[] = {
      {3, 0, 0, 0, 0, 0, 0, 0}, 200,
      {0xc91b21b556449372ULL, 0xb82f28eb607d7555ULL, 0xb3046512328e6c8fULL,
       0x7dcd856917ae9226ULL}},
-    {"untagged_batch_n50", {37, 1, 1, 1, 1, 2, 1, 1},
-     {4, 0, 1, 0, 0, 0, 0, 0}, 200,
-     {0x968661b9b06366ffULL, 0x74845e418e7bbff2ULL, 0x7ee813e552facd5dULL,
-      0x80af003ee33ffa62ULL}},
+    {"untagged_batch_n50", {32, 2, 3, 1, 1, 1, 1, 1},
+     {6, 0, 1, 0, 0, 0, 0, 1}, 200,
+     {0x575d8f6b9ee15665ULL, 0x55f10bec1aea4854ULL, 0x270e17940ee23b40ULL,
+      0x8dd903e994a58d5eULL}},
     {"untagged_auto_n50", {36, 1, 2, 1, 1, 1, 2, 3},
      {3, 0, 0, 0, 0, 0, 0, 0}, 200,
      {0xc91b21b556449372ULL, 0xb82f28eb607d7555ULL, 0xb3046512328e6c8fULL,
@@ -303,14 +311,14 @@ constexpr GoldenCase kTaggedGolden[] = {
      {3823, 0, 0, 0, 0, 0, 0, 0}, 80000,
      {0x47bf4d80f5c3fef0ULL, 0xc6baa0fa7f62f8d2ULL, 0xad7a37af96981c85ULL,
       0x5761621d5cdf95faULL}},
-    {"tagged_batch", {16043, 1, 3, 1, 1, 2, 2, 1},
-     {3946, 0, 0, 0, 0, 0, 0, 0}, 80000,
-     {0x20cd70badfaaae98ULL, 0xc0f64f2f7f56e892ULL, 0x83fc3f37b7941c29ULL,
-      0xf0b45dcb69b99364ULL}},
-    {"tagged_auto", {16165, 1, 5, 1, 1, 1, 1, 2},
-     {3823, 0, 0, 0, 0, 0, 0, 0}, 80000,
-     {0x47bf4d80f5c3fef0ULL, 0xc6baa0fa7f62f8d2ULL, 0xad7a37af96981c85ULL,
-      0x5761621d5cdf95faULL}},
+    {"tagged_batch", {16066, 2, 1, 1, 1, 1, 1, 3},
+     {3924, 0, 0, 0, 0, 0, 0, 0}, 80000,
+     {0xdf37965fb57b860aULL, 0x6e545765e3eb2602ULL, 0x2b37181042d54f0bULL,
+      0xbda12f814dd9e98dULL}},
+    {"tagged_auto", {16151, 2, 1, 1, 2, 2, 1, 1},
+     {3839, 0, 0, 0, 0, 0, 0, 0}, 80000,
+     {0xf44527a2f1322aa4ULL, 0x3189800183f698e3ULL, 0x81077a762a065e39ULL,
+      0x9dd3ee4ebe7dffbaULL}},
 };
 
 // CollisionBatcher::advance looped to T = 4n from the adversarial start

@@ -17,6 +17,7 @@
 
 #include "batch/collision_batch.h"
 #include "check/counting_generator.h"
+#include "core/checkpoint.h"
 #include "core/count_simulation.h"
 #include "core/equilibrium.h"
 #include "core/weights.h"
@@ -736,24 +737,108 @@ TEST(ParseEngine, RejectsUnknownTokensNamingTheValidSet) {
 
 // ---- auto engine -----------------------------------------------------------
 
-TEST(AutoEngine, TinyPopulationDelegatesToJumpBitIdentically) {
-  // At n = 50 the auto cost model always predicts the jump chain
-  // cheaper (the collision chain's per-batch cost over a ~4.4-interaction
-  // stretch exceeds any jump cost), so with equal seeds the trajectories
-  // and generator states must match draw for draw.
-  const WeightMap weights({1.0, 2.0, 4.0});
-  auto jump_sim = CountSimulation::adversarial_start(weights, 50);
-  auto auto_sim = jump_sim;
-  Xoshiro256 jump_gen(31);
-  Xoshiro256 auto_gen(31);
-  for (int window = 0; window < 5; ++window) {
-    const std::int64_t target = (window + 1) * 3'000;
-    jump_sim.advance_with(Engine::kJump, target, jump_gen);
-    auto_sim.advance_with(Engine::kAuto, target, auto_gen);
-    ASSERT_EQ(jump_gen, auto_gen) << "window " << window;
-    for (divpp::core::ColorId c = 0; c < 3; ++c) {
-      ASSERT_EQ(jump_sim.dark(c), auto_sim.dark(c));
-      ASSERT_EQ(jump_sim.light(c), auto_sim.light(c));
+/// The sweep's palette at k colours (weights cycling 1..4) on a balanced
+/// state (proportional start warmed 8n) or a skewed one (adversarial
+/// start warmed n), both warmed by the jump chain — the states e15's
+/// window rows time.
+CountSimulation sweep_state(std::int64_t n, std::int64_t k, bool skewed,
+                            Xoshiro256& gen) {
+  std::vector<double> w(static_cast<std::size_t>(k));
+  for (std::int64_t i = 0; i < k; ++i)
+    w[static_cast<std::size_t>(i)] = 1.0 + static_cast<double>(i % 4);
+  if (skewed) {
+    auto sim = CountSimulation::adversarial_start(WeightMap(w), n);
+    sim.advance_with(Engine::kJump, n, gen);
+    return sim;
+  }
+  auto sim = CountSimulation::proportional_start(WeightMap(w), n);
+  sim.advance_with(Engine::kJump, 8 * n, gen);
+  return sim;
+}
+
+TEST(AutoEngine, RunsThePathTheCostModelNamesDrawForDraw) {
+  // Window by window, auto must consume exactly the draws of the engine
+  // whose path the cost model names — kJump for the jump chain, kBatch
+  // (which then picks the same path) for the walk or the chain — on a
+  // low-activity state, where it picks the jump chain, and on a
+  // high-activity one, where it leaves it.
+  using divpp::core::WindowPath;
+  for (const bool skewed : {false, true}) {
+    Xoshiro256 gen(31);
+    auto auto_sim = sweep_state(16'384, 16, skewed, gen);
+    std::map<WindowPath, int> taken;
+    for (int window = 0; window < 6; ++window) {
+      constexpr std::int64_t kWindow = 4'096;
+      const WindowPath path = auto_sim.window_path(Engine::kAuto, kWindow);
+      ++taken[path];
+      Engine named = Engine::kJump;
+      if (path != WindowPath::kJump) {
+        named = Engine::kBatch;
+        ASSERT_EQ(auto_sim.window_path(Engine::kBatch, kWindow), path);
+      }
+      auto named_sim = auto_sim;
+      Xoshiro256 named_gen = gen;
+      const std::int64_t target = auto_sim.time() + kWindow;
+      named_sim.advance_with(named, target, named_gen);
+      auto_sim.advance_with(Engine::kAuto, target, gen);
+      ASSERT_EQ(named_gen, gen) << "skewed " << skewed << " window " << window;
+      for (ColorId c = 0; c < 16; ++c) {
+        ASSERT_EQ(named_sim.dark(c), auto_sim.dark(c));
+        ASSERT_EQ(named_sim.light(c), auto_sim.light(c));
+      }
+    }
+    if (skewed) {
+      EXPECT_EQ(taken[WindowPath::kJump], 0);
+    } else {
+      EXPECT_EQ(taken[WindowPath::kJump], 6);
+    }
+  }
+}
+
+// ---- window cost model ------------------------------------------------------
+
+TEST(CostModel, PicksPerStateAtTheSweepsLargestShape) {
+  // n = 16384, k = 16, 4096-interaction windows: the walk beats the chain
+  // on the balanced state (D ≈ 13 dark colours make a batch expensive)
+  // and the chain beats it on the skewed one (one dominant dark colour);
+  // auto stays on the jump chain where activity is low (~5%) and takes
+  // the chain where it is high (~60%).
+  using divpp::core::WindowPath;
+  Xoshiro256 gen(50);
+  const auto balanced = sweep_state(16'384, 16, false, gen);
+  const auto skewed = sweep_state(16'384, 16, true, gen);
+  EXPECT_EQ(balanced.window_path(Engine::kBatch, 4'096),
+            WindowPath::kLabelWalk);
+  EXPECT_EQ(skewed.window_path(Engine::kBatch, 4'096),
+            WindowPath::kCollisionChain);
+  EXPECT_EQ(balanced.window_path(Engine::kAuto, 4'096), WindowPath::kJump);
+  EXPECT_EQ(skewed.window_path(Engine::kAuto, 4'096),
+            WindowPath::kCollisionChain);
+  EXPECT_EQ(balanced.window_path(Engine::kJump, 4'096), WindowPath::kJump);
+  EXPECT_THROW((void)balanced.window_path(Engine::kStep, 4'096),
+               std::invalid_argument);
+}
+
+TEST(CostModel, ChoicesSurviveACheckpointRoundTrip) {
+  // The choice reads only state a v2 checkpoint restores (counts, clock,
+  // the auto EWMA), so a resumed run picks the same path for every
+  // engine — with the EWMA unmeasured and after an auto window set it.
+  Xoshiro256 gen(51);
+  for (const bool skewed : {false, true}) {
+    auto sim = sweep_state(16'384, 16, skewed, gen);
+    for (int round = 0; round < 2; ++round) {
+      const auto resumed =
+          divpp::core::resume_run_from_checkpoint(
+              divpp::core::to_checkpoint_v2(sim, gen))
+              .sim;
+      EXPECT_DOUBLE_EQ(resumed.active_fraction_estimate(),
+                       sim.active_fraction_estimate());
+      for (const Engine engine : {Engine::kJump, Engine::kBatch, Engine::kAuto})
+        EXPECT_EQ(resumed.window_path(engine, 4'096),
+                  sim.window_path(engine, 4'096))
+            << "skewed " << skewed << " round " << round << " engine "
+            << divpp::core::engine_name(engine);
+      sim.advance_with(Engine::kAuto, sim.time() + 4'096, gen);
     }
   }
 }

@@ -307,6 +307,84 @@ TEST(TwoDistinct, RejectsTinyPopulations) {
   EXPECT_THROW((void)divpp::rng::two_distinct(gen, 1), std::invalid_argument);
 }
 
+// ---- two_distinct_32 -------------------------------------------------------
+
+/// Reference 32-bit Lemire draw on fresh words' low halves (the
+/// rejection continuation two_distinct_32 must follow).
+std::int64_t lemire32_on_fresh_words(Xoshiro256& gen, std::uint64_t bound) {
+  const std::uint64_t threshold = (std::uint64_t{1} << 32) % bound;
+  std::uint64_t product = 0;
+  do {
+    product = std::uint64_t{static_cast<std::uint32_t>(gen())} * bound;
+  } while (static_cast<std::uint32_t>(product) < threshold);
+  return static_cast<std::int64_t>(product >> 32);
+}
+
+TEST(TwoDistinct32, HalvesMapByLemireWithoutRejection) {
+  // Neither half rejected: the pair is read off the word alone.
+  Xoshiro256 gen(40);
+  const Xoshiro256 before = gen;
+  const std::uint64_t word = (std::uint64_t{0xC0000000} << 32) | 0x80000000U;
+  const auto [a, b] = divpp::rng::two_distinct_32_from_word(gen, word, 5);
+  EXPECT_EQ(a, 2);  // ⌊0.5 · 5⌋
+  EXPECT_EQ(b, 4);  // ⌊0.75 · 4⌋ = 3, shifted past a
+  EXPECT_EQ(gen, before);
+}
+
+TEST(TwoDistinct32, RejectedHalvesContinueOnFreshWords) {
+  // n = 5: the low half 0 is the one value a bound of 5 rejects
+  // (2^32 mod 5 = 1), so the first index comes from fresh words.
+  {
+    Xoshiro256 gen(41);
+    Xoshiro256 mirror = gen;
+    const std::uint64_t word = std::uint64_t{0x80000000} << 32;
+    const auto [a, b] = divpp::rng::two_distinct_32_from_word(gen, word, 5);
+    const std::int64_t expected_a = lemire32_on_fresh_words(mirror, 5);
+    EXPECT_EQ(a, expected_a);
+    EXPECT_EQ(b, 2 + (2 >= expected_a ? 1 : 0));  // ⌊0.5 · 4⌋, shifted
+    EXPECT_EQ(gen, mirror);  // exactly the rejection's fresh words
+  }
+  // n = 4: the first half takes the slow path but a power-of-two bound
+  // never rejects (no draw); the high half 0 is rejected by bound 3.
+  {
+    Xoshiro256 gen(42);
+    Xoshiro256 mirror = gen;
+    const std::uint64_t word = 0x40000000U;
+    const auto [a, b] = divpp::rng::two_distinct_32_from_word(gen, word, 4);
+    EXPECT_EQ(a, 1);
+    const std::int64_t expected_b = lemire32_on_fresh_words(mirror, 3);
+    EXPECT_EQ(b, expected_b + (expected_b >= 1 ? 1 : 0));
+    EXPECT_EQ(gen, mirror);
+  }
+}
+
+TEST(TwoDistinct32, OrderedPairsAreUniformAtNFive) {
+  // χ² over all 20 ordered pairs of distinct agents.
+  Xoshiro256 gen(43);
+  constexpr std::int64_t kN = 5;
+  constexpr std::int64_t kDraws = 200'000;
+  std::vector<std::int64_t> counts(kN * kN, 0);
+  for (std::int64_t i = 0; i < kDraws; ++i) {
+    const auto [a, b] = divpp::rng::two_distinct_32(gen, kN);
+    ASSERT_NE(a, b);
+    ASSERT_GE(a, 0);
+    ASSERT_LT(a, kN);
+    ASSERT_GE(b, 0);
+    ASSERT_LT(b, kN);
+    ++counts[static_cast<std::size_t>(a * kN + b)];
+  }
+  std::vector<std::int64_t> pair_counts;
+  for (std::int64_t a = 0; a < kN; ++a)
+    for (std::int64_t b = 0; b < kN; ++b)
+      if (a != b)
+        pair_counts.push_back(counts[static_cast<std::size_t>(a * kN + b)]);
+  const std::size_t cells = pair_counts.size();
+  const std::vector<double> expected(cells,
+                                     1.0 / static_cast<double>(cells));
+  const double stat = divpp::stats::chi_square_statistic(pair_counts, expected);
+  EXPECT_LT(stat, divpp::stats::chi_square_critical_001(cells - 1));
+}
+
 TEST(SampleDiscrete, RespectsWeights) {
   Xoshiro256 gen(16);
   const std::vector<double> weights = {1.0, 3.0};
