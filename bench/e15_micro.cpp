@@ -294,7 +294,9 @@ BENCHMARK(BM_CandidatePairsSlotChain);
 // all arguments inside the log-factorial table, so both take the
 // chop-down walk).  Hypergeometric args are (total, marked, draws):
 // variance 48 and 56.  full_pairs args are (pairs, items): variance 18
-// and 25.
+// and 25, then two wide shapes that only the chop-down walk serves:
+// variance ≈ 625 (the widest slot-chain draw n = 10⁹ could produce) and
+// variance ≈ 59 with Stirling-scale arguments.
 void BM_Hypergeometric(benchmark::State& state) {
   Xoshiro256 gen(9);
   for (auto _ : state)
@@ -309,7 +311,11 @@ void BM_FullPairs(benchmark::State& state) {
     benchmark::DoNotOptimize(
         divpp::rng::full_pairs(gen, state.range(0), state.range(1)));
 }
-BENCHMARK(BM_FullPairs)->Args({1475, 370})->Args({800, 370});
+BENCHMARK(BM_FullPairs)
+    ->Args({1475, 370})
+    ->Args({800, 370})
+    ->Args({10'000, 10'000})
+    ->Args({100'000, 5'000});
 
 // One light-ledger flush at converge's equilibrium: 3·10⁶ light agents
 // over 8 colours, 1.9·10⁵ pending uniform removals (one sixteenth of the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "check/invariant.h"
 #include "rng/distributions.h"
@@ -11,7 +12,25 @@ namespace divpp::rng {
 
 namespace {
 
-/// log(x!) for integer x: table lookup below kLogFactTable, Stirling
+/// Dispatch thresholds between the chop-down inversion kernel and the
+/// HRUA ratio-of-uniforms rejection kernel of hypergeometric().  A draw
+/// uses rejection (O(1) expected time) when its variance is at least
+/// kRejectionVarianceCutoff AND its pmf arguments are beyond the
+/// log-factorial table (where the chop-down setup pays ~6 Stirling
+/// evaluations); with all arguments inside the table the setup is a
+/// handful of lookups and the O(1 + sd) walk stays cheaper up to
+/// kRejectionInTableVarianceCutoff (~25 standard deviations of walk).
+/// Every path is exact, so the cutoffs are distributionally invisible;
+/// they are pinned by bit-identity tests (tests/test_discrete.cpp) so
+/// moving them is a deliberate act.
+constexpr double kRejectionVarianceCutoff = 9.0;
+constexpr double kRejectionInTableVarianceCutoff = 625.0;
+
+/// Number of entries of the log-factorial lookup table (the
+/// in-table/Stirling boundary the dispatch above refers to).
+constexpr std::int64_t kLogFactTableSize = 65536;
+
+/// log(x!) for integer x: table lookup below kLogFactTableSize, Stirling
 /// series above.  Every pmf argument in this file is an integer count,
 /// so this replaces std::lgamma (~13 ns) with ~2 ns lookups; the
 /// Stirling branch is accurate to ~1e-16 relative well below the table
@@ -21,19 +40,17 @@ namespace {
 /// up to 2·E[ℓ] ≈ 40 000 at n = 10⁹ — on every iteration, and a lookup
 /// there is ~4× cheaper than the Stirling evaluation.
 
-constexpr std::int64_t kLogFactTable = kLogFactTableSize;
-
 double log_fact(std::int64_t x) {
   static const std::vector<double> table = [] {
-    std::vector<double> t(static_cast<std::size_t>(kLogFactTable));
+    std::vector<double> t(static_cast<std::size_t>(kLogFactTableSize));
     t[0] = 0.0;
     // Sums of logs drift; lgamma each entry instead (one-time cost).
-    for (std::int64_t i = 1; i < kLogFactTable; ++i)
+    for (std::int64_t i = 1; i < kLogFactTableSize; ++i)
       t[static_cast<std::size_t>(i)] =
           std::lgamma(static_cast<double>(i) + 1.0);
     return t;
   }();
-  if (x < kLogFactTable) return table[static_cast<std::size_t>(x)];
+  if (x < kLogFactTableSize) return table[static_cast<std::size_t>(x)];
   const double d = static_cast<double>(x);
   const double inv = 1.0 / d;
   const double inv2 = inv * inv;
@@ -85,116 +102,13 @@ std::int64_t chop_down_from_mode(Xoshiro256& gen, std::int64_t lo,
   }
 }
 
-/// HRUA ratio-of-uniforms rejection (Stadlober 1990) over an integer
-/// support [lo, hi]: a point (u, v) uniform in the enclosing rectangle is
-/// mapped to w = mean + 0.5 + d8·(v − 0.5)/u and accepted when
-/// u² <= f(w)/f(mode).  For any log-concave discrete pmf the rectangle
-/// half-width d8 = D1·sqrt(var + 0.5) + D2 with D1 = 2·sqrt(2/e) and
-/// D2 = 3 − 2·sqrt(3/e) dominates the ratio-of-uniforms region, so the
-/// sampler is exact and O(1) expected time for any parameters.  Support
-/// beyond mean + 16·sd carries less mass than any drawable uniform
-/// resolves and is cut like the reference HRUA.
-///
-/// The acceptance test is evaluated in whichever domain is cheaper for
-/// the candidate:
-///  * near the mode (|z − mode| <= kHruaProductCutoff, the common case)
-///    f(z)/f(mode) is an exact product of adjacent-pmf ratios — pure
-///    multiplies, batched eight factors per division so no log or
-///    lgamma is touched at all;
-///  * far from the mode the ratio is evaluated through `log_weight`
-///    (log f up to an additive constant, typically log-factorial sums),
-///    with the classical squeeze pair around the exact log test.
-/// Both are evaluations of the same pmf at double precision, so the
-/// split is invisible beyond rounding.
-///
-/// `up_num(x)`/`up_den(x)` give f(x+1)/f(x) = up_num(x)/up_den(x) as
-/// separate non-negative factors of a double-valued (exact-integer)
-/// position; `mode` must be an argmax of f (ties fine).
-constexpr double kHruaD1 = 1.7155277699214135;  // 2·sqrt(2/e)
-constexpr double kHruaD2 = 0.8989161620588988;  // 3 − 2·sqrt(3/e)
-constexpr std::int64_t kHruaProductCutoff = 32;
-
-template <class UpNum, class UpDen, class LogWeight>
-std::int64_t hrua_sample(Xoshiro256& gen, std::int64_t lo, std::int64_t hi,
-                         double mean, double variance, std::int64_t mode,
-                         UpNum&& up_num, UpDen&& up_den,
-                         LogWeight&& log_weight) {
-  const double d6 = mean + 0.5;
-  const double d7 = std::sqrt(variance + 0.5);
-  const double d8 = kHruaD1 * d7 + kHruaD2;
-  const double cut_lo = static_cast<double>(lo);
-  const double cut_hi = std::min(static_cast<double>(hi) + 1.0,
-                                 std::floor(d6 + 16.0 * d7));
-  double lw_mode = 0.0;  // computed on the first far-candidate only
-  bool have_lw_mode = false;
-  while (true) {
-    const double u = uniform01(gen);
-    const double v = uniform01(gen);
-    const double w = d6 + d8 * (v - 0.5) / u;
-    // !(w >= cut_lo) also catches the NaN from u == 0, v == 0.5.
-    if (!(w >= cut_lo) || w >= cut_hi) continue;
-    const auto z = static_cast<std::int64_t>(std::floor(w));
-    if (std::llabs(z - mode) <= kHruaProductCutoff) {
-      // Exact linear-domain test: Π up_num/up_den over [min(z,mode),
-      // max(z,mode)) is f(max)/f(min), compared against u² (inverted for
-      // a downward candidate by moving the factor to the other side).
-      // The walk runs on a double-valued position (counts are far below
-      // 2^53, so increments are exact) with two independent accumulator
-      // pairs so the multiply chains pipeline; factors are O(support²)
-      // each, so a chunk of eight stays far below the double range —
-      // one division per chunk.
-      const bool upward = z >= mode;
-      double x = static_cast<double>(upward ? mode : z);
-      std::int64_t steps = upward ? z - mode : mode - z;
-      double ratio = 1.0;
-      while (steps > 0) {
-        const int chunk = steps >= 8 ? 8 : static_cast<int>(steps);
-        double n0 = 1.0, n1 = 1.0, d0 = 1.0, d1 = 1.0;
-        int j = 0;
-        for (; j + 1 < chunk; j += 2) {
-          n0 *= up_num(x);
-          d0 *= up_den(x);
-          n1 *= up_num(x + 1.0);
-          d1 *= up_den(x + 1.0);
-          x += 2.0;
-        }
-        if (j < chunk) {
-          n0 *= up_num(x);
-          d0 *= up_den(x);
-          x += 1.0;
-        }
-        ratio *= (n0 * n1) / (d0 * d1);
-        steps -= chunk;
-      }
-      // upward: accept iff u² <= ratio; downward: iff u²·ratio <= 1.
-      if (upward ? (u * u <= ratio) : (u * u * ratio <= 1.0)) return z;
-      continue;
-    }
-    if (!have_lw_mode) {
-      lw_mode = log_weight(mode);
-      have_lw_mode = true;
-    }
-    const double t = log_weight(z) - lw_mode;
-    if (u * (4.0 - u) - 3.0 <= t) return z;  // squeeze: accept
-    if (u * (u - t) >= 1.0) continue;        // squeeze: reject
-    if (2.0 * std::log(u) <= t) return z;    // exact test
-  }
-}
-
 /// Variance of Hypergeometric(total, marked, draws) given the marked
-/// fraction p — the single definition both the public predicate and the
+/// fraction p — the single definition both the predicate and the
 /// dispatcher evaluate, so the two can never disagree about which
 /// kernel runs.  Invariant under marked <-> draws and under both
 /// complement transformations.
 double hypergeometric_variance_at(double p, double draws, double total) {
   return draws * p * (1.0 - p) * (total - draws) / (total - 1.0);
-}
-
-double hypergeometric_variance(std::int64_t total, std::int64_t marked,
-                               std::int64_t draws) {
-  const double dn = static_cast<double>(total);
-  return hypergeometric_variance_at(static_cast<double>(marked) / dn,
-                                    static_cast<double>(draws), dn);
 }
 
 /// BINV: chop-down inversion from 0.  Exact; expected O(1 + n·p) time, so
@@ -384,13 +298,33 @@ std::int64_t hypergeometric_chopdown_impl(Xoshiro256& gen, std::int64_t total,
   });
 }
 
-/// HRUA rejection in the canonical coordinates: sample over the smaller
-/// marked class and the smaller sample side (where the support starts at
-/// 0 — min(draws, total-draws) never exceeds max(marked, total-marked)),
-/// then undo the two symmetry transformations.  `frac` is the marked
+/// HRUA ratio-of-uniforms rejection (Stadlober 1990) in the canonical
+/// coordinates: sample over the smaller marked class and the smaller
+/// sample side (where the support starts at 0 — min(draws, total-draws)
+/// never exceeds max(marked, total-marked)), then undo the two symmetry
+/// transformations.  `var` is the variance and `frac` the marked
 /// fraction min(marked, total−marked)/total, computed once by the
-/// dispatcher alongside the variance (the HRUA setup is division-latency
-/// bound, so shared subexpressions matter).
+/// dispatcher (the setup is division-latency bound, so shared
+/// subexpressions matter).
+///
+/// A point (u, v) uniform in the enclosing rectangle is mapped to
+/// w = mean + 0.5 + d8·(v − 0.5)/u and accepted when u² <= f(w)/f(mode).
+/// The pmf is log-concave, so the rectangle half-width d8 = D1·sqrt(var
+/// + 0.5) + D2 with D1 = 2·sqrt(2/e) and D2 = 3 − 2·sqrt(3/e) dominates
+/// the ratio-of-uniforms region and the sampler is exact in O(1)
+/// expected time.  Support beyond mean + 16·sd carries less mass than
+/// any drawable uniform resolves and is cut like the reference HRUA.
+/// The acceptance test is evaluated in whichever domain is cheaper for
+/// the candidate: near the mode (|z − mode| <= kHruaProductCutoff, the
+/// common case) f(z)/f(mode) is an exact product of adjacent-pmf ratios,
+/// batched eight factors per division, so no log is touched; far from
+/// the mode it is a log-factorial sum with the classical squeeze pair
+/// around the exact log test.  Both are evaluations of the same pmf at
+/// double precision, so the split is invisible beyond rounding.
+constexpr double kHruaD1 = 1.7155277699214135;  // 2·sqrt(2/e)
+constexpr double kHruaD2 = 0.8989161620588988;  // 3 − 2·sqrt(3/e)
+constexpr std::int64_t kHruaProductCutoff = 32;
+
 std::int64_t hypergeometric_hrua(Xoshiro256& gen, std::int64_t total,
                                  std::int64_t marked, std::int64_t draws,
                                  double var, double frac) {
@@ -429,60 +363,87 @@ std::int64_t hypergeometric_hrua(Xoshiro256& gen, std::int64_t total,
   const double dming = static_cast<double>(mingood);
   const double dm = static_cast<double>(m);
   const double dtail = static_cast<double>(maxgood - m);
-  std::int64_t z = hrua_sample(
-      gen, 0, hi, mean, var, mode,
-      [=](double x) {  // numerator of f(x+1)/f(x)
-        return (dming - x) * (dm - x);
-      },
-      [=](double x) {  // denominator of f(x+1)/f(x)
-        return (x + 1.0) * (dtail + x + 1.0);
-      },
-      [&](std::int64_t x) {
-        return -(log_fact(x) + log_fact(mingood - x) + log_fact(m - x) +
-                 log_fact(maxgood - m + x));
-      });
+  // f(x+1)/f(x) = up_num(x)/up_den(x), and log f(x) up to a constant.
+  const auto up_num = [=](double x) { return (dming - x) * (dm - x); };
+  const auto up_den = [=](double x) { return (x + 1.0) * (dtail + x + 1.0); };
+  const auto log_weight = [&](std::int64_t x) {
+    return -(log_fact(x) + log_fact(mingood - x) + log_fact(m - x) +
+             log_fact(maxgood - m + x));
+  };
+  const double d6 = mean + 0.5;
+  const double d7 = std::sqrt(var + 0.5);
+  const double d8 = kHruaD1 * d7 + kHruaD2;
+  const double cut_hi = std::min(static_cast<double>(hi) + 1.0,
+                                 std::floor(d6 + 16.0 * d7));
+  double lw_mode = 0.0;  // computed on the first far candidate only
+  bool have_lw_mode = false;
+  std::int64_t z = 0;
+  while (true) {
+    const double u = uniform01(gen);
+    const double v = uniform01(gen);
+    const double w = d6 + d8 * (v - 0.5) / u;
+    // !(w >= 0) also catches the NaN from u == 0, v == 0.5.
+    if (!(w >= 0.0) || w >= cut_hi) continue;
+    z = static_cast<std::int64_t>(std::floor(w));
+    if (std::llabs(z - mode) <= kHruaProductCutoff) {
+      // Exact linear-domain test: Π up_num/up_den over [min(z,mode),
+      // max(z,mode)) is f(max)/f(min), compared against u² (inverted for
+      // a downward candidate by moving the factor to the other side).
+      // The walk runs on a double-valued position (counts are far below
+      // 2^53, so increments are exact) with two independent accumulator
+      // pairs so the multiply chains pipeline; factors are O(support²)
+      // each, so a chunk of eight stays far below the double range —
+      // one division per chunk.
+      const bool upward = z >= mode;
+      double x = static_cast<double>(upward ? mode : z);
+      std::int64_t steps = upward ? z - mode : mode - z;
+      double ratio = 1.0;
+      while (steps > 0) {
+        const int chunk = steps >= 8 ? 8 : static_cast<int>(steps);
+        double n0 = 1.0, n1 = 1.0, d0 = 1.0, d1 = 1.0;
+        int j = 0;
+        for (; j + 1 < chunk; j += 2) {
+          n0 *= up_num(x);
+          d0 *= up_den(x);
+          n1 *= up_num(x + 1.0);
+          d1 *= up_den(x + 1.0);
+          x += 2.0;
+        }
+        if (j < chunk) {
+          n0 *= up_num(x);
+          d0 *= up_den(x);
+          x += 1.0;
+        }
+        ratio *= (n0 * n1) / (d0 * d1);
+        steps -= chunk;
+      }
+      // upward: accept iff u² <= ratio; downward: iff u²·ratio <= 1.
+      if (upward ? (u * u <= ratio) : (u * u * ratio <= 1.0)) break;
+      continue;
+    }
+    if (!have_lw_mode) {
+      lw_mode = log_weight(mode);
+      have_lw_mode = true;
+    }
+    const double t = log_weight(z) - lw_mode;
+    if (u * (4.0 - u) - 3.0 <= t) break;  // squeeze: accept
+    if (u * (u - t) >= 1.0) continue;     // squeeze: reject
+    if (2.0 * std::log(u) <= t) break;    // exact test
+  }
   if (marked > total - marked) z = m - z;
   if (m < draws) z = marked - z;
   return z;
 }
 
-}  // namespace
-
-namespace {
-
-/// The shared dispatch rule: rejection needs enough variance to beat
-/// the chop-down walk, and either Stirling-scale pmf arguments (the
+/// The dispatch rule: rejection needs enough variance to beat the
+/// chop-down walk, and either Stirling-scale pmf arguments (the
 /// chop-down setup is what the rejection kernel avoids) or a walk so
-/// long that even a table-backed setup loses.  `max_argument` is the
-/// largest value the chop-down setup feeds to log_fact.
-bool rejection_pays(double var, std::int64_t max_argument) {
+/// long that even a table-backed setup loses.  `total` is the largest
+/// value the chop-down setup feeds to log_fact.
+bool rejection_pays(double var, std::int64_t total) {
   if (var < kRejectionVarianceCutoff) return false;
-  return max_argument >= kLogFactTableSize ||
-         var >= kRejectionInTableVarianceCutoff;
+  return total >= kLogFactTableSize || var >= kRejectionInTableVarianceCutoff;
 }
-
-}  // namespace
-
-bool hypergeometric_uses_rejection(std::int64_t total, std::int64_t marked,
-                                   std::int64_t draws) {
-  hypergeometric_validate(total, marked, draws);
-  const std::int64_t lo = std::max<std::int64_t>(0, draws - (total - marked));
-  const std::int64_t hi = std::min(draws, marked);
-  if (lo == hi) return false;
-  return rejection_pays(hypergeometric_variance(total, marked, draws),
-                        total);
-}
-
-std::int64_t hypergeometric_chopdown(Xoshiro256& gen, std::int64_t total,
-                                     std::int64_t marked, std::int64_t draws) {
-  hypergeometric_validate(total, marked, draws);
-  const std::int64_t lo = std::max<std::int64_t>(0, draws - (total - marked));
-  const std::int64_t hi = std::min(draws, marked);
-  if (lo == hi) return lo;
-  return hypergeometric_chopdown_impl(gen, total, marked, draws, lo, hi);
-}
-
-namespace {
 
 /// Validation-free dispatcher shared by hypergeometric() and the
 /// conditional chains (whose loop invariants already guarantee the
@@ -515,60 +476,6 @@ std::int64_t hypergeometric(Xoshiro256& gen, std::int64_t total,
   SIM_ASSERT(x >= std::max<std::int64_t>(0, draws - (total - marked)));
   SIM_ASSERT(x <= std::min(draws, marked));
   return x;
-}
-
-namespace {
-
-/// The conditional-binomial chain: category i takes Binomial(remaining
-/// trials, w_i / remaining weight), the last category the rest.  Shared
-/// by multinomial() (W = double probability weights) and the multinomial
-/// proposal of multivariate_hypergeometric() (W = std::int64_t item
-/// counts, whose remaining pool is then exact).  Writes all of `out`.
-template <class W>
-void binomial_chain(Xoshiro256& gen, std::int64_t trials,
-                    std::span<const W> weights, W remaining_weight,
-                    std::span<std::int64_t> out) {
-  std::fill(out.begin(), out.end(), std::int64_t{0});
-  std::int64_t remaining = trials;
-  for (std::size_t i = 0; i + 1 < weights.size() && remaining > 0; ++i) {
-    const double p = std::clamp(static_cast<double>(weights[i]) /
-                                    static_cast<double>(remaining_weight),
-                                0.0, 1.0);
-    const std::int64_t x = binomial(gen, remaining, p);
-    out[i] = x;
-    remaining -= x;
-    remaining_weight -= weights[i];
-    if (!(remaining_weight > 0)) break;  // all residual mass spent
-  }
-  out.back() = remaining;
-}
-
-}  // namespace
-
-std::vector<std::int64_t> multinomial(Xoshiro256& gen, std::int64_t trials,
-                                      std::span<const double> weights) {
-  if (weights.empty())
-    throw std::invalid_argument("multinomial: empty weight vector");
-  if (trials < 0) throw std::invalid_argument("multinomial: trials < 0");
-  double total_weight = 0.0;
-  for (const double w : weights) {
-    if (!(w >= 0.0))
-      throw std::invalid_argument("multinomial: negative weight");
-    total_weight += w;
-  }
-  if (!(total_weight > 0.0))
-    throw std::invalid_argument("multinomial: weights sum to zero");
-  std::vector<std::int64_t> out(weights.size());
-  binomial_chain(gen, trials, weights, total_weight, std::span(out));
-  SIM_IF_CHECKED({
-    std::int64_t sum = 0;
-    for (const std::int64_t c : out) {
-      SIM_ASSERT(c >= 0);
-      sum += c;
-    }
-    SIM_DCHECK_EQ(sum, trials);  // conditional-binomial chain conserves mass
-  });
-  return out;
 }
 
 namespace {
@@ -646,6 +553,26 @@ bool accept_without_replacement(Xoshiro256& gen,
   return u < a;
 }
 
+/// The conditional-binomial chain: category i takes Binomial(remaining
+/// trials, counts_i / remaining pool), the last category the rest.
+/// Writes all of `out`.  The pool is exact, so the category that holds
+/// all of it takes p == 1 and every remaining trial, which ends the walk.
+void binomial_chain(Xoshiro256& gen, std::int64_t trials,
+                    std::span<const std::int64_t> counts, std::int64_t pool,
+                    std::span<std::int64_t> out) {
+  std::fill(out.begin(), out.end(), std::int64_t{0});
+  std::int64_t remaining = trials;
+  for (std::size_t i = 0; i + 1 < counts.size() && remaining > 0; ++i) {
+    const std::int64_t x = binomial(
+        gen, remaining,
+        static_cast<double>(counts[i]) / static_cast<double>(pool));
+    out[i] = x;
+    remaining -= x;
+    pool -= counts[i];
+  }
+  out.back() = remaining;
+}
+
 /// Sampling without replacement as a corrected multinomial: the
 /// proposal c ~ Multinomial(draws; counts/pool) from the binomial chain,
 /// kept by accept_without_replacement().
@@ -658,22 +585,6 @@ void mvh_multinomial(Xoshiro256& gen, std::span<const std::int64_t> counts,
 }
 
 }  // namespace
-
-bool multivariate_hypergeometric_uses_multinomial(std::int64_t pool,
-                                                  std::int64_t draws) {
-  if (draws < 0 || draws > pool)
-    throw std::invalid_argument(
-        "multivariate_hypergeometric: draws outside [0, sum(counts)]");
-  return mvh_uses_multinomial(pool, draws);
-}
-
-void multivariate_hypergeometric_multinomial(
-    Xoshiro256& gen, std::span<const std::int64_t> counts, std::int64_t draws,
-    std::span<std::int64_t> out) {
-  const std::int64_t pool = mvh_validate(counts, draws, out);
-  if (counts.empty()) return;
-  mvh_multinomial(gen, counts, pool, draws, out);
-}
 
 void multivariate_hypergeometric(Xoshiro256& gen,
                                  std::span<const std::int64_t> counts,
@@ -724,14 +635,6 @@ void multivariate_hypergeometric(Xoshiro256& gen,
     }
     SIM_DCHECK_EQ(sum, draws);
   });
-}
-
-std::vector<std::int64_t> multivariate_hypergeometric(
-    Xoshiro256& gen, std::span<const std::int64_t> counts,
-    std::int64_t draws) {
-  std::vector<std::int64_t> out(counts.size());
-  multivariate_hypergeometric(gen, counts, draws, out);
-  return out;
 }
 
 namespace {
@@ -798,13 +701,6 @@ void pairs_multinomial(Xoshiro256& gen, std::span<const std::int64_t> counts,
 
 }  // namespace
 
-void multivariate_hypergeometric_pairs_multinomial(
-    Xoshiro256& gen, std::span<const std::int64_t> counts, std::int64_t pairs,
-    std::span<std::int64_t> members, std::span<std::int64_t> mono) {
-  const std::int64_t pool = pairs_validate(counts, pairs, members, mono);
-  pairs_multinomial(gen, counts, pool, pairs, members, mono);
-}
-
 void multivariate_hypergeometric_pairs(Xoshiro256& gen,
                                        std::span<const std::int64_t> counts,
                                        std::int64_t pairs,
@@ -852,131 +748,85 @@ void multivariate_hypergeometric_pairs(Xoshiro256& gen,
   });
 }
 
-namespace {
-
-void full_pairs_validate(std::int64_t pairs, std::int64_t items) {
+std::int64_t full_pairs(Xoshiro256& gen, std::int64_t pairs,
+                        std::int64_t items) {
   if (pairs < 0 || items < 0 || items > 2 * pairs)
-    throw std::invalid_argument(
-        "full_pairs: need 0 <= items <= 2 * pairs");
-}
-
-/// f(t+1)/f(t) = (m−2t)(m−2t−1) / (4 (t+1) (p − m + t + 1)), with
-/// m = items, p = pairs — shared by the chop-down walk, the mode
-/// adjustment of the rejection path, and nothing else.
-double full_pairs_ratio_up(std::int64_t pairs, std::int64_t items,
-                           std::int64_t t) {
-  const double b =
-      static_cast<double>(items) - 2.0 * static_cast<double>(t);
-  return b * (b - 1.0) /
-         (4.0 * (static_cast<double>(t) + 1.0) *
-          (static_cast<double>(pairs) - static_cast<double>(items) +
-           static_cast<double>(t) + 1.0));
-}
-
-/// E[t] = p·m(m−1)/(2p(2p−1)) — the indicator sum over pairs.
-double full_pairs_mean(std::int64_t pairs, std::int64_t items) {
+    throw std::invalid_argument("full_pairs: need 0 <= items <= 2 * pairs");
+  const std::int64_t lo = std::max<std::int64_t>(0, items - pairs);
+  const std::int64_t hi = items / 2;
+  if (lo == hi) return lo;
+  // Mode-centred chop-down, exactly like hypergeometric_chopdown(): start
+  // from floor(E[t]) = floor(m(m−1)/(2(2p−1))) (within one of the mode),
+  // m = items, p = pairs, and expand outwards via the adjacent ratio
+  // f(t+1)/f(t) = (m−2t)(m−2t−1) / (4 (t+1) (p − m + t + 1)).
   const double dm = static_cast<double>(items);
   const double dp = static_cast<double>(pairs);
-  return dm * (dm - 1.0) / (2.0 * (2.0 * dp - 1.0));
-}
-
-/// Var[t] from the pair-indicator second factorial moment
-/// E[t(t−1)] = p(p−1)·m(m−1)(m−2)(m−3) / ((2p)(2p−1)(2p−2)(2p−3)).
-double full_pairs_variance(std::int64_t pairs, std::int64_t items) {
-  const double dm = static_cast<double>(items);
-  const double dp = static_cast<double>(pairs);
-  const double q1 = dm * (dm - 1.0) / ((2.0 * dp) * (2.0 * dp - 1.0));
-  const double q2 =
-      q1 * (dm - 2.0) * (dm - 3.0) / ((2.0 * dp - 2.0) * (2.0 * dp - 3.0));
-  const double mean = dp * q1;
-  return dp * (dp - 1.0) * q2 + mean - mean * mean;
-}
-
-std::int64_t full_pairs_chopdown_impl(Xoshiro256& gen, std::int64_t pairs,
-                                      std::int64_t items, std::int64_t lo,
-                                      std::int64_t hi) {
-  // Mode-centred chop-down, exactly like hypergeometric_chopdown():
-  // start from the (near-)mode, expand outwards via the adjacent-ratio
-  // recurrence.
-  auto mode =
-      static_cast<std::int64_t>(std::floor(full_pairs_mean(pairs, items)));
+  auto mode = static_cast<std::int64_t>(
+      std::floor(dm * (dm - 1.0) / (2.0 * (2.0 * dp - 1.0))));
   mode = std::clamp(mode, lo, hi);
   const double log_fm = log_choose(pairs, mode) +
                         log_choose(pairs - mode, items - 2 * mode) +
                         static_cast<double>(items - 2 * mode) *
                             0.6931471805599453 -  // ln 2
                         log_choose(2 * pairs, items);
-  const double fm = std::exp(log_fm);
-  return chop_down_from_mode(gen, lo, hi, mode, fm, [&](std::int64_t t) {
-    return full_pairs_ratio_up(pairs, items, t);
-  });
-}
-
-std::int64_t full_pairs_hrua(Xoshiro256& gen, std::int64_t pairs,
-                             std::int64_t items, std::int64_t lo,
-                             std::int64_t hi) {
-  const double mean = full_pairs_mean(pairs, items);
-  const double var = full_pairs_variance(pairs, items);
-  // floor(mean) is within one of the mode; the rejection kernel needs the
-  // exact argmax (an underestimated f(mode) would shrink the hat), so
-  // climb the log-concave pmf via the adjacent ratio — O(1) steps.
-  auto mode = std::clamp(static_cast<std::int64_t>(std::floor(mean)), lo, hi);
-  while (mode < hi && full_pairs_ratio_up(pairs, items, mode) > 1.0) ++mode;
-  while (mode > lo && full_pairs_ratio_up(pairs, items, mode - 1) < 1.0)
-    --mode;
-  constexpr double kLn2 = 0.6931471805599453;
-  const double ditems = static_cast<double>(items);
-  const double dtail = static_cast<double>(pairs - items);
-  return hrua_sample(
-      gen, lo, hi, mean, var, mode,
-      [=](double t) {  // numerator of f(t+1)/f(t)
-        const double b = ditems - 2.0 * t;
-        return b * (b - 1.0);
-      },
-      [=](double t) {  // denominator of f(t+1)/f(t)
-        return 4.0 * (t + 1.0) * (dtail + t + 1.0);
-      },
-      [&](std::int64_t t) {
-        // log f(t) up to a constant: the C(p,·)·C(p−t,·) product
-        // telescopes to −lf(t) − lf(m−2t) − lf(p−m+t) + (m−2t)·ln2.
-        return -(log_fact(t) + log_fact(items - 2 * t) +
-                 log_fact(pairs - items + t)) +
-               static_cast<double>(items - 2 * t) * kLn2;
+  const std::int64_t t = chop_down_from_mode(
+      gen, lo, hi, mode, std::exp(log_fm), [&](std::int64_t x) {
+        const double b = dm - 2.0 * static_cast<double>(x);
+        return b * (b - 1.0) /
+               (4.0 * (static_cast<double>(x) + 1.0) *
+                (dp - dm + static_cast<double>(x) + 1.0));
       });
-}
-
-}  // namespace
-
-bool full_pairs_uses_rejection(std::int64_t pairs, std::int64_t items) {
-  full_pairs_validate(pairs, items);
-  const std::int64_t lo = std::max<std::int64_t>(0, items - pairs);
-  const std::int64_t hi = items / 2;
-  if (lo == hi) return false;
-  // The chop-down setup's largest log_fact argument is 2·pairs.
-  return rejection_pays(full_pairs_variance(pairs, items), 2 * pairs);
-}
-
-std::int64_t full_pairs_chopdown(Xoshiro256& gen, std::int64_t pairs,
-                                 std::int64_t items) {
-  full_pairs_validate(pairs, items);
-  const std::int64_t lo = std::max<std::int64_t>(0, items - pairs);
-  const std::int64_t hi = items / 2;
-  if (lo == hi) return lo;
-  return full_pairs_chopdown_impl(gen, pairs, items, lo, hi);
-}
-
-std::int64_t full_pairs(Xoshiro256& gen, std::int64_t pairs,
-                        std::int64_t items) {
-  full_pairs_validate(pairs, items);
-  const std::int64_t lo = std::max<std::int64_t>(0, items - pairs);
-  const std::int64_t hi = items / 2;
-  if (lo == hi) return lo;
-  const std::int64_t t =
-      rejection_pays(full_pairs_variance(pairs, items), 2 * pairs)
-          ? full_pairs_hrua(gen, pairs, items, lo, hi)
-          : full_pairs_chopdown_impl(gen, pairs, items, lo, hi);
   SIM_ASSERT(t >= lo && t <= hi);  // doubly-filled slots within support
   return t;
 }
+
+namespace detail {
+
+bool hypergeometric_uses_rejection(std::int64_t total, std::int64_t marked,
+                                   std::int64_t draws) {
+  hypergeometric_validate(total, marked, draws);
+  const std::int64_t lo = std::max<std::int64_t>(0, draws - (total - marked));
+  const std::int64_t hi = std::min(draws, marked);
+  if (lo == hi) return false;
+  const double dn = static_cast<double>(total);
+  return rejection_pays(
+      hypergeometric_variance_at(static_cast<double>(marked) / dn,
+                                 static_cast<double>(draws), dn),
+      total);
+}
+
+std::int64_t hypergeometric_chopdown(Xoshiro256& gen, std::int64_t total,
+                                     std::int64_t marked, std::int64_t draws) {
+  hypergeometric_validate(total, marked, draws);
+  const std::int64_t lo = std::max<std::int64_t>(0, draws - (total - marked));
+  const std::int64_t hi = std::min(draws, marked);
+  if (lo == hi) return lo;
+  return hypergeometric_chopdown_impl(gen, total, marked, draws, lo, hi);
+}
+
+bool multivariate_hypergeometric_uses_multinomial(std::int64_t pool,
+                                                  std::int64_t draws) {
+  if (draws < 0 || draws > pool)
+    throw std::invalid_argument(
+        "multivariate_hypergeometric: draws outside [0, sum(counts)]");
+  return mvh_uses_multinomial(pool, draws);
+}
+
+void multivariate_hypergeometric_multinomial(
+    Xoshiro256& gen, std::span<const std::int64_t> counts, std::int64_t draws,
+    std::span<std::int64_t> out) {
+  const std::int64_t pool = mvh_validate(counts, draws, out);
+  if (counts.empty()) return;
+  mvh_multinomial(gen, counts, pool, draws, out);
+}
+
+void multivariate_hypergeometric_pairs_multinomial(
+    Xoshiro256& gen, std::span<const std::int64_t> counts, std::int64_t pairs,
+    std::span<std::int64_t> members, std::span<std::int64_t> mono) {
+  const std::int64_t pool = pairs_validate(counts, pairs, members, mono);
+  pairs_multinomial(gen, counts, pool, pairs, members, mono);
+}
+
+}  // namespace detail
 
 }  // namespace divpp::rng

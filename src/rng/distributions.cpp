@@ -64,11 +64,6 @@ double exponential_slow(Xoshiro256& gen, std::size_t layer, double x) {
 
 }  // namespace detail
 
-std::int64_t uniform_int(Xoshiro256& gen, std::int64_t lo, std::int64_t hi) {
-  if (lo > hi) throw std::invalid_argument("uniform_int: lo must be <= hi");
-  return lo + uniform_below(gen, hi - lo + 1);
-}
-
 std::int64_t geometric_failures(Xoshiro256& gen, double p) {
   if (!(p > 0.0) || p > 1.0)
     throw std::invalid_argument("geometric_failures: p must be in (0, 1]");
@@ -85,15 +80,6 @@ std::int64_t geometric_failures(Xoshiro256& gen, double p) {
   if (!(value < static_cast<double>(kGeometricFailuresCeiling)))
     return kGeometricFailuresCeiling;
   return static_cast<std::int64_t>(value);
-}
-
-std::pair<std::int64_t, std::int64_t> two_distinct(Xoshiro256& gen,
-                                                   std::int64_t n) {
-  if (n < 2) throw std::invalid_argument("two_distinct: need n >= 2");
-  const std::int64_t first = uniform_below(gen, n);
-  std::int64_t second = uniform_below(gen, n - 1);
-  if (second >= first) ++second;
-  return {first, second};
 }
 
 std::int64_t sample_discrete(Xoshiro256& gen,

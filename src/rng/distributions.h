@@ -71,6 +71,26 @@ extern const ExpZiggurat kExpZiggurat;
   return static_cast<std::int64_t>(product >> 32);
 }
 
+/// Uniformly random ordered pair of distinct indices from {0, ..., n-1},
+/// drawn from the two 32-bit halves of `word`: the first index is an exact
+/// 32-bit Lemire draw below n on the low half, the second one below n − 1
+/// on the high half, shifted past the first.  The halves are independent,
+/// so the pair is exactly uniform; a rejected half continues on fresh
+/// words from `gen` (the first index's before the second's).  Taking the
+/// word as an argument lets a test drive the rejection path.
+/// \pre 2 <= n <= 2^32.
+[[nodiscard]] inline std::pair<std::int64_t, std::int64_t>
+two_distinct_32_from_word(Xoshiro256& gen, std::uint64_t word,
+                          std::int64_t n) {
+  const auto range = static_cast<std::uint64_t>(n);
+  const std::int64_t first =
+      uniform_below_32(gen, static_cast<std::uint32_t>(word), range);
+  std::int64_t second = uniform_below_32(
+      gen, static_cast<std::uint32_t>(word >> 32), range - 1);
+  second += second >= first ? 1 : 0;
+  return {first, second};
+}
+
 }  // namespace detail
 
 /// Uniform draw from {0, 1, ..., bound-1}.  \pre bound >= 1
@@ -86,10 +106,6 @@ extern const ExpZiggurat kExpZiggurat;
     return detail::uniform_below_slow(gen, bound, product);
   return static_cast<std::int64_t>(product >> 64);
 }
-
-/// Uniform draw from {lo, ..., hi} inclusive.  \pre lo <= hi.
-[[nodiscard]] std::int64_t uniform_int(Xoshiro256& gen, std::int64_t lo,
-                                       std::int64_t hi);
 
 /// Uniform double in [0, 1) with 53 random mantissa bits.
 [[nodiscard]] inline double uniform01(Xoshiro256& gen) {
@@ -144,37 +160,13 @@ inline constexpr std::int64_t kGeometricFailuresCeiling =
   return detail::exponential_slow(gen, layer, x);
 }
 
-/// Uniformly random pair of *distinct* indices from {0, ..., n-1}.
-/// \pre n >= 2.
-[[nodiscard]] std::pair<std::int64_t, std::int64_t> two_distinct(
-    Xoshiro256& gen, std::int64_t n);
-
-/// Uniformly random ordered pair of distinct indices from {0, ..., n-1},
-/// drawn from the two 32-bit halves of `word`: the first index is an exact
-/// 32-bit Lemire draw below n on the low half, the second one below n − 1
-/// on the high half, shifted past the first.  The halves are independent,
-/// so the pair is exactly uniform; a rejected half continues on fresh
-/// words from `gen` (the first index's before the second's).  Taking the
-/// word as an argument lets a test drive the rejection path.
+/// detail::two_distinct_32_from_word on one fresh word: a uniform ordered
+/// pair of distinct indices from {0, ..., n-1} for one draw where two
+/// uniform_below calls spend two.  The label walk's scheduler.
 /// \pre 2 <= n <= 2^32.
-[[nodiscard]] inline std::pair<std::int64_t, std::int64_t>
-two_distinct_32_from_word(Xoshiro256& gen, std::uint64_t word,
-                          std::int64_t n) {
-  const auto range = static_cast<std::uint64_t>(n);
-  const std::int64_t first =
-      detail::uniform_below_32(gen, static_cast<std::uint32_t>(word), range);
-  std::int64_t second = detail::uniform_below_32(
-      gen, static_cast<std::uint32_t>(word >> 32), range - 1);
-  second += second >= first ? 1 : 0;
-  return {first, second};
-}
-
-/// two_distinct_32_from_word on one fresh word: a uniform ordered pair of
-/// distinct indices for one draw where two_distinct spends two.  The label
-/// walk's scheduler.  \pre 2 <= n <= 2^32.
 [[nodiscard]] inline std::pair<std::int64_t, std::int64_t> two_distinct_32(
     Xoshiro256& gen, std::int64_t n) {
-  return two_distinct_32_from_word(gen, gen(), n);
+  return detail::two_distinct_32_from_word(gen, gen(), n);
 }
 
 /// Samples an index i with probability weights[i] / sum(weights) by linear
@@ -197,9 +189,6 @@ void shuffle(Xoshiro256& gen, std::span<std::int64_t> values);
 /// A uniformly random permutation of {0, ..., n-1}.
 [[nodiscard]] std::vector<std::int64_t> random_permutation(Xoshiro256& gen,
                                                            std::int64_t n);
-
-// The Walker/Vose alias table moved to sampling/alias.h
-// (divpp::sampling::AliasTable) as part of the sampling subsystem.
 
 }  // namespace divpp::rng
 

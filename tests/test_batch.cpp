@@ -172,7 +172,9 @@ TEST(CollisionFreeRunLengthChiSquare, PinnedToExactLawAndNaivePairDraws) {
     std::fill(used.begin(), used.end(), false);
     std::int64_t len = 0;
     while (true) {
-      const auto [a, b] = divpp::rng::two_distinct(ref_gen, kN);
+      const std::int64_t a = divpp::rng::uniform_below(ref_gen, kN);
+      std::int64_t b = divpp::rng::uniform_below(ref_gen, kN - 1);
+      if (b >= a) ++b;  // uniform over the agents other than a
       if (used[static_cast<std::size_t>(a)] ||
           used[static_cast<std::size_t>(b)])
         break;

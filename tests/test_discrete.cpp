@@ -1,6 +1,6 @@
 // Tests for the exact counting-distribution samplers (rng/discrete.h):
 // chi-square pins of binomial (the Bernoulli, inversion and BTRD regimes),
-// hypergeometric, multinomial, multivariate-hypergeometric and paired
+// hypergeometric, multivariate-hypergeometric, paired and slot-occupancy
 // draws against the lgamma-evaluated (or enumerated) exact pmfs AND
 // against the naive loop references (n Bernoulli trials; urn draws one
 // ball at a time), plus edge cases and argument validation.  The seeds are fixed, so every
@@ -51,6 +51,15 @@ double hypergeometric_pmf(std::int64_t total, std::int64_t marked,
   return std::exp(log_choose(marked, x) +
                   log_choose(total - marked, draws - x) -
                   log_choose(total, draws));
+}
+
+/// One multivariate_hypergeometric() split, returned by value.
+std::vector<std::int64_t> mvh(Xoshiro256& gen,
+                              const std::vector<std::int64_t>& counts,
+                              std::int64_t draws) {
+  std::vector<std::int64_t> out(counts.size());
+  divpp::rng::multivariate_hypergeometric(gen, counts, draws, out);
+  return out;
 }
 
 /// Pearson chi-square of observed hits against an expected pmf.
@@ -359,114 +368,13 @@ TEST(Hypergeometric, LargeParameterMomentsMatch) {
   EXPECT_NEAR(var / true_var, 1.0, 0.2);
 }
 
-// ---- multinomial ----------------------------------------------------------
-
-TEST(Multinomial, SumsToTrialsAndValidates) {
-  Xoshiro256 gen(13);
-  const std::vector<double> w = {0.5, 1.0, 2.0, 4.0};
-  for (int i = 0; i < 1'000; ++i) {
-    const auto out = divpp::rng::multinomial(gen, 100, w);
-    ASSERT_EQ(out.size(), w.size());
-    std::int64_t total = 0;
-    for (const std::int64_t x : out) {
-      EXPECT_GE(x, 0);
-      total += x;
-    }
-    EXPECT_EQ(total, 100);
-  }
-  const std::vector<double> empty;
-  const std::vector<double> negative = {1.0, -1.0};
-  const std::vector<double> all_zero = {0.0, 0.0};
-  EXPECT_THROW((void)divpp::rng::multinomial(gen, 10, empty),
-               std::invalid_argument);
-  EXPECT_THROW((void)divpp::rng::multinomial(gen, -1, w),
-               std::invalid_argument);
-  EXPECT_THROW((void)divpp::rng::multinomial(gen, 10, negative),
-               std::invalid_argument);
-  EXPECT_THROW((void)divpp::rng::multinomial(gen, 10, all_zero),
-               std::invalid_argument);
-}
-
-TEST(Multinomial, ZeroWeightCategoriesGetNothing) {
-  Xoshiro256 gen(14);
-  const std::vector<double> w = {0.0, 3.0, 0.0, 1.0};
-  for (int i = 0; i < 2'000; ++i) {
-    const auto out = divpp::rng::multinomial(gen, 64, w);
-    EXPECT_EQ(out[0], 0);
-    EXPECT_EQ(out[2], 0);
-    EXPECT_EQ(out[1] + out[3], 64);
-  }
-}
-
-TEST(MultinomialChiSquare, MarginalsPinnedToBinomialPmf) {
-  // Each multinomial marginal is Binomial(trials, w_i/W); chi-square every
-  // category's marginal against that exact pmf — a lumped full-law pin
-  // through the conditional-binomial chain.
-  constexpr std::int64_t kTrials = 50;
-  constexpr std::int64_t kDraws = 60'000;
-  const std::vector<double> w = {0.5, 1.0, 2.0, 4.0};
-  const double total_w = std::accumulate(w.begin(), w.end(), 0.0);
-  std::vector<std::vector<std::int64_t>> hits(
-      w.size(), std::vector<std::int64_t>(kTrials + 1, 0));
-  Xoshiro256 gen(15);
-  for (std::int64_t d = 0; d < kDraws; ++d) {
-    const auto out = divpp::rng::multinomial(gen, kTrials, w);
-    for (std::size_t i = 0; i < w.size(); ++i)
-      ++hits[i][static_cast<std::size_t>(out[i])];
-  }
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    const double p = w[i] / total_w;
-    const double mean = static_cast<double>(kTrials) * p;
-    const double sd = std::sqrt(mean * (1.0 - p));
-    const auto lo = std::max<std::int64_t>(
-        0, static_cast<std::int64_t>(std::floor(mean - 4.5 * sd)));
-    const auto hi = std::min<std::int64_t>(
-        kTrials, static_cast<std::int64_t>(std::ceil(mean + 4.5 * sd)));
-    const std::vector<double> pmf = binomial_pmf_lumped(kTrials, p, lo, hi);
-    std::vector<std::int64_t> lumped(pmf.size(), 0);
-    for (std::int64_t x = 0; x <= kTrials; ++x)
-      lumped[static_cast<std::size_t>(std::clamp(x, lo, hi) - lo)] +=
-          hits[i][static_cast<std::size_t>(x)];
-    EXPECT_LT(chi_square(lumped, pmf, kDraws), chi2_crit(pmf.size() - 1))
-        << "marginal " << i;
-  }
-}
-
-TEST(MultinomialChiSquare, JointPinnedToNaiveCategoricalLoop) {
-  // Small joint support: compare the conditional-binomial chain to the
-  // naive loop (trials independent categorical draws) outcome-by-outcome.
-  constexpr std::int64_t kTrials = 3;
-  const std::int64_t kDraws = scaled(150'000);
-  const std::vector<double> w = {1.0, 2.0};
-  Xoshiro256 gen(16);
-  Xoshiro256 ref_gen(17);
-  std::map<std::int64_t, std::int64_t> fast_hits, naive_hits;
-  for (std::int64_t d = 0; d < kDraws; ++d) {
-    ++fast_hits[divpp::rng::multinomial(gen, kTrials, w)[0]];
-    std::int64_t c0 = 0;
-    for (std::int64_t t = 0; t < kTrials; ++t)
-      if (divpp::rng::sample_discrete(ref_gen, w) == 0) ++c0;
-    ++naive_hits[c0];
-  }
-  std::vector<double> pmf(kTrials + 1);
-  for (std::int64_t x = 0; x <= kTrials; ++x)
-    pmf[static_cast<std::size_t>(x)] = binomial_pmf(kTrials, 1.0 / 3.0, x);
-  std::vector<std::int64_t> fast(kTrials + 1, 0), naive(kTrials + 1, 0);
-  for (const auto& [x, c] : fast_hits) fast[static_cast<std::size_t>(x)] = c;
-  for (const auto& [x, c] : naive_hits)
-    naive[static_cast<std::size_t>(x)] = c;
-  const double crit = chi2_crit(pmf.size() - 1);
-  EXPECT_LT(chi_square(fast, pmf, kDraws), crit);
-  EXPECT_LT(chi_square(naive, pmf, kDraws), crit);
-}
-
 // ---- multivariate hypergeometric ------------------------------------------
 
 TEST(MultivariateHypergeometric, ConservesAndValidates) {
   Xoshiro256 gen(18);
   const std::vector<std::int64_t> counts = {5, 0, 7, 3};
   for (int i = 0; i < 2'000; ++i) {
-    const auto out = divpp::rng::multivariate_hypergeometric(gen, counts, 9);
+    const auto out = mvh(gen, counts, 9);
     ASSERT_EQ(out.size(), counts.size());
     std::int64_t total = 0;
     for (std::size_t j = 0; j < out.size(); ++j) {
@@ -477,17 +385,11 @@ TEST(MultivariateHypergeometric, ConservesAndValidates) {
     EXPECT_EQ(total, 9);
   }
   // draws == pool takes everything; draws == 0 takes nothing.
-  EXPECT_EQ(divpp::rng::multivariate_hypergeometric(gen, counts, 15), counts);
-  EXPECT_EQ(divpp::rng::multivariate_hypergeometric(gen, counts, 0),
-            (std::vector<std::int64_t>{0, 0, 0, 0}));
-  EXPECT_THROW(
-      (void)divpp::rng::multivariate_hypergeometric(gen, counts, 16),
-      std::invalid_argument);
-  EXPECT_THROW(
-      (void)divpp::rng::multivariate_hypergeometric(gen, counts, -1),
-      std::invalid_argument);
-  EXPECT_THROW((void)divpp::rng::multivariate_hypergeometric(
-                   gen, std::vector<std::int64_t>{3, -1}, 1),
+  EXPECT_EQ(mvh(gen, counts, 15), counts);
+  EXPECT_EQ(mvh(gen, counts, 0), (std::vector<std::int64_t>{0, 0, 0, 0}));
+  EXPECT_THROW((void)mvh(gen, counts, 16), std::invalid_argument);
+  EXPECT_THROW((void)mvh(gen, counts, -1), std::invalid_argument);
+  EXPECT_THROW((void)mvh(gen, std::vector<std::int64_t>{3, -1}, 1),
                std::invalid_argument);
 }
 
@@ -541,8 +443,7 @@ TEST(MultivariateHypergeometricChiSquare, JointPinnedToExactPmfAndNaiveUrn) {
   Xoshiro256 ref_gen(20);
   std::map<std::int64_t, std::int64_t> fast_hits, naive_hits;
   for (std::int64_t d = 0; d < kDraws; ++d) {
-    ++fast_hits[joint_key(divpp::rng::multivariate_hypergeometric(
-        gen, kJointCounts, kJointSample))];
+    ++fast_hits[joint_key(mvh(gen, kJointCounts, kJointSample))];
     // Naive urn: a flat pool of 12 labelled balls, 6 drawn one at a time.
     std::vector<std::int64_t> pool;
     for (std::size_t i = 0; i < kJointCounts.size(); ++i)
@@ -573,8 +474,8 @@ TEST(MultivariateHypergeometricChiSquare, MultinomialPathJointPinned) {
   std::vector<std::int64_t> out(kJointCounts.size());
   std::map<std::int64_t, std::int64_t> hits;
   for (std::int64_t d = 0; d < kDraws; ++d) {
-    divpp::rng::multivariate_hypergeometric_multinomial(gen, kJointCounts,
-                                                        kJointSample, out);
+    divpp::rng::detail::multivariate_hypergeometric_multinomial(
+        gen, kJointCounts, kJointSample, out);
     ++hits[joint_key(out)];
   }
   EXPECT_LT(joint_chi_square(hits, kDraws), chi2_crit(joint_pmf().size() - 1));
@@ -666,17 +567,6 @@ TEST(FullPairs, MomentsMatchAtBatchScale) {
   EXPECT_NEAR(mean, expect, 0.05 * expect);
 }
 
-TEST(MultivariateHypergeometric, SpanOverloadMatchesAllocating) {
-  Xoshiro256 gen_a(21);
-  Xoshiro256 gen_b(21);
-  const std::vector<std::int64_t> counts = {8, 2, 6, 4};
-  std::vector<std::int64_t> out(counts.size());
-  for (int i = 0; i < 200; ++i) {
-    divpp::rng::multivariate_hypergeometric(gen_a, counts, 7, out);
-    EXPECT_EQ(out, divpp::rng::multivariate_hypergeometric(gen_b, counts, 7));
-  }
-}
-
 TEST(MultivariateHypergeometricChiSquare, ChainPathMarginalPinned) {
   // Draws above the urn cutoff exercise the conditional hypergeometric
   // chain; the first marginal is exactly Hypergeometric(120, 40, 60).
@@ -690,7 +580,7 @@ TEST(MultivariateHypergeometricChiSquare, ChainPathMarginalPinned) {
         hypergeometric_pmf(120, 40, kSample, x);
   Xoshiro256 gen(26);
   const auto hits = histogram(kLo, kHi, kDraws, [&] {
-    return divpp::rng::multivariate_hypergeometric(gen, counts, kSample)[0];
+    return mvh(gen, counts, kSample)[0];
   });
   EXPECT_LT(chi_square(hits, pmf, kDraws), chi2_crit(pmf.size() - 1));
 }
@@ -701,8 +591,8 @@ TEST(MultivariateHypergeometricChiSquare, MultinomialPathMarginalPinned) {
   // Hypergeometric(12000, 4000, 38).
   const std::vector<std::int64_t> counts = {4000, 3000, 5000};
   constexpr std::int64_t kSample = 38;
-  ASSERT_TRUE(
-      divpp::rng::multivariate_hypergeometric_uses_multinomial(12'000, kSample));
+  ASSERT_TRUE(divpp::rng::detail::multivariate_hypergeometric_uses_multinomial(
+      12'000, kSample));
   const std::int64_t kDraws = scaled(120'000);
   constexpr std::int64_t kLo = 4, kHi = 22;
   std::vector<double> pmf(static_cast<std::size_t>(kHi - kLo + 1), 0.0);
@@ -711,13 +601,13 @@ TEST(MultivariateHypergeometricChiSquare, MultinomialPathMarginalPinned) {
         hypergeometric_pmf(12'000, 4000, kSample, x);
   Xoshiro256 gen(46);
   const auto hits = histogram(kLo, kHi, kDraws, [&] {
-    return divpp::rng::multivariate_hypergeometric(gen, counts, kSample)[0];
+    return mvh(gen, counts, kSample)[0];
   });
   EXPECT_LT(chi_square(hits, pmf, kDraws), chi2_crit(pmf.size() - 1));
 }
 
 TEST(MultivariateHypergeometricMultinomial, DispatchPredicateMatchesCutoffs) {
-  using divpp::rng::multivariate_hypergeometric_uses_multinomial;
+  using divpp::rng::detail::multivariate_hypergeometric_uses_multinomial;
   // Samples of at most 32 draws stay on the urn at any pool.
   EXPECT_FALSE(multivariate_hypergeometric_uses_multinomial(100'000'000, 32));
   // Above it 8·draws² <= pool decides: 8·33² = 8712.
@@ -756,19 +646,32 @@ TEST(MultivariateHypergeometricMultinomial, DispatcherBitIdenticalToKernel) {
     const std::int64_t pool =
         std::accumulate(counts.begin(), counts.end(), std::int64_t{0});
     ASSERT_TRUE(
-        divpp::rng::multivariate_hypergeometric_uses_multinomial(pool, draws));
+        divpp::rng::detail::multivariate_hypergeometric_uses_multinomial(
+            pool, draws));
     std::vector<std::int64_t> out(counts.size());
     for (int i = 0; i < 300; ++i) {
-      divpp::rng::multivariate_hypergeometric_multinomial(gen_b, counts,
-                                                          draws, out);
-      ASSERT_EQ(divpp::rng::multivariate_hypergeometric(gen_a, counts, draws),
-                out);
+      divpp::rng::detail::multivariate_hypergeometric_multinomial(
+          gen_b, counts, draws, out);
+      ASSERT_EQ(mvh(gen_a, counts, draws), out);
       ASSERT_EQ(gen_a, gen_b);
       ASSERT_EQ(std::accumulate(out.begin(), out.end(), std::int64_t{0}),
                 draws);
       for (std::size_t j = 0; j < counts.size(); ++j)
         ASSERT_TRUE(counts[j] > 0 || out[j] == 0) << "category " << j;
     }
+  }
+  // The kernel alone at a small pool with empty categories, one of them
+  // after the last non-empty one: the conditional-binomial chain gives
+  // them nothing and ends once the pool is spent.
+  const std::vector<std::int64_t> sparse = {0, 300, 0, 100, 0};
+  std::vector<std::int64_t> out(sparse.size());
+  for (int i = 0; i < 2'000; ++i) {
+    divpp::rng::detail::multivariate_hypergeometric_multinomial(gen_b, sparse,
+                                                                20, out);
+    ASSERT_EQ(out[0], 0);
+    ASSERT_EQ(out[2], 0);
+    ASSERT_EQ(out[4], 0);
+    ASSERT_EQ(out[1] + out[3], 20);
   }
 }
 
@@ -858,7 +761,7 @@ TEST(MultivariateHypergeometricPairsChiSquare, PairedPathJointPinnedToExactLaw) 
   std::vector<std::int64_t> mono(kPairCounts.size());
   std::map<std::int64_t, std::int64_t> hits, naive_hits;
   for (std::int64_t d = 0; d < kDraws; ++d) {
-    divpp::rng::multivariate_hypergeometric_pairs_multinomial(
+    divpp::rng::detail::multivariate_hypergeometric_pairs_multinomial(
         gen, kPairCounts, kPairPairs, members, mono);
     ++hits[pair_key(members, mono)];
     std::vector<std::int64_t> pool;
@@ -905,7 +808,7 @@ TEST(MultivariateHypergeometricPairs, DispatchFollowsTheMultinomialPredicate) {
   // elsewhere it is the member split plus the slot chain.  The shapes
   // straddle the predicate's edge (8·34² = 9248) and include converge's
   // equilibrium (k = 8, pool ≈ 9.7·10⁷, ~1,500 pairs).
-  using divpp::rng::multivariate_hypergeometric_uses_multinomial;
+  using divpp::rng::detail::multivariate_hypergeometric_uses_multinomial;
   const std::vector<std::int64_t> converge(8, 12'100'000);
   const std::vector<std::int64_t> edge = {3000, 2000, 4248};
   const std::vector<std::int64_t> below = {3000, 2000, 4247};
@@ -937,7 +840,7 @@ TEST(MultivariateHypergeometricPairs, DispatchFollowsTheMultinomialPredicate) {
       divpp::rng::multivariate_hypergeometric_pairs(
           gen_a, shape.counts, shape.pairs, members_a, mono_a);
       if (shape.paired) {
-        divpp::rng::multivariate_hypergeometric_pairs_multinomial(
+        divpp::rng::detail::multivariate_hypergeometric_pairs_multinomial(
             gen_b, shape.counts, shape.pairs, members_b, mono_b);
       } else {
         pairs_by_slot_chain(gen_b, shape.counts, shape.pairs, members_b,
@@ -970,11 +873,12 @@ TEST(MultivariateHypergeometricPairs, Validates) {
   EXPECT_THROW(divpp::rng::multivariate_hypergeometric_pairs(
                    gen, counts, 1, members, short_out),
                std::invalid_argument);
-  EXPECT_THROW(divpp::rng::multivariate_hypergeometric_pairs_multinomial(
-                   gen, counts, 1, short_out, mono),
+  EXPECT_THROW(
+      divpp::rng::detail::multivariate_hypergeometric_pairs_multinomial(
+          gen, counts, 1, short_out, mono),
                std::invalid_argument);
-  divpp::rng::multivariate_hypergeometric_pairs_multinomial(gen, counts, 0,
-                                                            members, mono);
+  divpp::rng::detail::multivariate_hypergeometric_pairs_multinomial(
+      gen, counts, 0, members, mono);
   EXPECT_EQ(members, (std::vector<std::int64_t>{0, 0}));
   EXPECT_EQ(mono, (std::vector<std::int64_t>{0, 0}));
   // Three pairs from {3, 4}: every member is drawn but one.
@@ -991,20 +895,21 @@ TEST(HypergeometricRejection, DispatchPredicateMatchesCutoffs) {
   // (N−1) with p = marked/N; at N = 100000, marked = 50000 the cutoff
   // falls between draws = 36 (var ≈ 8.997) and draws = 37 (var ≈ 9.25).
   EXPECT_FALSE(
-      divpp::rng::hypergeometric_uses_rejection(100'000, 50'000, 36));
+      divpp::rng::detail::hypergeometric_uses_rejection(100'000, 50'000, 36));
   EXPECT_TRUE(
-      divpp::rng::hypergeometric_uses_rejection(100'000, 50'000, 37));
+      divpp::rng::detail::hypergeometric_uses_rejection(100'000, 50'000, 37));
   // Table-scale arguments keep the chop-down walk until the in-table
   // variance cutoff of 625: var ≈ 9.13 at (1000, 500, 38) stays
   // chop-down, var ≈ 705 at (50000, 25000, 3000) flips to rejection.
-  EXPECT_FALSE(divpp::rng::hypergeometric_uses_rejection(1000, 500, 38));
+  EXPECT_FALSE(
+      divpp::rng::detail::hypergeometric_uses_rejection(1000, 500, 38));
   EXPECT_TRUE(
-      divpp::rng::hypergeometric_uses_rejection(50'000, 25'000, 3'000));
+      divpp::rng::detail::hypergeometric_uses_rejection(50'000, 25'000, 3'000));
   // Degenerate supports never use rejection.
-  EXPECT_FALSE(divpp::rng::hypergeometric_uses_rejection(10, 0, 5));
-  EXPECT_FALSE(divpp::rng::hypergeometric_uses_rejection(10, 10, 5));
+  EXPECT_FALSE(divpp::rng::detail::hypergeometric_uses_rejection(10, 0, 5));
+  EXPECT_FALSE(divpp::rng::detail::hypergeometric_uses_rejection(10, 10, 5));
   // The historical chi-square pin parameters stay on the chop-down path.
-  EXPECT_FALSE(divpp::rng::hypergeometric_uses_rejection(60, 25, 20));
+  EXPECT_FALSE(divpp::rng::detail::hypergeometric_uses_rejection(60, 25, 20));
 }
 
 TEST(HypergeometricRejection, BelowCutoffBitIdenticalToChopdown) {
@@ -1014,11 +919,11 @@ TEST(HypergeometricRejection, BelowCutoffBitIdenticalToChopdown) {
   Xoshiro256 gen_a(27);
   Xoshiro256 gen_b(27);
   ASSERT_FALSE(
-      divpp::rng::hypergeometric_uses_rejection(100'000, 50'000, 36));
+      divpp::rng::detail::hypergeometric_uses_rejection(100'000, 50'000, 36));
   for (int i = 0; i < 5'000; ++i) {
     ASSERT_EQ(divpp::rng::hypergeometric(gen_a, 100'000, 50'000, 36),
-              divpp::rng::hypergeometric_chopdown(gen_b, 100'000, 50'000,
-                                                  36));
+              divpp::rng::detail::hypergeometric_chopdown(gen_b, 100'000,
+                                                          50'000, 36));
     ASSERT_EQ(gen_a, gen_b);
   }
   // And across a mixed bag of chop-down parameter sets, including
@@ -1030,12 +935,12 @@ TEST(HypergeometricRejection, BelowCutoffBitIdenticalToChopdown) {
         {5000, 4, 2500},
         {1000, 500, 38},
         {4000, 1200, 400}}) {
-    ASSERT_FALSE(
-        divpp::rng::hypergeometric_uses_rejection(total, marked, draws));
+    ASSERT_FALSE(divpp::rng::detail::hypergeometric_uses_rejection(
+        total, marked, draws));
     for (int i = 0; i < 500; ++i) {
       ASSERT_EQ(divpp::rng::hypergeometric(gen_a, total, marked, draws),
-                divpp::rng::hypergeometric_chopdown(gen_b, total, marked,
-                                                    draws));
+                divpp::rng::detail::hypergeometric_chopdown(gen_b, total,
+                                                            marked, draws));
       ASSERT_EQ(gen_a, gen_b);
     }
   }
@@ -1050,8 +955,8 @@ TEST(HypergeometricRejectionChiSquare, PinnedToExactPmf) {
   constexpr std::int64_t kMarked = 120'000;
   constexpr std::int64_t kSample = 4'000;
   const std::int64_t kDraws = scaled(150'000);
-  ASSERT_TRUE(
-      divpp::rng::hypergeometric_uses_rejection(kTotal, kMarked, kSample));
+  ASSERT_TRUE(divpp::rng::detail::hypergeometric_uses_rejection(
+      kTotal, kMarked, kSample));
   const double mean = 4000.0 * 0.3;
   const double sd = std::sqrt(4000.0 * 0.3 * 0.7 * 396000.0 / 399999.0);
   const auto lo = static_cast<std::int64_t>(std::floor(mean - 4.5 * sd));
@@ -1075,8 +980,8 @@ TEST(HypergeometricRejectionChiSquare, AgreesWithChopdownLawAcrossCutoff) {
   constexpr std::int64_t kMarked = 50'000;
   constexpr std::int64_t kSample = 160;
   const std::int64_t kDraws = scaled(120'000);
-  ASSERT_TRUE(
-      divpp::rng::hypergeometric_uses_rejection(kTotal, kMarked, kSample));
+  ASSERT_TRUE(divpp::rng::detail::hypergeometric_uses_rejection(
+      kTotal, kMarked, kSample));
   const double mean = 160.0 * 0.25;
   const double sd =
       std::sqrt(160.0 * 0.25 * 0.75 * 199840.0 / 199999.0);
@@ -1092,8 +997,8 @@ TEST(HypergeometricRejectionChiSquare, AgreesWithChopdownLawAcrossCutoff) {
   });
   Xoshiro256 ref_gen(30);
   const auto chopdown = histogram(lo, hi, kDraws, [&] {
-    return divpp::rng::hypergeometric_chopdown(ref_gen, kTotal, kMarked,
-                                               kSample);
+    return divpp::rng::detail::hypergeometric_chopdown(ref_gen, kTotal,
+                                                       kMarked, kSample);
   });
   const double crit = chi2_crit(pmf.size() - 1);
   EXPECT_LT(chi_square(rejection, pmf, kDraws), crit);
@@ -1109,8 +1014,8 @@ TEST(HypergeometricRejection, SymmetricIdentitiesHold) {
   constexpr std::int64_t kMarked = 70'000;
   constexpr std::int64_t kSample = 30'000;
   const std::int64_t kDraws = scaled(100'000);
-  ASSERT_TRUE(
-      divpp::rng::hypergeometric_uses_rejection(kTotal, kMarked, kSample));
+  ASSERT_TRUE(divpp::rng::detail::hypergeometric_uses_rejection(
+      kTotal, kMarked, kSample));
   const double mean = 30'000.0 * 0.35;
   const double sd =
       std::sqrt(30'000.0 * 0.35 * 0.65 * 170'000.0 / 199'999.0);
@@ -1154,8 +1059,8 @@ TEST(HypergeometricRejection, ExtremeParametersStayInSupport) {
   }
   // A pinched support in the rejection regime (lo > 0): N = 300000,
   // K = 260000, d = 90000 has lo = 50000, variance ≈ 7280.
-  ASSERT_TRUE(
-      divpp::rng::hypergeometric_uses_rejection(300'000, 260'000, 90'000));
+  ASSERT_TRUE(divpp::rng::detail::hypergeometric_uses_rejection(
+      300'000, 260'000, 90'000));
   for (int i = 0; i < 20'000; ++i) {
     const std::int64_t x =
         divpp::rng::hypergeometric(gen, 300'000, 260'000, 90'000);
@@ -1164,30 +1069,13 @@ TEST(HypergeometricRejection, ExtremeParametersStayInSupport) {
   }
 }
 
-TEST(FullPairsRejection, DispatchAndBitIdentityBelowCutoff) {
-  // The chi-square pin parameters (7, 8) stay on chop-down, as do
-  // table-scale candidate draws (variance ≈ 95 at (2000, 1600) is below
-  // the in-table cutoff); Stirling-scale parameters use rejection.
-  EXPECT_FALSE(divpp::rng::full_pairs_uses_rejection(7, 8));
-  EXPECT_FALSE(divpp::rng::full_pairs_uses_rejection(2'000, 1'600));
-  EXPECT_TRUE(divpp::rng::full_pairs_uses_rejection(200'000, 160'000));
-  Xoshiro256 gen_a(33);
-  Xoshiro256 gen_b(33);
-  for (int i = 0; i < 5'000; ++i) {
-    ASSERT_EQ(divpp::rng::full_pairs(gen_a, 7, 8),
-              divpp::rng::full_pairs_chopdown(gen_b, 7, 8));
-    ASSERT_EQ(gen_a, gen_b);
-  }
-}
-
-TEST(FullPairsRejectionChiSquare, PinnedToExactPmf) {
-  // Rejection-regime pin: pairs = 100000, items = 5000 has mean ≈ 62.5
-  // and variance ≈ 58.5 with Stirling-scale arguments; window mean ±
-  // 4.5 sd against the lgamma pmf.
+TEST(FullPairsChiSquare, StirlingScalePinnedToExactPmf) {
+  // The chop-down walk beyond the log-factorial table: pairs = 100000,
+  // items = 5000 has mean ≈ 62.5 and variance ≈ 58.5 with Stirling-scale
+  // pmf arguments; window mean ± 4.5 sd against the lgamma pmf.
   constexpr std::int64_t kPairs = 100'000;
   constexpr std::int64_t kItems = 5'000;
   const std::int64_t kDraws = scaled(150'000);
-  ASSERT_TRUE(divpp::rng::full_pairs_uses_rejection(kPairs, kItems));
   const double mean =
       5000.0 * 4999.0 / (2.0 * 199'999.0);  // ≈ 62.49
   const double sd = std::sqrt(58.5);

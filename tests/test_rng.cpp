@@ -118,11 +118,11 @@ TEST(UniformBelow, UniformityChiSquare) {
   EXPECT_LT(stat, divpp::stats::chi_square_critical_001(kBound - 1));
 }
 
-TEST(UniformInt, CoversInclusiveRange) {
+TEST(UniformBelow, ShiftedRangeCoversBothEnds) {
   Xoshiro256 gen(5);
   std::set<std::int64_t> seen;
   for (int i = 0; i < 1000; ++i)
-    seen.insert(divpp::rng::uniform_int(gen, -2, 2));
+    seen.insert(-2 + divpp::rng::uniform_below(gen, 5));
   EXPECT_EQ(seen.size(), 5u);
   EXPECT_EQ(*seen.begin(), -2);
   EXPECT_EQ(*seen.rbegin(), 2);
@@ -283,30 +283,6 @@ TEST(Exponential, FixedSeedConsumesAPinnedNumberOfDraws) {
   EXPECT_LT(consumed, kDraws + kDraws / 20);
 }
 
-TEST(TwoDistinct, AlwaysDistinctAndInRange) {
-  Xoshiro256 gen(13);
-  for (int i = 0; i < 10'000; ++i) {
-    const auto [a, b] = divpp::rng::two_distinct(gen, 5);
-    EXPECT_NE(a, b);
-    EXPECT_GE(a, 0);
-    EXPECT_LT(a, 5);
-    EXPECT_GE(b, 0);
-    EXPECT_LT(b, 5);
-  }
-}
-
-TEST(TwoDistinct, AllOrderedPairsReachable) {
-  Xoshiro256 gen(14);
-  std::set<std::pair<std::int64_t, std::int64_t>> seen;
-  for (int i = 0; i < 5000; ++i) seen.insert(divpp::rng::two_distinct(gen, 3));
-  EXPECT_EQ(seen.size(), 6u);  // 3·2 ordered pairs
-}
-
-TEST(TwoDistinct, RejectsTinyPopulations) {
-  Xoshiro256 gen(15);
-  EXPECT_THROW((void)divpp::rng::two_distinct(gen, 1), std::invalid_argument);
-}
-
 // ---- two_distinct_32 -------------------------------------------------------
 
 /// Reference 32-bit Lemire draw on fresh words' low halves (the
@@ -325,7 +301,8 @@ TEST(TwoDistinct32, HalvesMapByLemireWithoutRejection) {
   Xoshiro256 gen(40);
   const Xoshiro256 before = gen;
   const std::uint64_t word = (std::uint64_t{0xC0000000} << 32) | 0x80000000U;
-  const auto [a, b] = divpp::rng::two_distinct_32_from_word(gen, word, 5);
+  const auto [a, b] =
+      divpp::rng::detail::two_distinct_32_from_word(gen, word, 5);
   EXPECT_EQ(a, 2);  // ⌊0.5 · 5⌋
   EXPECT_EQ(b, 4);  // ⌊0.75 · 4⌋ = 3, shifted past a
   EXPECT_EQ(gen, before);
@@ -338,7 +315,8 @@ TEST(TwoDistinct32, RejectedHalvesContinueOnFreshWords) {
     Xoshiro256 gen(41);
     Xoshiro256 mirror = gen;
     const std::uint64_t word = std::uint64_t{0x80000000} << 32;
-    const auto [a, b] = divpp::rng::two_distinct_32_from_word(gen, word, 5);
+    const auto [a, b] =
+        divpp::rng::detail::two_distinct_32_from_word(gen, word, 5);
     const std::int64_t expected_a = lemire32_on_fresh_words(mirror, 5);
     EXPECT_EQ(a, expected_a);
     EXPECT_EQ(b, 2 + (2 >= expected_a ? 1 : 0));  // ⌊0.5 · 4⌋, shifted
@@ -350,7 +328,8 @@ TEST(TwoDistinct32, RejectedHalvesContinueOnFreshWords) {
     Xoshiro256 gen(42);
     Xoshiro256 mirror = gen;
     const std::uint64_t word = 0x40000000U;
-    const auto [a, b] = divpp::rng::two_distinct_32_from_word(gen, word, 4);
+    const auto [a, b] =
+        divpp::rng::detail::two_distinct_32_from_word(gen, word, 4);
     EXPECT_EQ(a, 1);
     const std::int64_t expected_b = lemire32_on_fresh_words(mirror, 3);
     EXPECT_EQ(b, expected_b + (expected_b >= 1 ? 1 : 0));

@@ -86,7 +86,7 @@ TEST(FenwickCounts, AddAndSetKeepPrefixesConsistent) {
         divpp::rng::uniform_below(gen, tree.size()));
     if (round % 2 == 0) {
       const std::int64_t delta =
-          divpp::rng::uniform_int(gen, -counts[i], 5);
+          -counts[i] + divpp::rng::uniform_below(gen, counts[i] + 6);
       counts[i] += delta;
       tree.add(static_cast<std::int64_t>(i), delta);
     } else {
