@@ -16,15 +16,16 @@
 //        --threads=0          (0 = all hardware threads)
 //
 // Throughput-sweep mode (the PR 5 acceptance harness):
-//        --pr5-json=FILE      measure tagged step/jump/batch/auto
+//        --throughput         measure tagged step/jump/batch/auto
 //                             ns/interaction at each --ns entry
 //                             (default 1e5,1e6,1e7,1e8; k equal colours
-//                             via --k=8 --w=4, window via --window=0)
-//                             and write the JSON summary (BENCH_pr5.json
-//                             in the repo root records the committed
-//                             trajectory)
-//        --smoke              CI guard: n = 10⁶ only, exit non-zero
-//                             unless tagged-batch ≥ 5× tagged-step
+//                             via --k=8 --w=4, window via --window=0);
+//                             the JSON summary is the last stdout line
+//                             (BENCH_pr5.json in the repo root records
+//                             the committed trajectory)
+//        --smoke              CI guard: implies --throughput at
+//                             n = 10⁶ only, exit non-zero unless
+//                             tagged-batch ≥ 5× tagged-step
 //
 // Seed replicas are fanned across threads by BatchRunner; each replica
 // tracks its own tagged simulation with its own jump()-offset stream,
@@ -102,9 +103,8 @@ std::int64_t capped_window(std::int64_t window, Engine engine) {
   return std::min(window, cap);
 }
 
-/// The tagged engine throughput sweep behind --pr5-json / --smoke.
-int run_sweep(const divpp::io::Args& args, bool smoke,
-              const std::string& json_path) {
+/// The tagged engine throughput sweep behind --throughput / --smoke.
+int run_sweep(const divpp::io::Args& args, bool smoke) {
   // --k first: equal_start needs n >= max(2, k), so the --ns range
   // check below depends on it.
   const std::int64_t k = args.get_int("k", 8);
@@ -188,14 +188,6 @@ int run_sweep(const divpp::io::Args& args, bool smoke,
                "collision-free stretch of the held-out n-1 chain, so its "
                "ns/interaction falls like ~1/sqrt(n).\n\n";
 
-  if (!json_path.empty()) {
-    std::ofstream file(json_path);
-    if (!file) {
-      std::cerr << "e05_fairness: cannot write " << json_path << "\n";
-      return 1;
-    }
-    file << out.to_string() << "\n";
-  }
   std::cout << out.to_string() << "\n";
   return smoke_ok ? 0 : 2;
 }
@@ -205,8 +197,8 @@ int run_sweep(const divpp::io::Args& args, bool smoke,
 int main(int argc, char** argv) {
   const divpp::io::Args args(argc, argv);
   const bool smoke = args.get_bool("smoke", false);
-  const std::string json_path = args.get_string("pr5-json", "");
-  if (smoke || !json_path.empty()) return run_sweep(args, smoke, json_path);
+  const bool throughput = args.get_bool("throughput", false);
+  if (smoke || throughput) return run_sweep(args, smoke);
 
   const std::int64_t n = args.get_int("n", 10'000);
   const std::int64_t seeds = args.get_int("seeds", 8);

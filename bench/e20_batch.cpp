@@ -19,12 +19,13 @@
 //        --window=0          (interactions measured per engine per n;
 //                             0 = auto: max(4·10⁶, 2n), capped per run)
 //        --seed=99
-//        --pr4-json=FILE     write the machine-readable summary object
-//                            (BENCH_pr4.json in the repo root records the
-//                            committed perf trajectory)
 //        --smoke             CI guard: n = 10⁶ only, and exit non-zero
 //                            unless batch ≥ 2× step throughput AND auto
 //                            ≥ 0.9× max(jump, batch)
+//
+// The last stdout line is the machine-readable summary object
+// (BENCH_pr4.json in the repo root records the committed perf
+// trajectory).
 //
 // Methodology: every engine starts from the same equal_start
 // configuration, is warmed over one window of n interactions (its own
@@ -37,7 +38,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -123,7 +123,6 @@ int main(int argc, char** argv) {
   const double w = args.get_double("w", 4.0);
   const std::int64_t window_flag = args.get_int("window", 0);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 99));
-  const std::string json_path = args.get_string("pr4-json", "");
   args.reject_unknown();
   const WeightMap weights(
       std::vector<double>(static_cast<std::size_t>(k), w));
@@ -205,14 +204,6 @@ int main(int argc, char** argv) {
                "draws per batch since PR 4), and auto should track "
                "max(jump, batch) within ~10% at every n.\n\n";
 
-  if (!json_path.empty()) {
-    std::ofstream file(json_path);
-    if (!file) {
-      std::cerr << "e20_batch: cannot write " << json_path << "\n";
-      return 1;
-    }
-    file << out.to_string() << "\n";
-  }
   std::cout << out.to_string() << "\n";
   return smoke_ok ? 0 : 2;
 }

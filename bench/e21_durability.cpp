@@ -20,9 +20,6 @@
 //                              ratio − 1)
 //        --seed=99
 //        --ckpt=FILE          (checkpoint path; default under /tmp)
-//        --pr7-json=FILE      (machine-readable summary; BENCH_pr7.json
-//                              in the repo root records the committed
-//                              trajectory)
 //        --smoke              (CI guard: n = 1e6 only, exit non-zero
 //                              unless overhead at period = window <= 5%)
 //
@@ -231,7 +228,6 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(args.get_int("reps", 3));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 99));
   const std::string ckpt = args.get_string("ckpt", default_ckpt_path());
-  const std::string json_path = args.get_string("pr7-json", "");
   args.reject_unknown();
   const WeightMap weights(std::vector<double>(static_cast<std::size_t>(k), w));
 
@@ -315,14 +311,6 @@ int main(int argc, char** argv) {
                "overhead column falls as the period grows and is noise at "
                "one checkpoint per window.\n\n";
 
-  if (!json_path.empty()) {
-    std::ofstream file(json_path);
-    if (!file) {
-      std::cerr << "e21_durability: cannot write " << json_path << "\n";
-      return 1;
-    }
-    file << out.to_string() << "\n";
-  }
   std::cout << out.to_string() << "\n";
   return smoke_ok ? 0 : 2;
 }

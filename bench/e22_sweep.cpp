@@ -6,9 +6,10 @@
 //
 //   * "dedicated": the scenarios drained from one atomic work counter by
 //     raw std::threads, each calling run_windows directly with private
-//     tables — no shared cache, no admission queue, no recovery wrapper;
-//   * "sweep": the same scenarios through SweepRunner (shared
-//     SamplerContextCache, bounded admission, per-scenario recovery).
+//     tables — no shared cache, no recovery wrapper;
+//   * "sweep": the same scenarios through SweepRunner (the same kind of
+//     atomic claim via parallel_for, plus a shared SamplerContextCache
+//     and per-scenario recovery).
 //
 // Both sides advance identical simulations through identical
 // period-aligned boundaries with in-memory checkpoints, so the wall-time
@@ -21,8 +22,6 @@
 //        --period=4096      (checkpoint period, both sides)
 //        --reps=1           (min-of-reps walls; M already averages noise)
 //        --seed=2024
-//        --pr8-json=FILE    (machine-readable summary; BENCH_pr8.json in
-//                            the repo root records the committed run)
 //        --supervised       (PR 9: run the sweep side on forked worker
 //                            processes under watchdog supervision.  The
 //                            bit-identity check still applies; the 10%
@@ -50,7 +49,6 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <set>
 #include <string>
@@ -157,7 +155,6 @@ int run_bench(const divpp::io::Args& args) {
   const std::int64_t period = args.get_int("period", 4096);
   const int reps = static_cast<int>(args.get_int("reps", 1));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2024));
-  const std::string json_path = args.get_string("pr8-json", "");
   const bool supervised = args.get_bool("supervised", false);
   int threads = static_cast<int>(args.get_int("threads", 0));
   args.reject_unknown();
@@ -235,9 +232,9 @@ int run_bench(const divpp::io::Args& args) {
       .add_cell(cache.hits)
       .add_cell(cache.misses);
   std::cout << table.to_text()
-            << "Reading: the sweep pays the admission queue, the recovery "
-               "wrapper, and one cache lock per scenario, but shares one "
-               "run-length table per (n, k, w) instead of building "
+            << "Reading: the sweep pays the recovery wrapper and one "
+               "cache lock per scenario, but shares one run-length table "
+               "per (n, k, w) instead of building "
             << count << " of them — the columns should be within noise.\n\n";
 
   divpp::io::Json out;
@@ -257,14 +254,6 @@ int run_bench(const divpp::io::Args& args) {
   out.set("cache_entries", cache.entries);
   out.set("cache_resident_bytes",
           static_cast<std::int64_t>(cache.resident_bytes));
-  if (!json_path.empty()) {
-    std::ofstream file(json_path);
-    if (!file) {
-      std::cerr << "e22_sweep: cannot write " << json_path << "\n";
-      return 1;
-    }
-    file << out.to_string() << "\n";
-  }
   std::cout << out.to_string() << "\n";
 
   // Supervised mode writes durable checkpoints the dedicated side does

@@ -21,8 +21,6 @@
 //        --reps=4          (min-of-reps walls; checkpoint fsync latency
 //                           is jittery, so the min needs a few samples)
 //        --seed=2024
-//        --pr9-json=FILE   (machine-readable summary; BENCH_pr9.json in
-//                           the repo root records the committed run)
 //
 // Smoke mode (--smoke) is the CI crash-containment drill: a supervised
 // sweep under a hostile schedule of REAL faults (DIVPP_FAULT_SPEC when
@@ -39,7 +37,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <set>
 #include <string>
@@ -122,7 +119,6 @@ int run_bench(const divpp::io::Args& args) {
   const std::int64_t period = args.get_int("period", 4096);
   const int reps = static_cast<int>(args.get_int("reps", 6));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2024));
-  const std::string json_path = args.get_string("pr9-json", "");
   int workers = static_cast<int>(args.get_int("workers", 0));
   args.reject_unknown();
   if (workers <= 0)
@@ -224,14 +220,6 @@ int run_bench(const divpp::io::Args& args) {
   out.set("supervised_wall_s", supervised_wall);
   out.set("overhead", overhead);
   out.set("bit_identical", true);
-  if (!json_path.empty()) {
-    std::ofstream file(json_path);
-    if (!file) {
-      std::cerr << "e23_containment: cannot write " << json_path << "\n";
-      return 1;
-    }
-    file << out.to_string() << "\n";
-  }
   std::cout << out.to_string() << "\n";
 
   if (overhead > 0.10) {

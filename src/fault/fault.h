@@ -48,10 +48,8 @@
 /// again.  In-process, each spec additionally fires at most once per
 /// schedule object.
 ///
-/// The layer is compiled behind the DIVPP_FAULTS option (default ON;
-/// the hook sites in the runner vanish when OFF, the SIM_CHECKED
-/// discipline).  Hooks run only at window boundaries, so the hot
-/// interaction loop is untouched either way.
+/// The hooks are always compiled in: they run only at window
+/// boundaries, so the hot interaction loop never sees them.
 
 #include <atomic>
 #include <cstddef>

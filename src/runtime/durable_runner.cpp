@@ -32,14 +32,10 @@ std::string drive_windows(Sim& sim, const core::CountSimulation& counts,
                           rng::Xoshiro256& gen,
                           const DurableRunConfig& config) {
   validate_config(counts, config);
-  const fault::FaultSchedule* faults = nullptr;
-  bool audit = false;
-#if DIVPP_FAULTS
-  faults = config.faults != nullptr && !config.faults->empty()
-               ? config.faults
-               : nullptr;
-  audit = faults != nullptr && faults->needs_draw_audit();
-#endif
+  const fault::FaultSchedule* faults =
+      config.faults != nullptr && !config.faults->empty() ? config.faults
+                                                          : nullptr;
+  const bool audit = faults != nullptr && faults->needs_draw_audit();
   const auto start = Clock::now();
   rng::Xoshiro256 window_start_gen = gen;
   std::int64_t draws = 0;
@@ -82,17 +78,11 @@ std::string drive_windows(Sim& sim, const core::CountSimulation& counts,
     const fault::Boundary boundary{config.replica,
                                    window_index_at(now, period), prev, now,
                                    audit ? draws : -1};
-#if DIVPP_FAULTS
     if (faults != nullptr) faults->fire_before_checkpoint(boundary);
-#endif
     if (!config.checkpoint_path.empty())
       fault::write_durable(config.checkpoint_path, blob);
     if (config.on_checkpoint) config.on_checkpoint(blob);
-#if DIVPP_FAULTS
     if (faults != nullptr) faults->fire_after_checkpoint(boundary);
-#else
-    (void)boundary;
-#endif
     // Drain check last: the boundary's checkpoint is already durable, so
     // a stopped run parks in a resumable state.
     if (config.should_stop && config.should_stop()) break;

@@ -53,13 +53,12 @@ ScenarioSpec::Start parse_start(std::string_view name) {
   fail("unknown start '" + std::string(name) + "'");
 }
 
-ScenarioOutcome parse_outcome(std::string_view name) {
-  if (name == "ok") return ScenarioOutcome::kOk;
-  if (name == "recovered") return ScenarioOutcome::kRecovered;
-  if (name == "quarantined") return ScenarioOutcome::kQuarantined;
-  if (name == "rejected") return ScenarioOutcome::kRejected;
-  // kDrained cannot come off the wire: workers get no should_stop.
-  fail("unknown outcome '" + std::string(name) + "'");
+/// The payload size a frame's 4-byte little-endian header announces.
+std::size_t frame_size(const char* header) {
+  std::size_t size = 0;
+  for (int i = 3; i >= 0; --i)
+    size = (size << 8) | static_cast<unsigned char>(header[i]);
+  return size;
 }
 
 // ---- low-level I/O ---------------------------------------------------
@@ -105,9 +104,7 @@ bool read_exact(int fd, char* out, std::size_t size) {
 std::optional<std::string> read_frame_blocking(int fd) {
   char header[4];
   if (!read_exact(fd, header, sizeof header)) return std::nullopt;
-  std::size_t size = 0;
-  for (int i = 3; i >= 0; --i)
-    size = (size << 8) | static_cast<unsigned char>(header[i]);
+  const std::size_t size = frame_size(header);
   if (size > kMaxFrameBytes) return std::nullopt;
   std::string payload(size, '\0');
   if (size > 0 && !read_exact(fd, payload.data(), size)) return std::nullopt;
@@ -157,10 +154,7 @@ std::string encode_heartbeat(std::size_t index) {
                               const SweepStatistic& statistic) {
   // Inherited by fork, never serialised: options, statistic, and (via
   // options.faults) the fault schedule.
-  context::SamplerContextCache cache(
-      options.context_budget_bytes > 0
-          ? options.context_budget_bytes
-          : context::SamplerContextCache::kDefaultBudgetBytes);
+  context::SamplerContextCache cache(options.context_budget_bytes);
   const std::chrono::duration<double> heartbeat_gap(
       options.supervision.heartbeat_period_seconds);
 
@@ -301,9 +295,7 @@ void append_frame(std::string& out, std::string_view payload) {
 
 std::optional<std::string> take_frame(std::string& buffer) {
   if (buffer.size() < 4) return std::nullopt;
-  std::size_t size = 0;
-  for (int i = 3; i >= 0; --i)
-    size = (size << 8) | static_cast<unsigned char>(buffer[i]);
+  const std::size_t size = frame_size(buffer.data());
   if (size > kMaxFrameBytes)
     fail("frame size " + std::to_string(size) + " exceeds the limit");
   if (buffer.size() < 4 + size) return std::nullopt;
@@ -364,7 +356,13 @@ ResultFrame decode_result(const std::string& payload) {
   ResultFrame result;
   result.index = static_cast<std::size_t>(in.uint64("scenario index"));
   ScenarioReport& report = result.report;
-  report.outcome = parse_outcome(in.token("outcome"));
+  const std::string_view outcome = in.token("outcome");
+  // kDrained cannot come off the wire: workers get no should_stop.
+  const std::optional<ScenarioOutcome> settled =
+      parse_settled_outcome(outcome);
+  if (!settled.has_value())
+    fail("unknown outcome '" + std::string(outcome) + "'");
+  report.outcome = *settled;
   report.attempts = static_cast<int>(in.int64("attempts", 0, INT_MAX));
   report.resumes = static_cast<int>(in.int64("resumes", 0, INT_MAX));
   report.value = in.real("value");
@@ -375,10 +373,11 @@ ResultFrame decode_result(const std::string& payload) {
 
 }  // namespace wire
 
-void SweepSupervisor::run(const std::vector<ScenarioSpec>& specs,
-                          const SweepStatistic& statistic, bool resuming,
-                          std::vector<ScenarioReport>& reports,
-                          const std::vector<char>& finished) {
+void run_supervised(const SweepOptions& options,
+                    const std::vector<ScenarioSpec>& specs,
+                    const SweepStatistic& statistic, bool resuming,
+                    std::vector<ScenarioReport>& reports,
+                    const std::vector<char>& finished) {
   if (!statistic) fail("empty statistic");
   const std::size_t count = specs.size();
   std::deque<std::size_t> queue;
@@ -396,15 +395,15 @@ void SweepSupervisor::run(const std::vector<ScenarioSpec>& specs,
   ::sigaction(SIGPIPE, &ignore_pipe, &old_pipe);
 
   const int pool_size =
-      options_.supervision.workers > 0 ? options_.supervision.workers
-                                       : ThreadPool::hardware_threads();
-  const double hang_timeout = options_.supervision.hang_timeout_seconds;
-  const double deadline = options_.scenario_deadline_seconds;
+      options.supervision.workers > 0 ? options.supervision.workers
+                                      : ThreadPool::hardware_threads();
+  const double hang_timeout = options.supervision.hang_timeout_seconds;
+  const double deadline = options.scenario_deadline_seconds;
   // Grace before the preemptive deadline kill: a healthy worker's
   // cooperative deadline check (at its next boundary) should win.
   const double deadline_grace = std::max(
-      0.25, 2.0 * options_.supervision.heartbeat_period_seconds);
-  const int crash_loop_k = options_.supervision.crash_loop_k;
+      0.25, 2.0 * options.supervision.heartbeat_period_seconds);
+  const int crash_loop_k = options.supervision.crash_loop_k;
 
   std::vector<WorkerProc> workers;
   std::vector<int> kills(count, 0);  // successive worker deaths per scenario
@@ -503,7 +502,7 @@ void SweepSupervisor::run(const std::vector<ScenarioSpec>& specs,
       const std::size_t want = std::min<std::size_t>(
           static_cast<std::size_t>(pool_size), outstanding);
       while (workers.size() < want)
-        workers.push_back(spawn_worker(options_, statistic, workers));
+        workers.push_back(spawn_worker(options, statistic, workers));
 
       // Dispatch queued scenarios to idle workers.  A failed dispatch
       // means the worker died between scenarios; handle it and retry.

@@ -9,7 +9,7 @@
 /// simulated crashes, torn checkpoints — but every scenario shares one
 /// address space, so a real SIGSEGV, abort, OOM, or a wedged
 /// (non-terminating) scenario loses or stalls the whole sweep.
-/// SweepSupervisor closes that gap the way production simulation farms
+/// run_supervised closes that gap the way production simulation farms
 /// do (OMNeT++'s parsim runs partitions as separate OS processes): it
 /// forks a pool of worker *processes*, dispatches scenarios to them
 /// over pipes, and supervises:
@@ -72,7 +72,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "runtime/sweep_runner.h"
@@ -122,33 +121,26 @@ struct ResultFrame {
 
 }  // namespace wire
 
-/// The process-level supervisor: see the file comment.  Constructed
-/// from the same SweepOptions as the SweepRunner that hosts it
-/// (SweepOptions::supervision carries the knobs); reached via
-/// SweepRunner with supervision.enabled rather than directly.
-class SweepSupervisor {
- public:
-  /// \pre \p options passed SweepRunner's constructor checks: a
-  /// non-empty sweep_dir, workers >= 0, non-negative timings and
-  /// crash_loop_k >= 1.  Not re-checked here.
-  explicit SweepSupervisor(SweepOptions options)
-      : options_(std::move(options)) {}
-
-  /// Runs every scenario with finished[i] == 0 on forked workers and
-  /// fills its slot of \p reports (slots of finished scenarios are left
-  /// untouched).  \p resuming makes first dispatches resume from their
-  /// durable checkpoints (the manifest-level resume); redispatches
-  /// after a worker death always resume.  Blocks until every scenario
-  /// settled (ok / recovered / quarantined / rejected) — a supervised
-  /// sweep never drains.
-  void run(const std::vector<ScenarioSpec>& specs,
-           const SweepStatistic& statistic, bool resuming,
-           std::vector<ScenarioReport>& reports,
-           const std::vector<char>& finished);
-
- private:
-  SweepOptions options_;
-};
+/// The process-level supervisor: see the file comment.  Takes the
+/// options of the SweepRunner that hosts it (SweepOptions::supervision
+/// carries the knobs); reached via SweepRunner with supervision.enabled
+/// rather than directly.
+///
+/// Runs every scenario with finished[i] == 0 on forked workers and
+/// fills its slot of \p reports (slots of finished scenarios are left
+/// untouched).  \p resuming makes first dispatches resume from their
+/// durable checkpoints (the manifest-level resume); redispatches after a
+/// worker death always resume.  Blocks until every scenario settled
+/// (ok / recovered / quarantined / rejected) — a supervised sweep never
+/// drains.
+/// \pre \p options passed SweepRunner's constructor checks: a
+/// non-empty sweep_dir, workers >= 0, non-negative timings and
+/// crash_loop_k >= 1.  Not re-checked here.
+void run_supervised(const SweepOptions& options,
+                    const std::vector<ScenarioSpec>& specs,
+                    const SweepStatistic& statistic, bool resuming,
+                    std::vector<ScenarioReport>& reports,
+                    const std::vector<char>& finished);
 
 }  // namespace divpp::runtime
 

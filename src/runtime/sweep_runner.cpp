@@ -8,7 +8,6 @@
 #include <climits>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -89,6 +88,14 @@ const char* scenario_outcome_name(ScenarioOutcome outcome) {
     case ScenarioOutcome::kDrained: return "drained";
   }
   return "unknown";
+}
+
+std::optional<ScenarioOutcome> parse_settled_outcome(std::string_view name) {
+  for (const ScenarioOutcome outcome :
+       {ScenarioOutcome::kOk, ScenarioOutcome::kRecovered,
+        ScenarioOutcome::kQuarantined, ScenarioOutcome::kRejected})
+    if (name == scenario_outcome_name(outcome)) return outcome;
+  return std::nullopt;
 }
 
 std::string scenario_checkpoint_path(const std::string& sweep_dir,
@@ -218,9 +225,7 @@ void execute_scenario(const ScenarioSpec& spec, std::size_t index,
 
 SweepRunner::SweepRunner(SweepOptions options)
     : options_(std::move(options)),
-      cache_(options_.context_budget_bytes > 0
-                 ? options_.context_budget_bytes
-                 : context::SamplerContextCache::kDefaultBudgetBytes),
+      cache_(options_.context_budget_bytes),
       pool_(options_.threads) {
   if (options_.checkpoint_period <= 0)
     throw std::invalid_argument("SweepRunner: checkpoint_period must be > 0");
@@ -230,8 +235,6 @@ SweepRunner::SweepRunner(SweepOptions options)
     throw std::invalid_argument("SweepRunner: negative backoff");
   if (options_.scenario_deadline_seconds < 0)
     throw std::invalid_argument("SweepRunner: negative deadline");
-  if (options_.admission_capacity < 0)
-    throw std::invalid_argument("SweepRunner: negative admission_capacity");
   if (options_.supervision.enabled) {
     if (options_.sweep_dir.empty())
       throw std::invalid_argument(
@@ -263,11 +266,6 @@ SweepResult SweepRunner::resume(const std::vector<ScenarioSpec>& specs,
 
 void SweepRunner::request_drain() {
   drain_.store(true, std::memory_order_relaxed);
-  // Wake both the blocked submitter and any idle workers so the drain
-  // takes effect now, not at the next queue transition.
-  std::lock_guard<std::mutex> lock(queue_mutex_);
-  can_submit_.notify_all();
-  have_work_.notify_all();
 }
 
 std::string SweepRunner::manifest_path() const {
@@ -300,8 +298,7 @@ SweepResult SweepRunner::execute(const std::vector<ScenarioSpec>& specs,
     // Process-isolated path: fan unfinished scenarios out to forked
     // worker processes.  pool_ is never submitted to, so this process
     // stays single-threaded — a precondition for safe fork().
-    SweepSupervisor supervisor(options_);
-    supervisor.run(specs, statistic, resuming, reports, finished);
+    run_supervised(options_, specs, statistic, resuming, reports, finished);
   } else {
     run_in_process(specs, statistic, resuming, reports, finished);
   }
@@ -334,79 +331,28 @@ void SweepRunner::run_in_process(const std::vector<ScenarioSpec>& specs,
                                  std::vector<ScenarioReport>& reports,
                                  const std::vector<char>& finished) {
   const std::size_t count = specs.size();
-  // The bounded admission queue.  Plain locals guarded by queue_mutex_;
-  // the cvs are members only so request_drain() can wake the waiters.
-  std::deque<std::size_t> ready;
-  bool closed = false;
   std::vector<char> settled(count, 0);  // report written by a worker
-  const std::int64_t capacity =
-      options_.admission_capacity > 0
-          ? options_.admission_capacity
-          : 4 * static_cast<std::int64_t>(pool_.thread_count());
-
-  auto worker = [&] {
-    for (;;) {
-      std::size_t index = 0;
-      {
-        std::unique_lock<std::mutex> lock(queue_mutex_);
-        have_work_.wait(lock, [&] {
-          return !ready.empty() || closed ||
-                 drain_.load(std::memory_order_relaxed);
-        });
-        if (drain_.load(std::memory_order_relaxed)) {
-          // Admitted-but-unstarted scenarios drain too: drop them here,
-          // unsettled; the post-join pass reports them kDrained.
-          ready.clear();
-          can_submit_.notify_all();
-          return;
-        }
-        if (ready.empty()) return;  // closed, queue drained
-        index = ready.front();
-        ready.pop_front();
-        can_submit_.notify_one();
-      }
-      run_scenario(index, specs[index], statistic, resuming, reports[index]);
-      settled[index] = 1;
-    }
+  const std::function<bool()> should_stop = [this] {
+    return drain_.load(std::memory_order_relaxed);
   };
-  for (int t = 0; t < pool_.thread_count(); ++t) pool_.submit(worker);
-
-  // Submission, with backpressure: block while the queue is full.
-  for (std::size_t i = 0; i < count; ++i) {
-    if (finished[i] != 0) continue;
-    std::unique_lock<std::mutex> lock(queue_mutex_);
-    can_submit_.wait(lock, [&] {
-      return static_cast<std::int64_t>(ready.size()) < capacity ||
-             drain_.load(std::memory_order_relaxed);
-    });
-    if (drain_.load(std::memory_order_relaxed)) break;
-    ready.push_back(i);
-    have_work_.notify_one();
-  }
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    closed = true;
-  }
-  have_work_.notify_all();
-  pool_.wait_idle();
+  parallel_for(pool_, static_cast<std::int64_t>(count),
+               [&](std::int64_t claimed) {
+                 const auto i = static_cast<std::size_t>(claimed);
+                 if (finished[i] != 0 || should_stop()) return;
+                 execute_scenario(specs[i], i, options_, statistic, resuming,
+                                  cache_, should_stop,
+                                  /*on_boundary=*/nullptr, reports[i]);
+                 settled[i] = 1;
+               });
 
   for (std::size_t i = 0; i < count; ++i) {
     if (finished[i] == 0 && settled[i] == 0) {
-      // Never reached a worker: drained out of the queue (or never
-      // admitted).  attempts == 0 records that no attempt ran.
+      // Claimed after the drain request, so never started.
+      // attempts == 0 records that no attempt ran.
       reports[i].outcome = ScenarioOutcome::kDrained;
       reports[i].attempts = 0;
     }
   }
-}
-
-void SweepRunner::run_scenario(std::size_t index, const ScenarioSpec& spec,
-                               const Statistic& statistic, bool resuming,
-                               ScenarioReport& report) {
-  execute_scenario(
-      spec, index, options_, statistic, resuming, cache_,
-      [this] { return drain_.load(std::memory_order_relaxed); },
-      /*on_boundary=*/nullptr, report);
 }
 
 void SweepRunner::write_manifest(
@@ -472,14 +418,9 @@ void SweepRunner::load_manifest(const std::vector<ScenarioSpec>& specs,
     report.resumes = resumes;
     report.error = error;
     if (status == "pending") continue;  // resume() re-runs it
-    constexpr ScenarioOutcome kSettled[] = {
-        ScenarioOutcome::kOk, ScenarioOutcome::kRecovered,
-        ScenarioOutcome::kQuarantined, ScenarioOutcome::kRejected};
-    const auto* settled = std::find_if(
-        std::begin(kSettled), std::end(kSettled),
-        [&](ScenarioOutcome o) { return status == manifest_status(o); });
-    if (settled == std::end(kSettled))
-      in.fail("unknown status '" + status + "'");
+    const std::optional<ScenarioOutcome> settled =
+        parse_settled_outcome(status);
+    if (!settled.has_value()) in.fail("unknown status '" + status + "'");
     report.outcome = *settled;
     if (report.outcome == ScenarioOutcome::kOk ||
         report.outcome == ScenarioOutcome::kRecovered) {

@@ -23,21 +23,21 @@
 ///    only*; the rest of the sweep is unaffected, and the completed
 ///    scenarios' results are bit-identical to a fault-free sweep
 ///    (recovery restores exact state or replays the same stream).
-///  - **Backpressure.** Scenarios are admitted through a bounded queue
-///    (admission_capacity); submission blocks while the queue is full,
-///    so a million-scenario sweep holds O(threads) scenarios in flight,
-///    not a million simulations in memory.
+///  - **Bounded memory.** Pool workers claim scenario indices through
+///    parallel_for's atomic index, and a simulation exists only while a
+///    worker runs it, so a million-scenario sweep holds at most one
+///    simulation per thread, not a million in memory.
 ///  - **Containment.** With SweepOptions::supervision.enabled the same
 ///    sweep runs on forked worker *processes* under a watchdog
-///    (runtime/supervisor.h): hard faults — SIGSEGV, abort, OOM, a
+///    (run_supervised, runtime/supervisor.h): hard faults — SIGSEGV, abort, OOM, a
 ///    wedged scenario — kill one worker, which is reaped, respawned and
 ///    resumed from its durable checkpoint; a crash-looping scenario is
 ///    quarantined alone.  Results are bit-identical to the in-process
 ///    path (both drive execute_scenario()).
 ///  - **Drain.** request_drain() (callable from any thread) stops
-///    admission and parks every in-flight scenario at its next
-///    checkpoint boundary — already persisted durably — then writes a
-///    sweep manifest.  resume() reloads the manifest, keeps finished
+///    workers from starting further scenarios and parks every running
+///    one at its next checkpoint boundary — already persisted durably —
+///    then the sweep writes its manifest.  resume() reloads the manifest, keeps finished
 ///    results bit-identically, and finishes drained/pending scenarios
 ///    from their checkpoints; the combined results are bit-identical to
 ///    an uninterrupted run (period-aligned boundaries, see
@@ -47,12 +47,12 @@
 /// thread-safe and a pure function of the final simulation state.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "context/sampler_context.h"
@@ -73,6 +73,13 @@ enum class ScenarioOutcome {
 
 /// Stable display name ("ok", "recovered", ...).
 [[nodiscard]] const char* scenario_outcome_name(ScenarioOutcome outcome);
+
+/// Inverse of scenario_outcome_name for the settled outcomes (ok,
+/// recovered, quarantined, rejected) — the words the manifest and the
+/// supervisor's result frames carry.  nullopt for anything else,
+/// "drained" included: neither record ever holds it.
+[[nodiscard]] std::optional<ScenarioOutcome> parse_settled_outcome(
+    std::string_view name);
 
 /// One scenario: a self-contained simulation request.
 struct ScenarioSpec {
@@ -148,11 +155,9 @@ struct SweepOptions {
   double backoff_initial_ms = 1.0;
   /// Cooperative per-attempt deadline per scenario (0 disables).
   double scenario_deadline_seconds = 0.0;
-  /// Bound on the admission queue; 0 = 4 * threads.
-  std::int64_t admission_capacity = 0;
-  /// Memory budget of the shared SamplerContextCache; 0 = the cache
-  /// default (SamplerContextCache::kDefaultBudgetBytes).
-  std::size_t context_budget_bytes = 0;
+  /// Memory budget of the shared SamplerContextCache.
+  std::size_t context_budget_bytes =
+      context::SamplerContextCache::kDefaultBudgetBytes;
   /// Fault schedule to consult at boundaries; nullptr = no faults.
   /// FaultSpec::replica addresses the scenario *index*.
   const fault::FaultSchedule* faults = nullptr;
@@ -239,8 +244,9 @@ class SweepRunner {
   SweepResult resume(const std::vector<ScenarioSpec>& specs,
                      const Statistic& statistic);
 
-  /// Requests a graceful drain of the sweep in flight: admission stops,
-  /// running scenarios park at their next checkpoint boundary.  Safe
+  /// Requests a graceful drain of the sweep in flight: no further
+  /// scenario starts, running ones park at their next checkpoint
+  /// boundary.  Safe
   /// from any thread; idempotent; a no-op when nothing is running.
   /// In-process sweeps only — a supervised sweep runs to completion
   /// (its containment story is the supervisor's, not drain's).
@@ -256,14 +262,11 @@ class SweepRunner {
  private:
   SweepResult execute(const std::vector<ScenarioSpec>& specs,
                       const Statistic& statistic, bool resuming);
-  /// The PR 8 thread-pool path: bounded admission, pool workers, drain.
+  /// The thread-pool path: parallel_for over the scenarios, drain.
   void run_in_process(const std::vector<ScenarioSpec>& specs,
                       const Statistic& statistic, bool resuming,
                       std::vector<ScenarioReport>& reports,
                       const std::vector<char>& finished);
-  void run_scenario(std::size_t index, const ScenarioSpec& spec,
-                    const Statistic& statistic, bool resuming,
-                    ScenarioReport& report);
   [[nodiscard]] std::string manifest_path() const;
   void write_manifest(const std::vector<ScenarioSpec>& specs,
                       const std::vector<ScenarioReport>& reports) const;
@@ -276,11 +279,6 @@ class SweepRunner {
   context::SamplerContextCache cache_;
   ThreadPool pool_;
   std::atomic<bool> drain_{false};
-  // Admission queue state; members (not execute() locals) so
-  // request_drain() can wake the waiters.
-  std::mutex queue_mutex_;
-  std::condition_variable can_submit_;
-  std::condition_variable have_work_;
 };
 
 }  // namespace divpp::runtime

@@ -292,6 +292,10 @@ TEST(SupervisorWire, ResultFramesRoundTripAndRejectMalformed) {
   negative = payload;
   negative.replace(20, 1, "-2");
   EXPECT_THROW((void)wire::decode_result(negative), std::invalid_argument);
+  // Workers never drain, so "drained" is no result a frame can carry.
+  std::string drained = payload;
+  drained.replace(6, std::strlen("quarantined"), "drained");
+  EXPECT_THROW((void)wire::decode_result(drained), std::invalid_argument);
   EXPECT_THROW((void)wire::decode_result(wire::encode_run(0, false, scenario(
                    "run", 100, 1, 2000))),
                std::invalid_argument);

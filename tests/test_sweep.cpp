@@ -4,8 +4,8 @@
 // isolation (a crashing scenario quarantines alone and everyone else's
 // JSON is byte-identical to the fault-free sweep), retries from the
 // latest valid checkpoint (torn files restart from scratch, deadline
-// overruns resume), graceful drain with manifest resume, checkpoint
-// cleanup, and backpressure.
+// overruns resume), graceful drain with manifest resume, and checkpoint
+// cleanup.
 
 #include <gtest/gtest.h>
 
@@ -380,6 +380,34 @@ TEST(Sweep, DrainMidSweepThenResumeFinishesBitIdentically) {
   }
 }
 
+TEST(Sweep, DrainOnOneThreadStartsNothingAfterTheRequest) {
+  // One worker claims scenarios in order, so a drain requested from the
+  // first statistic call leaves every later scenario unstarted.
+  const std::vector<ScenarioSpec> specs = mixed_specs(6);
+  SweepRunner runner(sweep_options(1));
+  std::atomic<int> calls{0};
+  const SweepRunner::Statistic draining_statistic =
+      [&](const CountSimulation& sim) {
+        calls.fetch_add(1);
+        runner.request_drain();
+        return min_dark_statistic(sim);
+      };
+  const SweepResult result = runner.run(specs, draining_statistic);
+
+  EXPECT_TRUE(result.drain_requested);
+  EXPECT_EQ(result.completed, 1);
+  EXPECT_EQ(result.drained, static_cast<std::int64_t>(specs.size()) - 1);
+  EXPECT_EQ(calls.load(), 1);
+  ASSERT_EQ(result.scenarios.size(), specs.size());
+  EXPECT_EQ(result.scenarios[0].outcome, ScenarioOutcome::kOk);
+  EXPECT_EQ(result.scenarios[0].value, dedicated_value(specs[0]));
+  for (std::size_t i = 1; i < specs.size(); ++i) {
+    EXPECT_EQ(result.scenarios[i].outcome, ScenarioOutcome::kDrained)
+        << "scenario " << i;
+    EXPECT_EQ(result.scenarios[i].attempts, 0) << "scenario " << i;
+  }
+}
+
 TEST(Sweep, ResumeRefusesMismatchedSpecs) {
   std::vector<ScenarioSpec> specs = mixed_specs(3);
   const std::string dir = ::testing::TempDir() + "divpp_sweep_mismatch";
@@ -502,6 +530,8 @@ TEST(Sweep, CorruptManifestsAreRefusedNeverHalfResumed) {
                                                 name0 + " \"\"")},
       {"unknown status", with_line(1, "scenario 0 exploded 1 0 0x0p+0 " +
                                           name0 + " \"\"")},
+      {"drained status (persisted as pending)",
+       with_line(1, "scenario 0 drained 1 0 0x0p+0 " + name0 + " \"\"")},
       {"negative attempts", with_line(1, "scenario 0 ok -1 0 0x0p+0 " +
                                              name0 + " \"\"")},
       {"non-numeric attempts", with_line(1, "scenario 0 ok abc 0 0x0p+0 " +
@@ -566,17 +596,6 @@ TEST(Sweep, ManifestMatchesThePinnedFormat) {
   EXPECT_EQ(resumed.scenarios[0].value, 1.0 / 3.0);
   EXPECT_EQ(resumed.scenarios[0].error, "");
   EXPECT_EQ(divpp::fault::read_durable(manifest), pinned);
-}
-
-TEST(Sweep, BackpressureBoundsTheQueueAndStillCompletes) {
-  const std::vector<ScenarioSpec> specs = mixed_specs(30);
-  SweepOptions options = sweep_options(2);
-  options.admission_capacity = 2;  // far below the scenario count
-  const SweepResult result =
-      SweepRunner(options).run(specs, min_dark_statistic);
-  EXPECT_EQ(result.completed, static_cast<std::int64_t>(specs.size()));
-  for (std::size_t i = 0; i < specs.size(); ++i)
-    EXPECT_EQ(result.scenarios[i].value, dedicated_value(specs[i]));
 }
 
 }  // namespace
