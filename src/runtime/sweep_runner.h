@@ -29,19 +29,20 @@
 ///    simulation per thread, not a million in memory.
 ///  - **Containment.** With SweepOptions::supervision.enabled the same
 ///    sweep runs on forked worker *processes* under a watchdog
-///    (run_supervised, runtime/supervisor.h): hard faults — SIGSEGV, abort, OOM, a
-///    wedged scenario — kill one worker, which is reaped, respawned and
-///    resumed from its durable checkpoint; a crash-looping scenario is
-///    quarantined alone.  Results are bit-identical to the in-process
-///    path (both drive execute_scenario()).
+///    (run_supervised, runtime/supervisor.h): hard faults — SIGSEGV,
+///    abort, OOM, a wedged scenario — kill one worker, which is reaped,
+///    respawned and resumed from its durable checkpoint; a
+///    crash-looping scenario is quarantined alone.  Results are
+///    bit-identical to the in-process path (both drive
+///    execute_scenario()).
 ///  - **Drain.** request_drain() (callable from any thread) stops
 ///    workers from starting further scenarios and parks every running
 ///    one at its next checkpoint boundary — already persisted durably —
-///    then the sweep writes its manifest.  resume() reloads the manifest, keeps finished
-///    results bit-identically, and finishes drained/pending scenarios
-///    from their checkpoints; the combined results are bit-identical to
-///    an uninterrupted run (period-aligned boundaries, see
-///    runtime/durable_runner.h).
+///    then the sweep writes its manifest.  resume() reloads the
+///    manifest, keeps finished results bit-identically, and finishes
+///    drained/pending scenarios from their checkpoints; the combined
+///    results are bit-identical to an uninterrupted run (period-aligned
+///    boundaries, see runtime/durable_runner.h).
 ///
 /// The statistic callback runs concurrently on pool threads: it must be
 /// thread-safe and a pure function of the final simulation state.
